@@ -43,7 +43,7 @@ import numpy as np
 
 from .grid import (Field, Grid, GridMismatchError, cg_solve, grad_sq_integral,
                    inner_product, integrate, laplacian_values, norm_h)
-from .model import ModelParams, f_deriv, p_deriv
+from .model import ModelParams, default_stabilization, f_deriv, p_deriv
 
 __all__ = [
     "DivergenceError",
@@ -152,23 +152,23 @@ class ControlSchedule:
 
 
 def phase_operator(params: ModelParams, grid: Grid):
-    """Field map f -> f + tau*(lap(lap f) - S*lap f); symmetric positive definite."""
+    """Array map v -> v + tau*(lap(lap v) - S*lap v); symmetric positive definite."""
     tau = params.tau
     s_const = params.stabilization
 
-    def apply(f: Field) -> Field:
-        lap = laplacian_values(grid, f.values)
-        return Field._wrap(grid, f.values + tau * (laplacian_values(grid, lap) - s_const * lap))
+    def apply(v: np.ndarray) -> np.ndarray:
+        lap = laplacian_values(grid, v)
+        return v + tau * (laplacian_values(grid, lap) - s_const * lap)
 
     return apply
 
 
 def diffusion_operator(params: ModelParams, grid: Grid):
-    """Field map f -> f - tau*lap f; symmetric positive definite."""
+    """Array map v -> v - tau*lap v; symmetric positive definite."""
     tau = params.tau
 
-    def apply(f: Field) -> Field:
-        return Field._wrap(grid, f.values - tau * laplacian_values(grid, f.values))
+    def apply(v: np.ndarray) -> np.ndarray:
+        return v - tau * laplacian_values(grid, v)
 
     return apply
 
@@ -288,7 +288,7 @@ def simulate(params: ModelParams, u: ControlSchedule,
 
     traj = StateTrajectory(params, grid, phis, sigmas, mass_res, energies)
     peak = traj.max_abs_phi()
-    needed = params.potential.well_scale * max(2.0, 3.0 * peak * peak - 1.0)
+    needed = default_stabilization(params.potential, peak)
     if params.stabilization < needed * (1.0 - 1e-12):
         warnings.warn(
             f"stabilization {params.stabilization:.3g} is below the curvature bound "

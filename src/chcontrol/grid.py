@@ -14,6 +14,9 @@ structural facts hold to roundoff and are relied on downstream:
 ``integrate`` and ``inner_product`` reduce with exact compensated summation
 in a fixed order; together with the fixed iteration order of ``cg_solve``
 this makes every computation bitwise reproducible across runs.
+
+``cg_solve``'s operator is an array map (ndarray in, new ndarray out, argument
+left unmodified); Fields are validated once at entry and once at exit.
 """
 
 from __future__ import annotations
@@ -169,8 +172,7 @@ class Field:
 
     def _other_values(self, other):
         if isinstance(other, Field):
-            if other.grid != self.grid:
-                raise GridMismatchError("fields live on different grids")
+            _require_same_grid(self, other)
             return other.values
         return float(other)
 
@@ -206,11 +208,11 @@ def _axis_second_difference(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     # Flux form: differences of face fluxes with zero flux on boundary faces.
     # Reusing each interior flux in both adjacent cells keeps the column sum
     # at the roundoff of a single subtraction per cell.
-    d = np.diff(arr, axis=axis)
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (1, 1)
-    d = np.pad(d, pad)
-    return np.diff(d, axis=axis) / (h * h)
+    lead = (slice(None),) * axis
+    lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+    flux = np.zeros(arr.shape[:axis] + (arr.shape[axis] + 1,) + arr.shape[axis + 1:])
+    flux[lead + (slice(1, -1),)] = arr[hi] - arr[lo]
+    return (flux[hi] - flux[lo]) / (h * h)
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -278,13 +280,17 @@ def norm_v(f: Field) -> float:
 
 
 def cg_solve(
-    apply_op: Callable[[Field], Field],
+    apply_op: Callable[[np.ndarray], np.ndarray],
     rhs: Field,
     tol: float = 1e-12,
     max_iter: int = 20000,
     x0: Field | None = None,
 ) -> Field:
     """Solve ``apply_op(x) = rhs`` for a symmetric positive-definite operator.
+
+    ``apply_op`` is an array map: ndarray in, new ndarray of the same shape
+    out, argument left unmodified.  Fields are validated once at entry
+    (``rhs``, ``x0``) and once at exit (the solution), not per iteration.
 
     Matrix-free conjugate gradients with the residual measured in the
     cell-volume weighted norm, relative to ``rhs``.  When the recurrence
@@ -296,7 +302,9 @@ def cg_solve(
     Raises
     ------
     CgNonConvergenceError
-        If the budget is exhausted; the error carries the final residual.
+        If the budget runs out or ``p.Ap`` is not positive (or NaN).
+    GridMismatchError
+        If the operator's first output does not have the shape of ``rhs``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -304,30 +312,25 @@ def cg_solve(
     vol = grid.cell_volume
     b = rhs.values
 
-    def apply_values(v: np.ndarray) -> np.ndarray:
-        out = apply_op(Field._wrap(grid, v.copy()))
-        if out.grid != grid:
-            raise GridMismatchError("operator changed the grid")
-        return out.values
-
     bnorm = math.sqrt(vol * float(np.dot(b.ravel(), b.ravel())))
     if bnorm == 0.0:
         return Field.zeros(grid)
     target = tol * bnorm
 
     x = np.array(x0.values if x0 is not None else np.zeros(grid.shape), dtype=float)
-    r = b - apply_values(x)
-    p = r.copy()
+    ax = apply_op(x)
+    if ax.shape != b.shape:
+        raise GridMismatchError(f"operator output has shape {ax.shape}, rhs has {b.shape}")
+    r = p = b - ax  # no copy: nothing is updated in place
     rs = float(np.dot(r.ravel(), r.ravel()))
     iterations = 0
     while True:
         if math.sqrt(vol * rs) <= target:
-            true_r = b - apply_values(x)
+            true_r = b - apply_op(x)
             ts = float(np.dot(true_r.ravel(), true_r.ravel()))
             if math.sqrt(vol * ts) <= target:
                 return Field._wrap(grid, x)
-            r = true_r  # recurrence drifted; restart from the true residual
-            p = r.copy()
+            r = p = true_r  # recurrence drifted; restart from the true residual
             rs = ts
         if iterations >= max_iter:
             res = math.sqrt(vol * rs)
@@ -335,9 +338,9 @@ def cg_solve(
                 f"cg_solve: no convergence after {iterations} iterations "
                 f"(residual {res:.3e}, target {target:.3e})",
                 residual=res, iterations=iterations)
-        ap = apply_values(p)
+        ap = apply_op(p)
         pap = float(np.dot(p.ravel(), ap.ravel()))
-        if pap <= 0.0:
+        if not pap > 0.0:  # also catches a NaN from a non-finite operator output
             raise CgNonConvergenceError(
                 f"cg_solve: operator is not positive definite along the search "
                 f"direction (p.Ap = {pap:.3e})",

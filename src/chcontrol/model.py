@@ -367,8 +367,8 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
         rng = np.random.default_rng(seed)
         f = Field._wrap(grid, amplitude * rng.uniform(-1.0, 1.0, grid.shape))
 
-        def smoother(v: Field) -> Field:
-            return Field._wrap(grid, v.values - kappa * laplacian_values(grid, v.values))
+        def smoother(v: np.ndarray) -> np.ndarray:
+            return v - kappa * laplacian_values(grid, v)
 
         for _ in range(passes):
             f = cg_solve(smoother, f, tol=1e-12, max_iter=10000)

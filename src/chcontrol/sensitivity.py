@@ -111,10 +111,7 @@ def adjoint_step(params: ModelParams, phi_b: Field, sigma_b: Field,
     num = params.numerics
     curvature, rate, rate_slope = _level_coefficients(params, phi_b, sigma_b)
 
-    if source is not None:
-        p_hat = Field._wrap(grid, p_next.values + source.values)
-    else:
-        p_hat = p_next
+    p_hat = p_next if source is None else p_next + source
     p1 = cg_solve(phase_operator(params, grid), p_hat,
                   tol=num.cg_tol, max_iter=num.cg_max_iter, x0=p_next)
     r1 = cg_solve(diffusion_operator(params, grid), r_next,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from chcontrol import ControlSchedule, Field, f_deriv, p_deriv, preset_field
+from chcontrol import ControlSchedule, f_deriv, p_deriv, preset_field
 from chcontrol.config import build_grid, build_initial_control, build_params, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -27,13 +27,13 @@ def load_instance(name, overrides=()):
 
 
 def assemble_operator(op, grid):
-    """Dense matrix of a Field -> Field linear map via unit vectors."""
+    """Dense matrix of an array -> array linear map via unit vectors."""
     n = grid.n_cells
     cols = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        cols[:, j] = op(Field(grid, e)).values.ravel()
+        cols[:, j] = op(e.reshape(grid.shape)).ravel()
     return cols
 
 
@@ -41,6 +41,27 @@ def mirror_ghost_laplacian_1d(vals, h):
     """Reference 3-point stencil with mirrored ghost values."""
     ext = np.concatenate([[vals[0]], vals, [vals[-1]]])
     return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / (h * h)
+
+
+def padded_flux_second_difference(arr, axis, h):
+    """Reference flux-form second difference along one axis.
+
+    Face fluxes are differences of neighbours, padded with zero flux on the
+    two boundary faces, then differenced again.
+    """
+    d = np.diff(arr, axis=axis)
+    pad = [(0, 0)] * arr.ndim
+    pad[axis] = (1, 1)
+    d = np.pad(d, pad)
+    return np.diff(d, axis=axis) / (h * h)
+
+
+def padded_flux_laplacian(grid, vals):
+    """Reference zero-flux laplacian summed over the grid's active axes."""
+    out = padded_flux_second_difference(vals, 0, grid.spacing[0])
+    if grid.dim == 2:
+        out = out + padded_flux_second_difference(vals, 1, grid.spacing[1])
+    return out
 
 
 def smooth_field(grid, seed, amplitude=1.0):

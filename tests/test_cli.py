@@ -62,6 +62,13 @@ class TestSimulate:
         assert code == 3
         assert "error=divergence" in err
 
+    def test_solver_failure_exit_code(self, capsys, tmp_path):
+        code, _, err = run(["simulate", cfg("twodim.cfg"), f"io.outdir={tmp_path}",
+                            "solver.cg_maxit=1"], capsys)
+        assert code == 3
+        assert "error=solver" in err
+        assert "iterations=1" in err
+
     def test_two_dimensional_run(self, capsys, tmp_path):
         code, out, _ = run(["simulate", cfg("twodim.cfg"), f"io.outdir={tmp_path}"], capsys)
         assert code == 0

@@ -9,9 +9,23 @@ from hypothesis.extra.numpy import arrays
 from chcontrol import (CgNonConvergenceError, Field, Grid, GridMismatchError, cg_solve,
                        grad_sq_integral, inner_product, integrate, neumann_biharmonic,
                        neumann_laplacian, norm_h, norm_v)
-from helpers import assemble_operator, mirror_ghost_laplacian_1d
+from chcontrol.grid import laplacian_values
+from helpers import assemble_operator, mirror_ghost_laplacian_1d, padded_flux_laplacian
 
 field_values = arrays(np.float64, 16, elements=st.floats(-100.0, 100.0))
+
+
+@st.composite
+def grids_with_values(draw):
+    """1D lines and 2D boxes down to 4-cell axes, with unequal side lengths."""
+    lengths = st.floats(0.5, 10.0)
+    if draw(st.sampled_from((1, 2))) == 1:
+        grid = Grid.line(draw(st.integers(4, 24)), draw(lengths))
+    else:
+        grid = Grid.box(draw(st.integers(4, 12)), draw(st.integers(4, 12)),
+                        draw(lengths), draw(lengths))
+    vals = draw(arrays(np.float64, grid.shape, elements=st.floats(-100.0, 100.0)))
+    return grid, vals
 
 
 def line16():
@@ -86,13 +100,14 @@ class TestLaplacian:
         lap = neumann_laplacian(Field.full(g, 0.37))
         assert np.all(lap.values == 0.0)
 
-    def test_matches_reference_stencil(self):
-        g = Grid.line(16, 4.0)
-        rng = np.random.default_rng(5)
-        vals = rng.uniform(-2, 2, 16)
+    @given(grids_with_values())
+    def test_matches_reference_stencil(self, grid_and_values):
+        # Bit for bit against the padded-flux kernel, signed zeros included.
+        g, vals = grid_and_values
         lap = neumann_laplacian(Field(g, vals))
-        ref = mirror_ghost_laplacian_1d(vals, g.spacing[0])
-        assert np.allclose(lap.values, ref, rtol=1e-13, atol=1e-13)
+        ref = padded_flux_laplacian(g, vals)
+        assert np.array_equal(lap.values, ref)
+        assert lap.values.tobytes() == ref.tobytes()
 
     def test_2d_separable_matches_two_1d_calls(self):
         gx = Grid.line(8, 4.0)
@@ -232,8 +247,8 @@ class TestCg:
         g = Grid.line(8, 4.0)
         tau = 0.01
 
-        def op(f):
-            return f - tau * neumann_laplacian(f)
+        def op(v):
+            return v - tau * laplacian_values(g, v)
 
         dense = assemble_operator(op, g)
         rng = np.random.default_rng(3)
@@ -246,13 +261,37 @@ class TestCg:
         g = line16()
         rhs = Field(g, np.random.default_rng(8).uniform(-1, 1, 16))
 
-        def op(f):
-            return f - 0.05 * neumann_laplacian(f)
+        def op(v):
+            return v - 0.05 * laplacian_values(g, v)
 
         with pytest.raises(CgNonConvergenceError) as err:
             cg_solve(op, rhs, tol=1e-14, max_iter=1)
         assert err.value.iterations == 1
         assert err.value.residual > 0.0
+
+    def test_non_finite_operator_output_raises_at_once(self):
+        g = line16()
+        rhs = Field(g, np.arange(16.0))
+        with pytest.raises(CgNonConvergenceError) as err:
+            cg_solve(lambda v: np.full_like(v, np.nan), rhs)
+        assert err.value.iterations == 0
+
+    def test_wrong_shape_output_raises(self):
+        g = line16()
+        rhs = Field(g, np.arange(16.0))
+        with pytest.raises(GridMismatchError):
+            cg_solve(lambda v: np.zeros(17), rhs)
+
+    def test_operator_receives_plain_arrays(self):
+        g = line16()
+        rhs = Field(g, np.random.default_rng(9).uniform(-1, 1, 16))
+
+        def op(v):
+            assert type(v) is np.ndarray
+            return v - 0.05 * laplacian_values(g, v)
+
+        x = cg_solve(op, rhs, tol=1e-13, x0=Field.zeros(g))
+        assert norm_h(Field(g, op(x.values)) - rhs) <= 1e-13 * norm_h(rhs)
 
     def test_zero_rhs(self):
         g = line16()
