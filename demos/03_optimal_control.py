@@ -7,8 +7,7 @@ a bound must push outward, and where the control weight is positive the
 control must equal the clamped lifted co-state.
 """
 
-from chcontrol import (OptimOptions, kkt_report, projected_gradient, simulate,
-                       solve_adjoint)
+from chcontrol import OptimOptions, kkt_report, projected_gradient, simulate
 from chcontrol.config import (build_grid, build_initial_control, build_params,
                               parse_config)
 from pathlib import Path
@@ -32,8 +31,8 @@ for k, cost in enumerate(result.cost_history):
     print(f"   iter {k:3d}: J = {cost:.12f}")
 print(f"stationarity |u - clamp(u - g)| = {result.kkt_residual:.3e}")
 
-trajectory = simulate(params, result.control)
-adjoint = solve_adjoint(params, trajectory)
+adjoint = result.adjoint  # the adjoint of the final control, and its trajectory
+trajectory = adjoint.base
 report = kkt_report(params, result.control, adjoint, tol=1e-5)
 print("\nfirst-order audit at tolerance 1e-5:")
 print(f"   interior / lower / upper cells: "

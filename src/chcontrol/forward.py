@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (Field, Grid, GridMismatchError, cg_solve, grad_sq_integral,
-                   inner_product, integrate, laplacian_values, norm_h)
+                   implicit_operator, inner_product, integrate, laplacian_values, norm_h)
 from .model import ModelParams, default_stabilization, f_deriv, p_deriv
 
 __all__ = [
@@ -156,21 +156,18 @@ def phase_operator(params: ModelParams, grid: Grid):
     tau = params.tau
     s_const = params.stabilization
 
-    def apply(v: np.ndarray) -> np.ndarray:
+    def increment(v: np.ndarray) -> np.ndarray:
         lap = laplacian_values(grid, v)
-        return v + tau * (laplacian_values(grid, lap) - s_const * lap)
+        return tau * (laplacian_values(grid, lap) - s_const * lap)
 
-    return apply
+    return implicit_operator(grid, ("phase", tau, s_const), increment)
 
 
 def diffusion_operator(params: ModelParams, grid: Grid):
     """Array map v -> v - tau*lap v; symmetric positive definite."""
     tau = params.tau
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return v - tau * laplacian_values(grid, v)
-
-    return apply
+    return implicit_operator(grid, ("diffusion", tau),
+                             lambda v: -tau * laplacian_values(grid, v))
 
 
 def chemical_potential(params: ModelParams, phi: Field) -> Field:

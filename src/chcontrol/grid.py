@@ -17,12 +17,24 @@ this makes every computation bitwise reproducible across runs.
 
 ``cg_solve``'s operator is an array map (ndarray in, new ndarray out, argument
 left unmodified); Fields are validated once at entry and once at exit.
+
+``implicit_operator`` builds such a map, ``v -> v + increment(v)``, for the
+implicit steps, from a stencil increment that sends constants to zero.  On
+grids of at most ``DENSE_MAX_CELLS`` (256) cells the per-call overhead of the
+stencil dominates, so the increment is assembled once per ``(grid, key)`` as a
+dense matrix ``K`` (one batched stencil call on the identity, then averaged
+with its transpose so it is exactly symmetric) and applied as
+``v + K @ (v - v[0])``.  ``K`` sends constants to zero only up to roundoff;
+shifting by ``v[0]`` makes a constant field map to itself exactly.  Above the
+threshold a matrix-vector product costs more than the stencil, which is then
+called directly.  Each grid keeps at most ``DENSE_CACHE_SIZE`` matrices,
+dropping the oldest first.  Solves stay iterative on both paths.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -34,6 +46,7 @@ __all__ = [
     "neumann_laplacian",
     "neumann_biharmonic",
     "laplacian_values",
+    "implicit_operator",
     "grad_sq_integral",
     "inner_product",
     "integrate",
@@ -65,9 +78,11 @@ class Grid:
     ``counts`` is always ``(nx, ny)`` with ``ny == 1`` in 1D; every active
     axis needs at least 4 cells.  ``cell_volume`` is the product of the
     spacings, so a 1D grid keeps its length measure when ``ly == 1``.
+    ``implicit_operator`` keeps its dense matrices on the grid.
     """
 
-    __slots__ = ("dim", "counts", "lengths", "spacing", "cell_volume", "shape", "n_cells")
+    __slots__ = ("dim", "counts", "lengths", "spacing", "cell_volume", "shape", "n_cells",
+                 "_dense_increments")
 
     def __init__(self, dim: int, counts: Sequence[int], lengths: Sequence[float]):
         if dim not in (1, 2):
@@ -92,6 +107,7 @@ class Grid:
         self.cell_volume = self.spacing[0] * self.spacing[1]
         self.shape = (nx,) if dim == 1 else (nx, ny)
         self.n_cells = nx * ny
+        self._dense_increments = {}  # key -> read-only matrix, oldest first
 
     @classmethod
     def line(cls, nx: int, length: float) -> "Grid":
@@ -221,6 +237,53 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     if grid.dim == 2:
         out = out + _axis_second_difference(values, 1, grid.spacing[1])
     return out
+
+
+DENSE_MAX_CELLS = 256
+DENSE_CACHE_SIZE = 8  # matrices per grid
+
+
+def _dense_increment(grid: Grid, key: Hashable, increment) -> np.ndarray:
+    cache = grid._dense_increments
+    mat = cache.get(key)
+    if mat is None:
+        n = grid.n_cells
+        # One batched stencil call: column j is the increment of unit vector j.
+        mat = increment(np.eye(n).reshape(grid.shape + (n,))).reshape(n, n)
+        # Mirrored entries can differ in the last bit on 2D boxes with unequal
+        # spacings; averaging makes the matrix exactly symmetric, and leaves
+        # it unchanged wherever it already was.
+        mat = 0.5 * (mat + mat.T)
+        mat.setflags(write=False)
+        cache[key] = mat
+        if len(cache) > DENSE_CACHE_SIZE:
+            del cache[next(iter(cache))]
+    return mat
+
+
+def implicit_operator(grid: Grid, key: Hashable,
+                      increment: Callable[[np.ndarray], np.ndarray]):
+    """Array map v -> v + increment(v) for an implicit-step operator.
+
+    ``increment`` is a linear stencil map that sends constants to zero and
+    accepts trailing batch axes; ``key`` names it completely on ``grid``
+    (equal keys must mean equal maps).  Grids of at most ``DENSE_MAX_CELLS``
+    cells apply the increment as one dense matrix, assembled once per key
+    and kept on the grid; larger grids call the stencil.  Every call returns
+    a new function object, so callers may set attributes on it.
+    """
+    if grid.n_cells > DENSE_MAX_CELLS:
+        def apply(v: np.ndarray) -> np.ndarray:
+            return v + increment(v)
+        return apply
+
+    mat = _dense_increment(grid, key, increment)
+
+    def apply_dense(v: np.ndarray) -> np.ndarray:
+        # Shifting by v[0] keeps a constant field exactly constant.
+        return v + (mat @ (v.reshape(-1) - v.flat[0])).reshape(v.shape)
+
+    return apply_dense
 
 
 def neumann_laplacian(f: Field) -> Field:

@@ -27,7 +27,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .grid import Field, Grid, cg_solve, laplacian_values
+from .grid import Field, Grid, cg_solve, implicit_operator, laplacian_values
 
 __all__ = [
     "QuarticDoubleWell",
@@ -367,9 +367,8 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
         rng = np.random.default_rng(seed)
         f = Field._wrap(grid, amplitude * rng.uniform(-1.0, 1.0, grid.shape))
 
-        def smoother(v: np.ndarray) -> np.ndarray:
-            return v - kappa * laplacian_values(grid, v)
-
+        smoother = implicit_operator(grid, ("diffusion", kappa),
+                                     lambda v: -kappa * laplacian_values(grid, v))
         for _ in range(passes):
             f = cg_solve(smoother, f, tol=1e-12, max_iter=10000)
         return f

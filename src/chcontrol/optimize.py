@@ -116,9 +116,11 @@ class OptimOptions:
 
 @dataclass
 class OptimResult:
-    """Final control with per-iterate histories and the stopping diagnosis."""
+    """Final control and its adjoint, per-iterate histories and the stopping
+    diagnosis."""
 
     control: ControlSchedule
+    adjoint: AdjointTrajectory
     cost_history: list
     gradient_norm_history: list
     kkt_residual: float
@@ -138,7 +140,8 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
     grow back by one shrink factor, capped at alpha0).  Terminates when the
     stationarity measure ``|u - project(u - g)|`` drops below ``tol``, the
     iteration budget runs out, or the line search fails; the last is a
-    recorded outcome, not an exception.
+    recorded outcome, not an exception.  The result carries the adjoint of
+    the final control, computed from the trajectory already at hand.
     """
     opts = options or OptimOptions()
     tau = params.tau
@@ -178,7 +181,9 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
             reason = "line_search_failed"
             break
         iterations += 1
-    return OptimResult(control=u, cost_history=cost_history,
+    else:
+        adjoint = solve_adjoint(params, traj)  # budget spent after an accepted step
+    return OptimResult(control=u, adjoint=adjoint, cost_history=cost_history,
                        gradient_norm_history=grad_history,
                        kkt_residual=stationarity, iterations=iterations,
                        termination_reason=reason)

@@ -1,6 +1,6 @@
 """Shared oracles for the test suite: dense operator assembly, hand stencils,
-an adaptive ODE reference for spatially constant runs, and instance builders
-tied to the shipped configuration files."""
+stencil-only step operators, an adaptive ODE reference for spatially constant
+runs, and instance builders tied to the shipped configuration files."""
 
 from pathlib import Path
 
@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from chcontrol import ControlSchedule, f_deriv, p_deriv, preset_field
 from chcontrol.config import build_grid, build_initial_control, build_params, parse_config
+from chcontrol.grid import laplacian_values
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -62,6 +63,24 @@ def padded_flux_laplacian(grid, vals):
     if grid.dim == 2:
         out = out + padded_flux_second_difference(vals, 1, grid.spacing[1])
     return out
+
+
+def stencil_phase_operator(params, grid):
+    """Reference phase operator v + tau*(lap(lap v) - S*lap v), stencil only."""
+    tau = params.tau
+    s_const = params.stabilization
+
+    def apply(v):
+        lap = laplacian_values(grid, v)
+        return v + tau * (laplacian_values(grid, lap) - s_const * lap)
+
+    return apply
+
+
+def stencil_diffusion_operator(params, grid):
+    """Reference diffusion operator v - tau*lap v, stencil only."""
+    tau = params.tau
+    return lambda v: v - tau * laplacian_values(grid, v)
 
 
 def smooth_field(grid, seed, amplitude=1.0):

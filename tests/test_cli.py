@@ -1,5 +1,6 @@
 from pathlib import Path
 
+from chcontrol import cli, forward, optimize
 from chcontrol.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -68,6 +69,13 @@ class TestSimulate:
         assert code == 3
         assert "error=solver" in err
         assert "iterations=1" in err
+
+    def test_solver_failure_exit_code_on_dense_path(self, capsys, tmp_path):
+        # 32 cells take the dense operator path; the solves must stay iterative.
+        code, _, err = run(["optimize", cfg("tracking_soft.cfg"), f"io.outdir={tmp_path}",
+                            "solver.cg_maxit=1"], capsys)
+        assert code == 3
+        assert "error=solver" in err
 
     def test_two_dimensional_run(self, capsys, tmp_path):
         code, out, _ = run(["simulate", cfg("twodim.cfg"), f"io.outdir={tmp_path}"], capsys)
@@ -142,3 +150,24 @@ class TestOptimize:
         assert "termination=tolerance_met" in out
         assert "kkt_violations=0" in out
         assert (tmp_path / "control_final" / "u_000000.csv").exists()
+
+    def test_final_control_is_not_simulated_again(self, capsys, tmp_path, monkeypatch):
+        # Every simulate is a cost evaluation: the final KKT audit reuses the
+        # optimizer's own adjoint of the final control.
+        counts = {"simulate": 0, "cost": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        counted_simulate = counting("simulate", forward.simulate)
+        for module in (forward, optimize, cli):
+            monkeypatch.setattr(module, "simulate", counted_simulate)
+        monkeypatch.setattr(optimize, "_tracking_cost",
+                            counting("cost", optimize._tracking_cost))
+        code, _, _ = run(["optimize", cfg("tracking.cfg"), f"io.outdir={tmp_path}"], capsys)
+        assert code == 0
+        assert counts["cost"] > 1
+        assert counts["simulate"] == counts["cost"]

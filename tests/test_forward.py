@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismatchError,
                        ModelParams, Numerics, QuadraticProliferation, chemical_potential,
                        energy, f_deriv, integrate, lipschitz_probe, norm_h, p_deriv,
                        preset_field, simulate, step)
 from chcontrol.forward import diffusion_operator, phase_operator
-from helpers import assemble_operator, ode_reference, smooth_field, smooth_schedule
+from chcontrol.grid import DENSE_CACHE_SIZE, DENSE_MAX_CELLS, implicit_operator, laplacian_values
+from helpers import (assemble_operator, ode_reference, smooth_field, smooth_schedule,
+                     stencil_diffusion_operator, stencil_phase_operator)
 
 
 def small_params(**kw):
@@ -25,6 +29,82 @@ class TestChemicalPotential:
         assert np.all(chemical_potential(params, Field.full(g, 1.0)).values == 0.0)
         mu = chemical_potential(params, Field.full(g, 0.5))
         assert np.allclose(mu.values, 0.5 ** 3 - 0.5, atol=1e-15)
+
+
+@st.composite
+def grids(draw, min_cells, max_cells):
+    """1D lines and 2D boxes with min_cells..max_cells cells, down to 4-cell
+    axes, with unequal side lengths."""
+    lengths = st.floats(0.5, 10.0)
+    if draw(st.booleans()):
+        return Grid.line(draw(st.integers(max(4, min_cells), max_cells)), draw(lengths))
+    nx = draw(st.integers(4, max_cells // 4))
+    ny = draw(st.integers(max(4, -(-min_cells // nx)), max_cells // nx))
+    return Grid.box(nx, ny, draw(lengths), draw(lengths))
+
+
+small_grids = grids(4, DENSE_MAX_CELLS)
+large_grids = grids(DENSE_MAX_CELLS + 1, 4 * DENSE_MAX_CELLS)
+step_params = st.builds(lambda tau: small_params(tau=tau, t_final=1.0),
+                        st.floats(1e-5, 1e-1))
+STEP_OPERATORS = ((phase_operator, stencil_phase_operator),
+                  (diffusion_operator, stencil_diffusion_operator))
+
+
+class TestImplicitOperator:
+    @given(small_grids, step_params)
+    @example(Grid.line(DENSE_MAX_CELLS, 10.0), small_params(tau=1e-5, t_final=1.0))
+    @example(Grid.box(4, DENSE_MAX_CELLS // 4, 0.5, 10.0), small_params(tau=1e-1, t_final=1.0))
+    def test_dense_path_matches_stencil(self, g, params):
+        for make, stencil in STEP_OPERATORS:
+            dense = assemble_operator(make(params, g), g)
+            ref = assemble_operator(stencil(params, g), g)
+            assert np.max(np.abs(dense - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @given(small_grids, step_params)
+    @example(Grid.box(4, 4, 1.0, 1.5), small_params(tau=0.0625, t_final=1.0))
+    def test_dense_matrix_is_bitwise_symmetric(self, g, params):
+        # The stencil's own matrix is asymmetric in the last bit on this box.
+        for make, _ in STEP_OPERATORS:
+            make(params, g)
+        assert len(g._dense_increments) == 2
+        for mat in g._dense_increments.values():
+            assert np.array_equal(mat, mat.T)
+
+    @given(small_grids, step_params, st.floats(-1e3, 1e3))
+    def test_constant_fields_map_to_themselves(self, g, params, c):
+        const = np.full(g.shape, c)
+        for make, _ in STEP_OPERATORS:
+            assert make(params, g)(const).tobytes() == const.tobytes()
+
+    @given(large_grids, step_params)
+    def test_stencil_path_on_large_grids_is_unchanged(self, g, params):
+        v = np.random.default_rng(g.n_cells).uniform(-1.0, 1.0, g.shape)
+        for make, stencil in STEP_OPERATORS:
+            assert make(params, g)(v).tobytes() == stencil(params, g)(v).tobytes()
+
+    @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(32, 32, 4.0, 4.0)])
+    def test_every_call_returns_a_new_function(self, g):
+        # Operators that share a matrix must not share attributes.
+        params = small_params()
+        tau = params.tau
+        ops = [diffusion_operator(params, g), diffusion_operator(params, g),
+               implicit_operator(g, ("diffusion", tau), lambda v: -tau * laplacian_values(g, v))]
+        ops[0].role = "diffusion"
+        assert len({id(op) for op in ops}) == 3
+        assert not any(hasattr(op, "role") for op in ops[1:])
+
+    def test_matrix_cache_is_bounded(self):
+        g = Grid.line(16, 4.0)
+        keys = [("scale", float(k)) for k in range(DENSE_CACHE_SIZE + 3)]
+        for key in keys:
+            implicit_operator(g, key, lambda v, c=key[1]: c * laplacian_values(g, v))
+        cache = g._dense_increments
+        assert len(cache) == DENSE_CACHE_SIZE
+        assert keys[-1] in cache and keys[0] not in cache
+        mat = cache[keys[-1]]
+        implicit_operator(g, keys[-1], None)  # a hit never calls the increment
+        assert cache[keys[-1]] is mat
 
 
 class TestStep:

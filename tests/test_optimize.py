@@ -133,6 +133,23 @@ class TestProjectedGradientAnalytic:
         assert result.kkt_residual <= 1e-8
 
 
+class TestFinalAdjoint:
+    @pytest.mark.parametrize("reason, opts", [
+        ("tolerance_met", OptimOptions(tol=1e-6, max_iters=50)),
+        ("max_iters", OptimOptions(tol=1e-8, max_iters=1)),
+        ("line_search_failed", OptimOptions(tol=1e-8, armijo_c=0.9999, alpha_shrink=1e-300)),
+    ])
+    def test_result_carries_adjoint_of_final_control(self, reason, opts):
+        _, _, params, u0 = load_instance("tracking.cfg", ["time.t_final=0.01"])
+        result = projected_gradient(params, u0, opts)
+        assert result.termination_reason == reason
+        fresh = solve_adjoint(params, simulate(params, result.control))
+        for got, want in ((result.adjoint.p, fresh.p), (result.adjoint.r, fresh.r),
+                          (result.adjoint.r_lift, fresh.r_lift)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+
+
 @pytest.fixture(scope="module")
 def soft_run():
     _, grid, params, u0 = load_instance("tracking_soft.cfg")
