@@ -33,7 +33,7 @@ for seed in (0, 1, 2):
 
 u = ControlSchedule.constant(grid, params.n_steps, 0.0, u_min=-2.0, u_max=2.0)
 h = ControlSchedule(grid, [preset_field("filtered_noise", grid, seed=7063 + n,
-                                        amplitude=2.0)
+                                        amplitude=2.0).values
                            for n in range(params.n_steps)])
 
 print("\n2) state Taylor remainder |phi(u+eps*h) - phi(u) - eps*xi|")

@@ -19,7 +19,7 @@ params = ModelParams(
 
 u_base = ControlSchedule.constant(grid, params.n_steps, 0.0)
 direction = ControlSchedule(grid, [preset_field("filtered_noise", grid,
-                                                seed=50 * 1009 + n, amplitude=1.0)
+                                                seed=50 * 1009 + n, amplitude=1.0).values
                                    for n in range(params.n_steps)])
 report = lipschitz_probe(params, u_base, u_base + direction,
                          eps_values=(1e-1, 1e-2, 1e-3, 1e-4))

@@ -17,14 +17,15 @@ from .model import (HypothesisReport, ModelParams, Numerics, QuadraticProliferat
                     QuarticDoubleWell, SigmoidProliferation, check_hypotheses,
                     default_stabilization, f_deriv, p_deriv, preset_field)
 from .forward import (ControlSchedule, DivergenceError, StabilityReport, StateTrajectory,
-                      chemical_potential, energy, lipschitz_probe, simulate, step)
+                      chemical_potential, energy, l2q_inner, l2q_norm, lipschitz_probe,
+                      simulate, step)
 from .sensitivity import (AdjointTrajectory, LinearizedTrajectory, adjoint_step,
                           dot_product_test, fit_loglog_slope, frechet_remainder_sweep,
                           linearized_step, reduced_gradient, solve_adjoint,
                           solve_linearized)
 from .optimize import (KktReport, OptimOptions, OptimResult, cost_taylor_sweep,
-                       directional_derivative_check, kkt_report, l2q_inner, l2q_norm,
-                       project, projected_gradient, reduced_cost)
+                       directional_derivative_check, kkt_report, project,
+                       projected_gradient, reduced_cost)
 from .snapshots import SnapshotError, read_snapshot, read_snapshot_header, write_snapshot
 from .config import (ConfigError, FieldExpr, RunConfig, apply_overrides, build_grid,
                      build_initial_control, build_params, echo_text, parse_config)

@@ -165,9 +165,9 @@ def cmd_grad_check(cfg: RunConfig, bound: float = 1e-10) -> int:
 
 
 def _direction_schedule(grid, n_steps: int, seed: int, amplitude: float) -> ControlSchedule:
-    fields = [preset_field("filtered_noise", grid, seed=seed * 1009 + n, amplitude=amplitude)
-              for n in range(n_steps)]
-    return ControlSchedule(grid, fields)
+    return ControlSchedule(grid, [
+        preset_field("filtered_noise", grid, seed=seed * 1009 + n, amplitude=amplitude).values
+        for n in range(n_steps)])
 
 
 def cmd_taylor(cfg: RunConfig) -> int:

@@ -175,7 +175,6 @@ _SCHEMA = [
     ("opt.u0", "expr", "constant value=0.0"),
     ("io.outdir", "str", "out"),
     ("io.snapshot_every", "int", "50"),
-    ("io.log_format", "choice:kv", "kv"),
 ]
 _TYPES = {key: kind for key, kind, _ in _SCHEMA}
 _ORDER = [key for key, _, _ in _SCHEMA]
@@ -407,5 +406,5 @@ def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
 
 def build_initial_control(cfg: RunConfig, grid: Grid, params: ModelParams) -> ControlSchedule:
     u0_field = cfg["opt.u0"].build(grid)
-    return ControlSchedule(grid, [u0_field] * params.n_steps,
+    return ControlSchedule(grid, [u0_field.values] * params.n_steps,
                            u_min=params.u_min, u_max=params.u_max)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +55,8 @@ __all__ = [
     "simulate",
     "energy",
     "lipschitz_probe",
+    "l2q_inner",
+    "l2q_norm",
     "phase_operator",
     "diffusion_operator",
 ]
@@ -70,51 +71,55 @@ class DivergenceError(RuntimeError):
 
 
 class ControlSchedule:
-    """Piecewise-constant-in-time control: one field per step, plus bounds.
+    """Piecewise-constant-in-time control: one ``(n_steps, *grid.shape)`` array
+    of values, plus optional box bounds.
 
-    The field at index n acts on [t_n, t_{n+1}).  Bounds are optional; a
-    schedule is admissible when they are present and hold cellwise.
-    Arithmetic keeps the left operand's bounds, so directions and trial
-    points can be formed without losing the constraint data.
+    Row n acts on [t_n, t_{n+1}) and ``u[n]`` returns it as a Field.  The
+    constructor copies the values (any array-like, e.g. a list of per-step
+    arrays) and checks once that there is at least one step, that each row
+    has the grid's shape and that every value is finite; the stored array is
+    read-only.  Bounds are optional; a schedule is admissible when they are
+    present and hold cellwise.  Arithmetic keeps the left operand's bounds,
+    so directions and trial points can be formed without losing the
+    constraint data.
     """
 
-    __slots__ = ("grid", "fields", "u_min", "u_max")
+    __slots__ = ("grid", "values", "u_min", "u_max")
 
-    def __init__(self, grid: Grid, fields: Sequence[Field],
+    def __init__(self, grid: Grid, values,
                  u_min: float | Field | None = None,
                  u_max: float | Field | None = None):
-        fields = list(fields)
-        if not fields:
-            raise ValueError("schedule needs at least one field")
-        for f in fields:
-            if f.grid != grid:
-                raise GridMismatchError("schedule field on a different grid")
+        arr = np.array(values, dtype=float)
+        if arr.size == 0:
+            raise ValueError("schedule needs at least one step")
+        if arr.shape[1:] != grid.shape:
+            raise GridMismatchError(
+                f"schedule values have shape {arr.shape}, grid expects (n_steps, *{grid.shape})")
+        if not np.isfinite(arr).all():
+            raise ValueError("schedule contains non-finite values")
         for b in (u_min, u_max):
             if isinstance(b, Field) and b.grid != grid:
                 raise GridMismatchError("bound field on a different grid")
+        arr.setflags(write=False)
         self.grid = grid
-        self.fields = fields
+        self.values = arr
         self.u_min = u_min
         self.u_max = u_max
 
     @classmethod
     def constant(cls, grid: Grid, n_steps: int, value: float = 0.0,
                  u_min=None, u_max=None) -> "ControlSchedule":
-        f = Field.full(grid, value)
-        return cls(grid, [f] * int(n_steps), u_min=u_min, u_max=u_max)
-
-    @classmethod
-    def from_field(cls, field: Field, n_steps: int, u_min=None, u_max=None) -> "ControlSchedule":
-        return cls(field.grid, [field] * int(n_steps), u_min=u_min, u_max=u_max)
+        return cls(grid, np.full((int(n_steps),) + grid.shape, float(value)),
+                   u_min=u_min, u_max=u_max)
 
     def __len__(self) -> int:
-        return len(self.fields)
+        return len(self.values)
 
     def __getitem__(self, n: int) -> Field:
-        return self.fields[n]
+        return Field._wrap(self.grid, self.values[n])
 
-    def with_fields(self, fields: Sequence[Field]) -> "ControlSchedule":
-        return ControlSchedule(self.grid, fields, u_min=self.u_min, u_max=self.u_max)
+    def with_values(self, values) -> "ControlSchedule":
+        return ControlSchedule(self.grid, values, u_min=self.u_min, u_max=self.u_max)
 
     def has_bounds(self) -> bool:
         return self.u_min is not None and self.u_max is not None
@@ -128,27 +133,37 @@ class ControlSchedule:
         if not self.has_bounds():
             return False
         lo, hi = self.bound_arrays()
-        for f in self.fields:
-            if np.any(f.values < lo - atol) or np.any(f.values > hi + atol):
-                return False
-        return True
+        return not (np.any(self.values < lo - atol) or np.any(self.values > hi + atol))
 
-    def _combine(self, other: "ControlSchedule", sign: float) -> "ControlSchedule":
+    def _other_values(self, other: "ControlSchedule") -> np.ndarray:
         if len(other) != len(self) or other.grid != self.grid:
             raise GridMismatchError("schedules differ in grid or length")
-        fields = [Field._wrap(self.grid, a.values + sign * b.values)
-                  for a, b in zip(self.fields, other.fields)]
-        return self.with_fields(fields)
+        return other.values
 
     def __add__(self, other: "ControlSchedule") -> "ControlSchedule":
-        return self._combine(other, 1.0)
+        return self.with_values(self.values + self._other_values(other))
 
     def __sub__(self, other: "ControlSchedule") -> "ControlSchedule":
-        return self._combine(other, -1.0)
+        return self.with_values(self.values - self._other_values(other))
 
     def scaled(self, a: float) -> "ControlSchedule":
-        return self.with_fields([Field._wrap(self.grid, float(a) * f.values)
-                                 for f in self.fields])
+        return self.with_values(float(a) * self.values)
+
+    def level_inner_products(self, other: "ControlSchedule") -> list[float]:
+        """``inner_product(self[n], other[n])`` for every step n, each summed
+        exactly like ``inner_product``."""
+        prods = (self.values * self._other_values(other)).reshape(len(self), -1)
+        vol = self.grid.cell_volume
+        return [vol * math.fsum(row) for row in prods.tolist()]
+
+
+def l2q_inner(tau: float, a: ControlSchedule, b: ControlSchedule) -> float:
+    """tau-weighted space-time inner product of two schedules."""
+    return math.fsum(tau * ip for ip in a.level_inner_products(b))
+
+
+def l2q_norm(tau: float, a: ControlSchedule) -> float:
+    return math.sqrt(max(l2q_inner(tau, a, a), 0.0))
 
 
 def phase_operator(params: ModelParams, grid: Grid):
@@ -216,11 +231,10 @@ class StateTrajectory:
     """Time-indexed (phi, sigma) levels with per-step diagnostics.
 
     ``mass_residuals[n]`` is the defect of the combined-mass identity over
-    step n; ``energies[n]`` is the diagnostic energy at level n.  The
-    potential at a level is derived on demand via ``mu(n)``.
+    step n; ``energies[n]`` is the diagnostic energy at level n.
     """
 
-    __slots__ = ("params", "grid", "phi", "sigma", "mass_residuals", "energies", "_mu_cache")
+    __slots__ = ("params", "grid", "phi", "sigma", "mass_residuals", "energies")
 
     def __init__(self, params, grid, phi, sigma, mass_residuals, energies):
         self.params = params
@@ -229,7 +243,6 @@ class StateTrajectory:
         self.sigma = list(sigma)
         self.mass_residuals = np.asarray(mass_residuals, dtype=float)
         self.energies = np.asarray(energies, dtype=float)
-        self._mu_cache = {}
 
     @property
     def n_steps(self) -> int:
@@ -237,11 +250,6 @@ class StateTrajectory:
 
     def time(self, n: int) -> float:
         return n * self.params.tau
-
-    def mu(self, n: int) -> Field:
-        if n not in self._mu_cache:
-            self._mu_cache[n] = chemical_potential(self.params, self.phi[n])
-        return self._mu_cache[n]
 
     def max_abs_phi(self) -> float:
         return max(f.max_abs() for f in self.phi)
@@ -275,12 +283,13 @@ def simulate(params: ModelParams, u: ControlSchedule,
     mass_res = []
     mass_prev = integrate(phi) + integrate(sigma)
     for n in range(len(u)):
-        phi, sigma = step(params, phi, sigma, u[n], step_index=n)
+        u_n = u[n]
+        phi, sigma = step(params, phi, sigma, u_n, step_index=n)
         phis.append(phi)
         sigmas.append(sigma)
         energies.append(energy(params, phi, sigma))
         mass_now = integrate(phi) + integrate(sigma)
-        mass_res.append(mass_now - mass_prev - params.tau * integrate(u[n]))
+        mass_res.append(mass_now - mass_prev - params.tau * integrate(u_n))
         mass_prev = mass_now
 
     traj = StateTrajectory(params, grid, phis, sigmas, mass_res, energies)
@@ -362,10 +371,8 @@ def lipschitz_probe(params: ModelParams, u1: ControlSchedule, u2: ControlSchedul
     for eps in eps_values:
         u_eps = u1 + h.scaled(float(eps))
         other = simulate(params, u_eps)
-        du_sq = math.fsum(tau * inner_product(a - b, a - b)
-                          for a, b in zip(u_eps.fields, u1.fields))
         linf_phi, l2v_phi, linf_sig, l2v_sig = _traj_diff_norms(tau, base, other)
-        rows.append(ProbeRow(eps=float(eps), du_l2q=math.sqrt(du_sq),
+        rows.append(ProbeRow(eps=float(eps), du_l2q=l2q_norm(tau, u_eps - u1),
                              phi_linf_h=linf_phi, phi_l2v=l2v_phi,
                              sigma_linf_h=linf_sig, sigma_l2v=l2v_sig))
     return StabilityReport(rows=rows)

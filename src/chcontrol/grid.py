@@ -375,7 +375,7 @@ def cg_solve(
     vol = grid.cell_volume
     b = rhs.values
 
-    bnorm = math.sqrt(vol * float(np.dot(b.ravel(), b.ravel())))
+    bnorm = math.sqrt(vol * float(np.vdot(b, b)))
     if bnorm == 0.0:
         return Field.zeros(grid)
     target = tol * bnorm
@@ -385,12 +385,12 @@ def cg_solve(
     if ax.shape != b.shape:
         raise GridMismatchError(f"operator output has shape {ax.shape}, rhs has {b.shape}")
     r = p = b - ax  # no copy: nothing is updated in place
-    rs = float(np.dot(r.ravel(), r.ravel()))
+    rs = float(np.vdot(r, r))
     iterations = 0
     while True:
         if math.sqrt(vol * rs) <= target:
             true_r = b - apply_op(x)
-            ts = float(np.dot(true_r.ravel(), true_r.ravel()))
+            ts = float(np.vdot(true_r, true_r))
             if math.sqrt(vol * ts) <= target:
                 return Field._wrap(grid, x)
             r = p = true_r  # recurrence drifted; restart from the true residual
@@ -402,7 +402,7 @@ def cg_solve(
                 f"(residual {res:.3e}, target {target:.3e})",
                 residual=res, iterations=iterations)
         ap = apply_op(p)
-        pap = float(np.dot(p.ravel(), ap.ravel()))
+        pap = float(np.vdot(p, ap))
         if not pap > 0.0:  # also catches a NaN from a non-finite operator output
             raise CgNonConvergenceError(
                 f"cg_solve: operator is not positive definite along the search "
@@ -411,7 +411,7 @@ def cg_solve(
         alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
+        rs_new = float(np.vdot(r, r))
         p = r + (rs_new / rs) * p
         rs = rs_new
         iterations += 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, inner_product
-from .forward import ControlSchedule, StateTrajectory, simulate
+from .forward import ControlSchedule, StateTrajectory, l2q_inner, l2q_norm, simulate
 from .model import ModelParams
 from .sensitivity import AdjointTrajectory, fit_loglog_slope, reduced_gradient, solve_adjoint
 
@@ -42,17 +42,6 @@ __all__ = [
 ]
 
 
-def l2q_inner(tau: float, a: ControlSchedule, b: ControlSchedule) -> float:
-    """tau-weighted space-time inner product of two schedules."""
-    if len(a) != len(b):
-        raise ValueError("schedules differ in length")
-    return math.fsum(tau * inner_product(a[n], b[n]) for n in range(len(a)))
-
-
-def l2q_norm(tau: float, a: ControlSchedule) -> float:
-    return math.sqrt(max(l2q_inner(tau, a, a), 0.0))
-
-
 def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedule) -> float:
     tau = params.tau
     n_steps = len(u)
@@ -67,8 +56,7 @@ def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedul
         final = traj.phi[n_steps] - params.phi_omega
         terms.append(0.5 * params.beta_omega * inner_product(final, final))
     if params.beta_u > 0.0:
-        for n in range(n_steps):
-            terms.append(tau * 0.5 * params.beta_u * inner_product(u[n], u[n]))
+        terms.extend(tau * 0.5 * params.beta_u * ip for ip in u.level_inner_products(u))
     return math.fsum(terms)
 
 
@@ -90,8 +78,7 @@ def project(u: ControlSchedule) -> ControlSchedule:
     if not u.has_bounds():
         raise ValueError("projection needs bounds on the schedule")
     lo, hi = u.bound_arrays()
-    fields = [Field._wrap(u.grid, np.clip(f.values, lo, hi)) for f in u.fields]
-    return u.with_fields(fields)
+    return u.with_values(np.clip(u.values, lo, hi))
 
 
 @dataclass
@@ -217,35 +204,27 @@ def kkt_report(params: ModelParams, u: ControlSchedule,
         raise ValueError("kkt_report needs bounds on the schedule")
     grad = reduced_gradient(params, u, adjoint)
     lo, hi = u.bound_arrays()
-    n_interior = n_lower = n_upper = violations = 0
-    worst = 0.0
+    uv, gv = u.values, grad.values
+    at_lower = uv <= lo
+    at_upper = uv >= hi
+    interior = ~(at_lower | at_upper)
+    bad_interior = np.abs(gv) * interior
+    bad_lower = np.maximum(-gv, 0.0) * at_lower
+    bad_upper = np.maximum(gv, 0.0) * at_upper
+    bad = np.maximum(bad_interior, np.maximum(bad_lower, bad_upper))
     projection_gap = None
     note = ""
     if params.beta_u > 0.0:
-        projection_gap = 0.0
+        clamp = np.clip(-adjoint.r_lift / params.beta_u, lo, hi)
+        projection_gap = float(np.max(np.abs(uv - clamp)))
     else:
         note = "clamp-formula check skipped: control weight beta_u is zero"
-    for n in range(len(u)):
-        uv = u[n].values
-        gv = grad[n].values
-        at_lower = uv <= lo
-        at_upper = uv >= hi
-        interior = ~(at_lower | at_upper)
-        n_interior += int(np.count_nonzero(interior))
-        n_lower += int(np.count_nonzero(at_lower))
-        n_upper += int(np.count_nonzero(at_upper))
-        bad_interior = np.abs(gv) * interior
-        bad_lower = np.maximum(-gv, 0.0) * at_lower
-        bad_upper = np.maximum(gv, 0.0) * at_upper
-        level_bad = np.maximum(bad_interior, np.maximum(bad_lower, bad_upper))
-        violations += int(np.count_nonzero(level_bad > tol))
-        worst = max(worst, float(level_bad.max()))
-        if projection_gap is not None:
-            clamp = np.clip(-adjoint.r_lift[n].values / params.beta_u, lo, hi)
-            projection_gap = max(projection_gap, float(np.max(np.abs(uv - clamp))))
     stationarity = l2q_norm(params.tau, u - project(u - grad))
-    return KktReport(n_interior=n_interior, n_lower=n_lower, n_upper=n_upper,
-                     violations=violations, worst_violation=worst,
+    return KktReport(n_interior=int(np.count_nonzero(interior)),
+                     n_lower=int(np.count_nonzero(at_lower)),
+                     n_upper=int(np.count_nonzero(at_upper)),
+                     violations=int(np.count_nonzero(bad > tol)),
+                     worst_violation=max(0.0, float(bad.max())),
                      stationarity=stationarity, projection_gap=projection_gap,
                      note=note)
 

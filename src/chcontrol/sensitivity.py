@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Field, Grid, cg_solve, inner_product, laplacian_values, norm_h
-from .forward import (ControlSchedule, StateTrajectory, diffusion_operator,
+from .forward import (ControlSchedule, StateTrajectory, diffusion_operator, l2q_inner,
                       phase_operator, simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
 
@@ -155,7 +155,8 @@ class AdjointTrajectory:
     """Co-state fields (p, r) per level plus the per-step gradient lift.
 
     ``q(n) = lap(p_n) - P(phi_n)*(p_n - r_n)`` is derived on demand;
-    ``r_lift[n]`` multiplies the control of step n in the reduced gradient.
+    ``r_lift`` is one ``(n_steps, *grid.shape)`` array whose row n multiplies
+    the control of step n in the reduced gradient.
     """
 
     __slots__ = ("base", "p", "r", "r_lift")
@@ -164,7 +165,7 @@ class AdjointTrajectory:
         self.base = base
         self.p = list(p)
         self.r = list(r)
-        self.r_lift = list(r_lift)
+        self.r_lift = np.asarray(r_lift, dtype=float)
 
     @property
     def n_steps(self) -> int:
@@ -238,12 +239,14 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
 
     p = [None] * (n_steps + 1)
     r = [None] * (n_steps + 1)
-    lift = [None] * n_steps
+    lift = np.empty((n_steps,) + grid.shape)
     p[n_steps] = p_terminal
     r[n_steps] = Field.zeros(grid)
     for n in range(n_steps - 1, -1, -1):
-        p[n], r[n], lift[n] = adjoint_step(
+        p[n], r[n], lift_n = adjoint_step(
             params, base.phi[n], base.sigma[n], p[n + 1], r[n + 1], source=src(n + 1))
+        lift[n] = lift_n.values
+    lift.setflags(write=False)
     return AdjointTrajectory(base, p, r, lift)
 
 
@@ -256,9 +259,7 @@ def reduced_gradient(params: ModelParams, u: ControlSchedule,
     """
     if adjoint.n_steps != len(u):
         raise ValueError("adjoint and control disagree on the number of steps")
-    fields = [Field._wrap(u.grid, params.beta_u * u[n].values + adjoint.r_lift[n].values)
-              for n in range(len(u))]
-    return ControlSchedule(u.grid, fields)
+    return ControlSchedule(u.grid, params.beta_u * u.values + adjoint.r_lift)
 
 
 def fit_loglog_slope(pairs) -> float:
@@ -315,8 +316,8 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
 
     phi0 = smooth(1, 0.8)
     sigma0 = smooth(2, 0.5)
-    u_bar = ControlSchedule(grid, [smooth(100 + n, 0.5) for n in range(n_steps)])
-    h = ControlSchedule(grid, [smooth(200 + n, 1.0) for n in range(n_steps)])
+    u_bar = ControlSchedule(grid, [smooth(100 + n, 0.5).values for n in range(n_steps)])
+    h = ControlSchedule(grid, [smooth(200 + n, 1.0).values for n in range(n_steps)])
 
     # Single-step identity at the initial level.
     xi0, rho0 = smooth(3, 1.0), smooth(4, 1.0)
@@ -337,6 +338,6 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
         tau * inner_product(weights[lvl], lin.xi[lvl]) for lvl in range(1, n_steps + 1))
     adj = solve_adjoint(params, base, terminal_p=terminal,
                         sources=lambda lvl: Field._wrap(grid, tau * weights[lvl].values))
-    paired = math.fsum(tau * inner_product(adj.r_lift[n], h[n]) for n in range(n_steps))
+    paired = l2q_inner(tau, ControlSchedule(grid, adj.r_lift), h)
     worst = max(worst, _relative_gap(functional, paired))
     return worst

@@ -1,6 +1,7 @@
 """Shared oracles for the test suite: dense operator assembly, hand stencils,
-stencil-only step operators, an adaptive ODE reference for spatially constant
-runs, and instance builders tied to the shipped configuration files."""
+stencil-only step operators, a per-level KKT audit, an adaptive ODE reference
+for spatially constant runs, and instance builders tied to the shipped
+configuration files."""
 
 from pathlib import Path
 
@@ -88,8 +89,48 @@ def smooth_field(grid, seed, amplitude=1.0):
 
 
 def smooth_schedule(grid, n_steps, seed, amplitude=1.0, u_min=None, u_max=None):
-    fields = [smooth_field(grid, seed * 1009 + n, amplitude) for n in range(n_steps)]
-    return ControlSchedule(grid, fields, u_min=u_min, u_max=u_max)
+    values = [smooth_field(grid, seed * 1009 + n, amplitude).values for n in range(n_steps)]
+    return ControlSchedule(grid, values, u_min=u_min, u_max=u_max)
+
+
+def kkt_report_by_level(params, u, adjoint, tol):
+    """Reference KKT audit: the per-level loop that ``kkt_report`` replaced
+    with whole-array code, returning the same record."""
+    from chcontrol import KktReport, l2q_norm, project, reduced_gradient
+
+    grad = reduced_gradient(params, u, adjoint)
+    lo, hi = u.bound_arrays()
+    n_interior = n_lower = n_upper = violations = 0
+    worst = 0.0
+    projection_gap = None
+    note = ""
+    if params.beta_u > 0.0:
+        projection_gap = 0.0
+    else:
+        note = "clamp-formula check skipped: control weight beta_u is zero"
+    for n in range(len(u)):
+        uv = u[n].values
+        gv = grad[n].values
+        at_lower = uv <= lo
+        at_upper = uv >= hi
+        interior = ~(at_lower | at_upper)
+        n_interior += int(np.count_nonzero(interior))
+        n_lower += int(np.count_nonzero(at_lower))
+        n_upper += int(np.count_nonzero(at_upper))
+        bad_interior = np.abs(gv) * interior
+        bad_lower = np.maximum(-gv, 0.0) * at_lower
+        bad_upper = np.maximum(gv, 0.0) * at_upper
+        level_bad = np.maximum(bad_interior, np.maximum(bad_lower, bad_upper))
+        violations += int(np.count_nonzero(level_bad > tol))
+        worst = max(worst, float(level_bad.max()))
+        if projection_gap is not None:
+            clamp = np.clip(-adjoint.r_lift[n] / params.beta_u, lo, hi)
+            projection_gap = max(projection_gap, float(np.max(np.abs(uv - clamp))))
+    stationarity = l2q_norm(params.tau, u - project(u - grad))
+    return KktReport(n_interior=n_interior, n_lower=n_lower, n_upper=n_upper,
+                     violations=violations, worst_violation=worst,
+                     stationarity=stationarity, projection_gap=projection_gap,
+                     note=note)
 
 
 def ode_reference(params, a0, b0, c, t_final):

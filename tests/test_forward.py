@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismatchError,
                        ModelParams, Numerics, QuadraticProliferation, chemical_potential,
-                       energy, f_deriv, integrate, lipschitz_probe, norm_h, p_deriv,
-                       preset_field, simulate, step)
+                       energy, f_deriv, inner_product, integrate, l2q_inner, l2q_norm,
+                       lipschitz_probe, norm_h, optimize, p_deriv, preset_field, project,
+                       simulate, step)
 from chcontrol.forward import diffusion_operator, phase_operator
 from chcontrol.grid import DENSE_CACHE_SIZE, DENSE_MAX_CELLS, implicit_operator, laplacian_values
 from helpers import (assemble_operator, ode_reference, smooth_field, smooth_schedule,
@@ -286,11 +287,76 @@ class TestControlSchedule:
 
     def test_arithmetic_keeps_left_bounds(self):
         g = Grid.line(8, 2.0)
-        a = ControlSchedule.constant(g, 3, 0.5, u_min=-1.0, u_max=1.0)
-        b = ControlSchedule.constant(g, 3, 0.25)
-        c = a - b
-        assert c.u_min == -1.0 and c.u_max == 1.0
-        assert np.all(c[0].values == 0.25)
+        lo, hi = Field.full(g, -1.0), Field.full(g, 1.0)
+        a = ControlSchedule.constant(g, 3, 0.5, u_min=lo, u_max=hi)
+        b = ControlSchedule.constant(g, 3, 2.0)
+        for c, want in ((a - b, -1.5), (a + b, 2.5), (a.scaled(4.0), 2.0),
+                        (project(a + b), 1.0)):
+            assert c is not a and c.values is not a.values
+            assert c.u_min is lo and c.u_max is hi
+            assert np.all(c.values == want)
+        assert np.all(a.values == 0.5)
+        assert (b - a).u_min is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        g = Grid.line(8, 2.0)
+        values = np.zeros((3, 8))
+        values[1, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ControlSchedule(g, values)
+
+    @pytest.mark.parametrize("grid, shape", [
+        (Grid.line(8, 2.0), (3, 7)),
+        (Grid.line(8, 2.0), (8,)),
+        (Grid.line(8, 2.0), (3, 8, 1)),
+        (Grid.box(4, 6, 1.0, 1.5), (3, 6, 4)),
+        (Grid.box(4, 6, 1.0, 1.5), (3, 24)),
+    ])
+    def test_rejects_wrong_trailing_shape(self, grid, shape):
+        with pytest.raises(GridMismatchError):
+            ControlSchedule(grid, np.zeros(shape))
+
+    @pytest.mark.parametrize("values", [[], np.zeros((0, 8))])
+    def test_rejects_zero_steps(self, values):
+        with pytest.raises(ValueError, match="at least one step"):
+            ControlSchedule(Grid.line(8, 2.0), values)
+
+    def test_rejects_bound_on_another_grid(self):
+        g = Grid.line(8, 2.0)
+        other = Field.full(Grid.line(8, 4.0), 1.0)
+        with pytest.raises(GridMismatchError):
+            ControlSchedule(g, np.zeros((3, 8)), u_min=-1.0, u_max=other)
+
+    def test_values_are_a_read_only_copy(self):
+        g = Grid.box(4, 6, 1.0, 1.5)
+        rows = [np.full(g.shape, float(n)) for n in range(3)]
+        for source in (rows, np.stack(rows)):
+            u = ControlSchedule(g, source)
+            source[1][0, 0] = 9.0
+            assert u.values.shape == (3, 4, 6)
+            assert np.all(u.values[1] == 1.0)
+            with pytest.raises(ValueError):
+                u.values[0, 0, 0] = 1.0
+
+    def test_item_is_field_on_row(self):
+        g = Grid.box(4, 6, 1.0, 1.5)
+        u = smooth_schedule(g, 3, seed=5)
+        for n in (0, 2, -1):
+            assert isinstance(u[n], Field) and u[n].grid == g
+            assert np.array_equal(u[n].values, u.values[n])
+        assert len(u) == 3
+
+    @pytest.mark.parametrize("grid", [Grid.line(16, 4.0), Grid.box(4, 6, 1.0, 1.5)])
+    def test_l2q_inner_matches_level_loop(self, grid):
+        a = smooth_schedule(grid, 5, seed=1)
+        b = smooth_schedule(grid, 5, seed=2)
+        tau = 0.003
+        want = math.fsum(tau * inner_product(a[n], b[n]) for n in range(5))
+        assert l2q_inner(tau, a, b) == want
+        assert l2q_norm(tau, a) == math.sqrt(math.fsum(
+            tau * inner_product(a[n], a[n]) for n in range(5)))
+        assert optimize.l2q_inner is l2q_inner and optimize.l2q_norm is l2q_norm
 
     def test_length_mismatch(self):
         g = Grid.line(8, 2.0)

@@ -5,7 +5,7 @@ from chcontrol import (ControlSchedule, Field, Grid, ModelParams, OptimOptions,
                        cost_taylor_sweep, directional_derivative_check, kkt_report,
                        l2q_norm, project, projected_gradient, reduced_cost, simulate,
                        solve_adjoint)
-from helpers import load_instance, smooth_schedule
+from helpers import kkt_report_by_level, load_instance, smooth_field, smooth_schedule
 
 # Reached cost of the shipped soft-penalty tracking run, pinned by the first
 # green build as a regression value.
@@ -144,10 +144,10 @@ class TestFinalAdjoint:
         result = projected_gradient(params, u0, opts)
         assert result.termination_reason == reason
         fresh = solve_adjoint(params, simulate(params, result.control))
-        for got, want in ((result.adjoint.p, fresh.p), (result.adjoint.r, fresh.r),
-                          (result.adjoint.r_lift, fresh.r_lift)):
+        for got, want in ((result.adjoint.p, fresh.p), (result.adjoint.r, fresh.r)):
             assert len(got) == len(want)
             assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+        assert np.array_equal(result.adjoint.r_lift, fresh.r_lift)
 
 
 @pytest.fixture(scope="module")
@@ -186,14 +186,13 @@ class TestTrackingRun:
         baseline = kkt_report(params, result.control, adjoint, tol=tol)
         assert baseline.violations == 0
         # poke one strictly interior cell by 10*tol (beta_u absorbs the scale)
-        fields = list(result.control.fields)
-        vals = fields[2].values.copy()
+        values = result.control.values.copy()
+        vals = values[2]
         lo, hi = result.control.bound_arrays()
         interior = np.flatnonzero((vals > lo + 0.1) & (vals < hi - 0.1))
         idx = interior[0]
         vals[idx] += 10 * tol * (1.0 / params.beta_u)
-        fields[2] = Field(result.control.grid, vals)
-        poked = result.control.with_fields(fields)
+        poked = result.control.with_values(values)
         report = kkt_report(params, poked, adjoint, tol=tol)
         assert report.violations == 1
         assert report.worst_violation >= 5 * tol
@@ -223,6 +222,36 @@ class TestKktReportEdgeCases:
         assert report.violations == 0
         assert report.worst_violation == 0.0
         assert report.projection_gap == 0.0
+
+
+class TestKktReportMatchesLevelLoop:
+    """The whole-array audit equals the per-level loop field for field, on
+    random schedules with cells on both bounds and in the interior."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("beta_u", [0.0, 0.7])
+    def test_equals_reference(self, dim, beta_u):
+        g = Grid.line(16, 4.0) if dim == 1 else Grid.box(4, 6, 1.0, 1.5)
+        params = ModelParams(beta_q=1.0, beta_omega=0.0, beta_u=beta_u,
+                             t_final=0.02, tau=5e-3, phi_q=Field.zeros(g),
+                             phi0=smooth_field(g, 1, 0.8), sigma0=Field.zeros(g))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            if dim == 1:
+                lo, hi = -1.0, 1.0
+                u_min, u_max = lo, hi
+            else:
+                u_min = Field(g, rng.uniform(-1.0, -0.3, g.shape))
+                u_max = Field(g, rng.uniform(0.3, 1.0, g.shape))
+                lo, hi = u_min.values, u_max.values
+            raw = rng.uniform(-1.6, 1.6, (params.n_steps,) + g.shape)
+            u = ControlSchedule(g, np.clip(raw, lo, hi), u_min=u_min, u_max=u_max)
+            assert np.any(u.values == lo) and np.any(u.values == hi)
+            assert np.any((u.values > lo) & (u.values < hi))
+            adjoint = solve_adjoint(params, simulate(params, u))
+            for tol in (1e-5, 0.5):
+                assert kkt_report(params, u, adjoint, tol=tol) \
+                    == kkt_report_by_level(params, u, adjoint, tol)
 
 
 class TestTaylorDiagnostics:

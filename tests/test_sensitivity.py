@@ -244,7 +244,7 @@ class TestReducedGradient:
         adj = solve_adjoint(params, base)
         grad = reduced_gradient(params, u, adj)
         for n in range(len(u)):
-            assert np.array_equal(grad[n].values, adj.r_lift[n].values)
+            assert np.array_equal(grad[n].values, adj.r_lift[n])
 
     def test_length_mismatch(self):
         from chcontrol import reduced_gradient
