@@ -406,5 +406,5 @@ def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
 
 def build_initial_control(cfg: RunConfig, grid: Grid, params: ModelParams) -> ControlSchedule:
     u0_field = cfg["opt.u0"].build(grid)
-    return ControlSchedule(grid, [u0_field.values] * params.n_steps,
-                           u_min=params.u_min, u_max=params.u_max)
+    return ControlSchedule.constant(grid, params.n_steps, u0_field.values,
+                                    u_min=params.u_min, u_max=params.u_max)

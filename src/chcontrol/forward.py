@@ -78,7 +78,7 @@ class ControlSchedule:
     constructor copies the values (any array-like, e.g. a list of per-step
     arrays) and checks once that there is at least one step, that each row
     has the grid's shape and that every value is finite; the stored array is
-    read-only.  Bounds are optional; a schedule is admissible when they are
+    read-only (``constant`` stores its one row as a stride-0 view).  Bounds are optional; a schedule is admissible when they are
     present and hold cellwise.  Arithmetic keeps the left operand's bounds,
     so directions and trial points can be formed without losing the
     constraint data.
@@ -107,10 +107,20 @@ class ControlSchedule:
         self.u_max = u_max
 
     @classmethod
-    def constant(cls, grid: Grid, n_steps: int, value: float = 0.0,
+    def constant(cls, grid: Grid, n_steps: int, value=0.0,
                  u_min=None, u_max=None) -> "ControlSchedule":
-        return cls(grid, np.full((int(n_steps),) + grid.shape, float(value)),
-                   u_min=u_min, u_max=u_max)
+        """The same row at every step: ``value`` is a number or a grid-shaped
+        array.  The row is checked once and stored once; ``values`` is a
+        read-only view of it with stride 0 along the step axis."""
+        n_steps = int(n_steps)
+        if n_steps < 1:
+            raise ValueError("schedule needs at least one step")
+        row = np.array(value, dtype=float)
+        if row.ndim == 0:
+            row = np.full(grid.shape, row)
+        sched = cls(grid, row[np.newaxis], u_min=u_min, u_max=u_max)
+        sched.values = np.broadcast_to(sched.values, (n_steps,) + grid.shape)
+        return sched
 
     def __len__(self) -> int:
         return len(self.values)
@@ -172,8 +182,13 @@ def phase_operator(params: ModelParams, grid: Grid):
     s_const = params.stabilization
 
     def increment(v: np.ndarray) -> np.ndarray:
+        # In place on fresh temporaries, in the order of tau*(lap(lap) - S*lap).
         lap = laplacian_values(grid, v)
-        return tau * (laplacian_values(grid, lap) - s_const * lap)
+        out = laplacian_values(grid, lap)
+        lap *= s_const
+        out -= lap
+        out *= tau
+        return out
 
     return implicit_operator(grid, ("phase", tau, s_const), increment)
 

@@ -3,8 +3,9 @@ and a matrix-free conjugate-gradient solver.
 
 Operators act on cell-centered values with mirror ghost cells (the ghost
 value equals the adjacent interior value), the second-order treatment of a
-zero-flux boundary.  The laplacian is assembled in flux form, so two
-structural facts hold to roundoff and are relied on downstream:
+zero-flux boundary.  The laplacian is assembled in flux form (one kernel,
+``laplacian_values``, on the flat cell index), so two structural facts hold
+to roundoff and are relied on downstream:
 
 * ``integrate(neumann_laplacian(f)) == 0`` (interior fluxes telescope,
   boundary fluxes vanish), and
@@ -220,23 +221,33 @@ def _init_field(obj: Field, grid: Grid, arr: np.ndarray) -> None:
     obj.values = arr
 
 
-def _axis_second_difference(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    # Flux form: differences of face fluxes with zero flux on boundary faces.
-    # Reusing each interior flux in both adjacent cells keeps the column sum
-    # at the roundoff of a single subtraction per cell.
-    lead = (slice(None),) * axis
-    lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
-    flux = np.zeros(arr.shape[:axis] + (arr.shape[axis] + 1,) + arr.shape[axis + 1:])
-    flux[lead + (slice(1, -1),)] = arr[hi] - arr[lo]
-    return (flux[hi] - flux[lo]) / (h * h)
-
-
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array-level zero-flux laplacian kernel (hot-loop helper)."""
-    out = _axis_second_difference(values, 0, grid.spacing[0])
+    """Zero-flux laplacian of ``values`` (grid shape, then optional batch axes).
+
+    On the flat C-order cell index, x-neighbours are ``m = counts[1]`` apart
+    and y-neighbours 1 apart: each axis is one contiguous subtraction into a
+    face-flux buffer whose boundary faces are zero (for y, the faces at
+    multiples of ``m``).  Sharing each interior flux between its two cells
+    keeps the column sum at the roundoff of one subtraction per cell.
+    """
+    if values.shape[:grid.dim] != grid.shape:
+        raise GridMismatchError(f"values of shape {values.shape} on a {grid.shape} grid")
+    n, m = grid.n_cells, grid.counts[1]
+    batch = values.shape[grid.dim:]
+    a = values.reshape((n,) + batch)
+    hx, hy = grid.spacing
+    flux = np.zeros((n + m,) + batch)
+    np.subtract(a[m:], a[:-m], out=flux[m:n])
+    out = flux[m:] - flux[:-m]
+    out /= hx * hx
     if grid.dim == 2:
-        out = out + _axis_second_difference(values, 1, grid.spacing[1])
-    return out
+        flux = np.empty((n + 1,) + batch)
+        np.subtract(a[1:], a[:-1], out=flux[1:n])
+        flux[::m] = 0.0
+        dy = flux[1:] - flux[:-1]
+        dy /= hy * hy
+        out += dy
+    return out.reshape(values.shape)
 
 
 DENSE_MAX_CELLS = 256

@@ -30,8 +30,7 @@ def write_snapshot(field: Field, t: float, path) -> None:
     hx, hy = grid.spacing
     arr = field.values.reshape((nx, ny))
     lines = [f"# t={float(t)!r} dim={grid.dim} nx={nx} ny={ny} hx={hx!r} hy={hy!r}"]
-    for j in range(ny):
-        lines.append(",".join(repr(float(v)) for v in arr[:, j]))
+    lines.extend(",".join(map(repr, row)) for row in arr.T.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

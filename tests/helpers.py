@@ -1,6 +1,7 @@
 """Shared oracles for the test suite: dense operator assembly, hand stencils,
-stencil-only step operators, a per-level KKT audit, an adaptive ODE reference
-for spatially constant runs, and instance builders tied to the shipped
+stencil-only step operators and their dense-path matrices, the per-column
+snapshot formatter, a per-level KKT audit, an adaptive ODE reference for
+spatially constant runs, and instance builders tied to the shipped
 configuration files."""
 
 from pathlib import Path
@@ -66,6 +67,22 @@ def padded_flux_laplacian(grid, vals):
     return out
 
 
+def reference_dense_increments(params, grid):
+    """The dense-path matrices of the phase and diffusion increments, keyed as
+    ``implicit_operator`` keys them, assembled with ``padded_flux_laplacian``."""
+    tau, s_const = params.tau, params.stabilization
+    n = grid.n_cells
+    eye = np.eye(n).reshape(grid.shape + (n,))
+    lap = padded_flux_laplacian(grid, eye)
+    increments = {("phase", tau, s_const): tau * (padded_flux_laplacian(grid, lap) - s_const * lap),
+                  ("diffusion", tau): -tau * lap}
+    mats = {}
+    for key, inc in increments.items():
+        mat = inc.reshape(n, n)
+        mats[key] = 0.5 * (mat + mat.T)
+    return mats
+
+
 def stencil_phase_operator(params, grid):
     """Reference phase operator v + tau*(lap(lap v) - S*lap v), stencil only."""
     tau = params.tau
@@ -82,6 +99,19 @@ def stencil_diffusion_operator(params, grid):
     """Reference diffusion operator v - tau*lap v, stencil only."""
     tau = params.tau
     return lambda v: v - tau * laplacian_values(grid, v)
+
+
+def snapshot_text_by_column(field, t):
+    """Reference snapshot text: the per-column, per-value formatter that
+    ``write_snapshot`` replaced with one ``tolist`` per field."""
+    grid = field.grid
+    nx, ny = grid.counts
+    hx, hy = grid.spacing
+    arr = field.values.reshape((nx, ny))
+    lines = [f"# t={float(t)!r} dim={grid.dim} nx={nx} ny={ny} hx={hx!r} hy={hy!r}"]
+    for j in range(ny):
+        lines.append(",".join(repr(float(v)) for v in arr[:, j]))
+    return "\n".join(lines) + "\n"
 
 
 def smooth_field(grid, seed, amplitude=1.0):

@@ -5,6 +5,7 @@ from chcontrol import Field, Grid, preset_field
 from chcontrol.config import (ConfigError, FieldExpr, apply_overrides, build_grid,
                               build_initial_control, build_params, echo_text, parse_config)
 from chcontrol.snapshots import SnapshotError, read_snapshot, read_snapshot_header, write_snapshot
+from helpers import snapshot_text_by_column
 
 MINIMAL = """
 grid.dim = 1
@@ -136,6 +137,15 @@ class TestBuilders:
         u0 = build_initial_control(cfg, grid, params)
         assert len(u0) == params.n_steps and u0.has_bounds()
 
+    def test_initial_control_shares_one_row(self):
+        cfg = apply_overrides(parse_config(MINIMAL), ["opt.u0=filtered_noise seed=3 amplitude=0.5"])
+        grid = build_grid(cfg)
+        params = build_params(cfg, grid)
+        u0 = build_initial_control(cfg, grid, params)
+        row = cfg["opt.u0"].build(grid).values
+        assert u0.values.strides[0] == 0 and not u0.values.flags.writeable
+        assert u0[0].values.tobytes() == row.tobytes() == u0[-1].values.tobytes()
+
     def test_time_varying_target(self, tmp_path):
         cfg = parse_config(MINIMAL)
         grid = build_grid(cfg)
@@ -150,6 +160,16 @@ class TestBuilders:
 
 
 class TestSnapshots:
+    @pytest.mark.parametrize("grid", [Grid.line(8, 2.0), Grid.box(7, 4, 3.5, 1.0)])
+    def test_bytes_match_per_column_formatter(self, tmp_path, grid):
+        special = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0, 0.0]
+        vals = np.resize(np.array(special), grid.n_cells).reshape(grid.shape)
+        f = Field(grid, vals)
+        path = tmp_path / "f.csv"
+        write_snapshot(f, 0.30000000000000004, path)
+        assert path.read_bytes() == snapshot_text_by_column(f, 0.30000000000000004).encode()
+        assert read_snapshot(path, grid).values.tobytes() == vals.tobytes()
+
     def test_round_trip_bitwise(self, tmp_path):
         g = Grid.box(8, 6, 4.0, 3.0)
         f = preset_field("filtered_noise", g, seed=2, amplitude=1.0)

@@ -12,8 +12,8 @@ from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismat
                        simulate, step)
 from chcontrol.forward import diffusion_operator, phase_operator
 from chcontrol.grid import DENSE_CACHE_SIZE, DENSE_MAX_CELLS, implicit_operator, laplacian_values
-from helpers import (assemble_operator, ode_reference, smooth_field, smooth_schedule,
-                     stencil_diffusion_operator, stencil_phase_operator)
+from helpers import (assemble_operator, ode_reference, reference_dense_increments, smooth_field,
+                     smooth_schedule, stencil_diffusion_operator, stencil_phase_operator)
 
 
 def small_params(**kw):
@@ -94,6 +94,25 @@ class TestImplicitOperator:
         ops[0].role = "diffusion"
         assert len({id(op) for op in ops}) == 3
         assert not any(hasattr(op, "role") for op in ops[1:])
+
+    @pytest.mark.parametrize("g", [Grid.box(4, 4, 1.0, 1.5), Grid.box(16, 16, 4.0, 4.0)])
+    def test_dense_matrices_match_reference_kernel(self, g):
+        params = small_params(tau=0.0625, t_final=1.0)
+        for make, _ in STEP_OPERATORS:
+            make(params, g)
+        want = reference_dense_increments(params, g)
+        assert g._dense_increments.keys() == want.keys()
+        for key, mat in want.items():
+            assert g._dense_increments[key].tobytes() == mat.tobytes()
+
+    @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(32, 32, 4.0, 4.0)])
+    def test_operators_leave_their_argument_unmodified(self, g):
+        params = small_params()
+        v = np.random.default_rng(3).uniform(-1.0, 1.0, g.shape)
+        before = v.copy()
+        for make, _ in STEP_OPERATORS:
+            make(params, g)(v)
+        assert v.tobytes() == before.tobytes()
 
     def test_matrix_cache_is_bounded(self):
         g = Grid.line(16, 4.0)
@@ -357,6 +376,43 @@ class TestControlSchedule:
         assert l2q_norm(tau, a) == math.sqrt(math.fsum(
             tau * inner_product(a[n], a[n]) for n in range(5)))
         assert optimize.l2q_inner is l2q_inner and optimize.l2q_norm is l2q_norm
+
+    @pytest.mark.parametrize("grid", [Grid.line(8, 2.0), Grid.box(4, 6, 1.0, 1.5)])
+    def test_constant_shares_one_read_only_row(self, grid):
+        row = np.random.default_rng(1).uniform(-1.0, 1.0, grid.shape)
+        for value, want in ((row, row), (0.25, np.full(grid.shape, 0.25))):
+            u = ControlSchedule.constant(grid, 5, value)
+            assert u.values.shape == (5,) + grid.shape and u.values.strides[0] == 0
+            assert not u.values.flags.writeable
+            for n in (0, 3, -1):
+                assert u[n].values.tobytes() == want.tobytes()
+        row[0] = 9.0  # the schedule keeps its own copy of the row
+        assert np.all(u.values[:, 0] != 9.0)
+
+    @pytest.mark.parametrize("n_steps, value, error", [
+        (3, np.nan, ValueError),
+        (3, np.array([0.0, 1.0, np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]), ValueError),
+        (3, np.zeros(7), GridMismatchError),
+        (3, np.zeros((8, 1)), GridMismatchError),
+        (0, 0.0, ValueError),
+        (-2, 0.0, ValueError),
+    ])
+    def test_constant_checks_its_row(self, n_steps, value, error):
+        with pytest.raises(error):
+            ControlSchedule.constant(Grid.line(8, 2.0), n_steps, value)
+
+    def test_shared_row_arithmetic_matches_materialized(self):
+        g = Grid.box(4, 6, 1.0, 1.5)
+        row = np.random.default_rng(2).uniform(-2.0, 2.0, g.shape)
+        shared = ControlSchedule.constant(g, 4, row, u_min=-1.0, u_max=1.0)
+        full = ControlSchedule(g, [row] * 4, u_min=-1.0, u_max=1.0)
+        other = smooth_schedule(g, 4, seed=3)
+        for a, b in ((shared + other, full + other), (other + shared, other + full),
+                     (shared - other, full - other), (other - shared, other - full),
+                     (shared.scaled(-3.0), full.scaled(-3.0)), (project(shared), project(full))):
+            assert a.values.flags.c_contiguous and b.values.flags.c_contiguous
+            assert a.values.tobytes() == b.values.tobytes()
+        assert l2q_inner(0.5, shared, other) == l2q_inner(0.5, full, other)
 
     def test_length_mismatch(self):
         g = Grid.line(8, 2.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,17 +15,31 @@ from helpers import assemble_operator, mirror_ghost_laplacian_1d, padded_flux_la
 field_values = arrays(np.float64, 16, elements=st.floats(-100.0, 100.0))
 
 
+def laid_out(vals, layout):
+    """The same values as a C-contiguous array, a transposed view or a
+    strided slice."""
+    if layout == "transposed":
+        return np.ascontiguousarray(vals.T).T
+    if layout == "sliced":
+        wide = np.zeros(vals.shape[:-1] + (2 * vals.shape[-1],))
+        wide[..., ::2] = vals
+        return wide[..., ::2]
+    return vals
+
+
 @st.composite
 def grids_with_values(draw):
-    """1D lines and 2D boxes down to 4-cell axes, with unequal side lengths."""
+    """1D lines and 2D boxes down to 4-cell axes, with unequal side lengths;
+    values with up to two trailing batch axes, in any layout."""
     lengths = st.floats(0.5, 10.0)
     if draw(st.sampled_from((1, 2))) == 1:
         grid = Grid.line(draw(st.integers(4, 24)), draw(lengths))
     else:
         grid = Grid.box(draw(st.integers(4, 12)), draw(st.integers(4, 12)),
                         draw(lengths), draw(lengths))
-    vals = draw(arrays(np.float64, grid.shape, elements=st.floats(-100.0, 100.0)))
-    return grid, vals
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    vals = draw(arrays(np.float64, grid.shape + batch, elements=st.floats(-100.0, 100.0)))
+    return grid, laid_out(vals, draw(st.sampled_from(("contiguous", "transposed", "sliced"))))
 
 
 def line16():
@@ -101,13 +115,34 @@ class TestLaplacian:
         assert np.all(lap.values == 0.0)
 
     @given(grids_with_values())
+    @example((Grid.box(4, 11, 1.0, 7.5), laid_out(np.linspace(-3.0, 3.0, 88).reshape(4, 11, 2),
+                                                   "transposed")))
+    @example((Grid.box(11, 4, 7.5, 1.0), laid_out(np.linspace(-3.0, 3.0, 44).reshape(11, 4),
+                                                   "sliced")))
+    @example((Grid.box(4, 4, 1.0, 1.5), np.array([[0.0, -0.0, 0.0, -0.0]] * 4)))
+    @example((Grid.box(4, 4, 1.0, 1.5), np.array([[0.0, -0.0, 0.0, -0.0]] * 4).T))
     def test_matches_reference_stencil(self, grid_and_values):
-        # Bit for bit against the padded-flux kernel, signed zeros included.
+        # Bit for bit against the padded-flux kernel, signed zeros included,
+        # with batch axes and non-contiguous inputs; the input is not touched.
         g, vals = grid_and_values
-        lap = neumann_laplacian(Field(g, vals))
+        before = vals.copy()
+        lap = laplacian_values(g, vals)
         ref = padded_flux_laplacian(g, vals)
-        assert np.array_equal(lap.values, ref)
-        assert lap.values.tobytes() == ref.tobytes()
+        assert lap.shape == vals.shape
+        assert np.array_equal(lap, ref)
+        assert lap.tobytes() == ref.tobytes()
+        assert vals.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("grid, shape", [
+        (Grid.box(8, 6, 4.0, 3.0), (6, 8)),
+        (Grid.box(8, 6, 4.0, 3.0), (6, 8, 3)),
+        (Grid.box(8, 6, 4.0, 3.0), (48,)),
+        (Grid.line(8, 2.0), (4, 2)),
+    ])
+    def test_rejects_values_of_another_shape(self, grid, shape):
+        # Same cell count, other layout: a flat kernel would silently mix axes.
+        with pytest.raises(GridMismatchError):
+            laplacian_values(grid, np.zeros(shape))
 
     def test_2d_separable_matches_two_1d_calls(self):
         gx = Grid.line(8, 4.0)

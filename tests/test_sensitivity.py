@@ -246,6 +246,21 @@ class TestReducedGradient:
         for n in range(len(u)):
             assert np.array_equal(grad[n].values, adj.r_lift[n])
 
+    def test_shared_row_control_gives_full_gradient(self):
+        from chcontrol import reduced_gradient
+
+        g = Grid.line(16, 4.0)
+        params = tight_params(beta_q=1.0, beta_u=0.7, phi_q=Field.zeros(g))
+        row = smooth_field(g, 3, 0.5).values
+        shared = ControlSchedule.constant(g, params.n_steps, row)
+        full = ControlSchedule(g, [row] * params.n_steps)
+        base = simulate(params, shared, phi0=smooth_field(g, 1, 0.8),
+                        sigma0=smooth_field(g, 2, 0.5))
+        adj = solve_adjoint(params, base)
+        grad = reduced_gradient(params, shared, adj)
+        assert grad.values.flags.c_contiguous
+        assert grad.values.tobytes() == reduced_gradient(params, full, adj).values.tobytes()
+
     def test_length_mismatch(self):
         from chcontrol import reduced_gradient
 
