@@ -39,7 +39,8 @@ subcommands:
   taylor            state and cost Taylor-remainder sweeps
   oracle            spatially constant run against an adaptive ODE solve
   check-hypotheses  structural checks on the model ingredients
-exit codes: 0 pass, 1 criteria failure, 2 usage/config error, 3 divergence
+exit codes: 0 pass, 1 criteria failure, 2 usage/config error,
+            3 divergence or linear-solver failure (error=divergence / error=solver)
 """
 
 _FLOAT_FMT = repr

@@ -1,6 +1,7 @@
 """Forward time integration of the coupled phase-field/nutrient system.
 
-One step advances (phi, sigma) with two symmetric positive-definite solves.
+One step advances (phi, sigma) with two symmetric positive-definite solves;
+the phase solve is preconditioned with its exact spectral inverse.
 The chemical potential is evaluated explicitly at the old level,
 ``mu_t = -lap(phi) + F'(phi)``, and the exchange term
 ``R = P(phi) * (sigma - mu_t)`` is frozen over the step.  The phase update
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (Field, Grid, GridMismatchError, cg_solve, grad_sq_integral,
-                   implicit_operator, inner_product, integrate, laplacian_values, norm_h)
+                   implicit_operator, inner_product, integrate, laplacian_values, norm_h,
+                   spectral_inverse)
 from .model import ModelParams, default_stabilization, f_deriv, p_deriv
 
 __all__ = [
@@ -58,6 +60,7 @@ __all__ = [
     "l2q_inner",
     "l2q_norm",
     "phase_operator",
+    "phase_preconditioner",
     "diffusion_operator",
 ]
 
@@ -193,6 +196,15 @@ def phase_operator(params: ModelParams, grid: Grid):
     return implicit_operator(grid, ("phase", tau, s_const), increment)
 
 
+def phase_preconditioner(params: ModelParams, grid: Grid):
+    """The exact inverse of ``phase_operator``, from its symbol
+    1 + tau*(mu^2 + S*mu) in the laplacian's eigenvalue magnitudes mu."""
+    tau = params.tau
+    s_const = params.stabilization
+    return spectral_inverse(grid, ("phase", tau, s_const),
+                            lambda mu: 1.0 + tau * (mu * mu + s_const * mu))
+
+
 def diffusion_operator(params: ModelParams, grid: Grid):
     """Array map v -> v - tau*lap v; symmetric positive definite."""
     tau = params.tau
@@ -227,7 +239,8 @@ def step(params: ModelParams, phi: Field, sigma: Field, u: Field,
 
     rhs_a = pv + tau * laplacian_values(grid, fp - s_const * pv) + tau * react
     phi_next = cg_solve(phase_operator(params, grid), Field._wrap(grid, rhs_a),
-                        tol=num.cg_tol, max_iter=num.cg_max_iter, x0=phi)
+                        tol=num.cg_tol, max_iter=num.cg_max_iter, x0=phi,
+                        precond=phase_preconditioner(params, grid))
 
     rhs_b = sv + tau * (uv - react)
     sigma_next = cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),

@@ -1,5 +1,5 @@
 """Uniform Cartesian grids, cellwise fields, zero-flux difference operators,
-and a matrix-free conjugate-gradient solver.
+and a matrix-free (preconditioned) conjugate-gradient solver.
 
 Operators act on cell-centered values with mirror ghost cells (the ghost
 value equals the adjacent interior value), the second-order treatment of a
@@ -28,8 +28,19 @@ with its transpose so it is exactly symmetric) and applied as
 ``v + K @ (v - v[0])``.  ``K`` sends constants to zero only up to roundoff;
 shifting by ``v[0]`` makes a constant field map to itself exactly.  Above the
 threshold a matrix-vector product costs more than the stencil, which is then
-called directly.  Each grid keeps at most ``DENSE_CACHE_SIZE`` matrices,
-dropping the oldest first.  Solves stay iterative on both paths.
+called directly.
+
+``spectral_inverse`` builds the exact inverse of an operator that is a
+function of the laplacian, for ``cg_solve`` to use as its preconditioner.  The
+orthonormal DCT-II ``C`` diagonalizes the mirror-ghost laplacian, with
+per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``, so such an operator is
+``C^T diag(lambda) C``.  Grids of at most ``DENSE_MAX_CELLS`` cells apply
+``C^T diag(1/lambda) C`` as one exactly symmetric dense matrix; larger grids
+apply the per-axis DCT matrices by matrix products.  Both the dense increments
+and the inverses live in one per-grid cache of at most ``DENSE_CACHE_SIZE``
+entries, dropping the oldest first.  The solves stay iterative: the inverse
+only preconditions them, so the tolerance and the iteration budget of
+``cg_solve`` keep their meaning.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ __all__ = [
     "neumann_biharmonic",
     "laplacian_values",
     "implicit_operator",
+    "spectral_inverse",
     "grad_sq_integral",
     "inner_product",
     "integrate",
@@ -79,11 +91,12 @@ class Grid:
     ``counts`` is always ``(nx, ny)`` with ``ny == 1`` in 1D; every active
     axis needs at least 4 cells.  ``cell_volume`` is the product of the
     spacings, so a 1D grid keeps its length measure when ``ly == 1``.
-    ``implicit_operator`` keeps its dense matrices on the grid.
+    ``implicit_operator`` and ``spectral_inverse`` keep their matrices on the
+    grid.
     """
 
     __slots__ = ("dim", "counts", "lengths", "spacing", "cell_volume", "shape", "n_cells",
-                 "_dense_increments")
+                 "_operator_cache")
 
     def __init__(self, dim: int, counts: Sequence[int], lengths: Sequence[float]):
         if dim not in (1, 2):
@@ -108,7 +121,7 @@ class Grid:
         self.cell_volume = self.spacing[0] * self.spacing[1]
         self.shape = (nx,) if dim == 1 else (nx, ny)
         self.n_cells = nx * ny
-        self._dense_increments = {}  # key -> read-only matrix, oldest first
+        self._operator_cache = {}  # key -> read-only matrices, oldest first
 
     @classmethod
     def line(cls, nx: int, length: float) -> "Grid":
@@ -251,25 +264,35 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 DENSE_MAX_CELLS = 256
-DENSE_CACHE_SIZE = 8  # matrices per grid
+DENSE_CACHE_SIZE = 8  # cached operators per grid
+
+
+def _cached(grid: Grid, key: Hashable, build: Callable[[], object]):
+    cache = grid._operator_cache
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = build()
+        if len(cache) > DENSE_CACHE_SIZE:
+            del cache[next(iter(cache))]
+    return entry
+
+
+def _symmetric(mat: np.ndarray) -> np.ndarray:
+    # Averaging with the transpose makes a matrix exactly symmetric, and
+    # leaves it unchanged wherever it already was.
+    mat = 0.5 * (mat + mat.T)
+    mat.setflags(write=False)
+    return mat
 
 
 def _dense_increment(grid: Grid, key: Hashable, increment) -> np.ndarray:
-    cache = grid._dense_increments
-    mat = cache.get(key)
-    if mat is None:
+    def build():
         n = grid.n_cells
         # One batched stencil call: column j is the increment of unit vector j.
-        mat = increment(np.eye(n).reshape(grid.shape + (n,))).reshape(n, n)
-        # Mirrored entries can differ in the last bit on 2D boxes with unequal
-        # spacings; averaging makes the matrix exactly symmetric, and leaves
-        # it unchanged wherever it already was.
-        mat = 0.5 * (mat + mat.T)
-        mat.setflags(write=False)
-        cache[key] = mat
-        if len(cache) > DENSE_CACHE_SIZE:
-            del cache[next(iter(cache))]
-    return mat
+        # Its mirrored entries can differ in the last bit on 2D boxes with
+        # unequal spacings, hence the symmetrization.
+        return _symmetric(increment(np.eye(n).reshape(grid.shape + (n,))).reshape(n, n))
+    return _cached(grid, key, build)
 
 
 def implicit_operator(grid: Grid, key: Hashable,
@@ -295,6 +318,85 @@ def implicit_operator(grid: Grid, key: Hashable,
         return v + (mat @ (v.reshape(-1) - v.flat[0])).reshape(v.shape)
 
     return apply_dense
+
+
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix: row k is the k-th cosine mode on n cells."""
+    k = np.arange(n)
+    # k*(2j+1) reduced mod 4n keeps the cosine's argument below 2*pi.
+    phase = np.outer(k, 2 * k + 1) % (4 * n)
+    mat = np.cos(phase * (np.pi / (2 * n)))
+    mat *= math.sqrt(2.0 / n)
+    mat[0] = math.sqrt(1.0 / n)
+    return mat
+
+
+def _laplacian_modes(n: int, h: float) -> np.ndarray:
+    """Eigenvalue magnitudes (4/h^2) sin^2(pi k / 2n) of the mirror-ghost
+    second difference, in DCT-II mode order."""
+    return (4.0 / (h * h)) * np.sin(np.arange(n) * (np.pi / (2 * n))) ** 2
+
+
+def spectral_inverse(grid: Grid, key: Hashable,
+                     symbol: Callable[[np.ndarray], np.ndarray]):
+    """Array map b -> A^{-1} b for ``A = symbol(-lap)``, the zero-flux laplacian.
+
+    ``symbol`` maps the laplacian's eigenvalue magnitudes ``mu`` (the sum of
+    the per-axis ones, an array of the grid's shape) to the eigenvalues of
+    ``A``, which must be positive; ``key`` names it completely on ``grid``,
+    as for ``implicit_operator``.  Grids of at most ``DENSE_MAX_CELLS`` cells
+    apply ``C^T diag(1/lambda) C`` as one exactly symmetric dense matrix
+    (``C`` the orthonormal DCT-II of the flat cell index); larger grids apply
+    ``Cx^T ((Cx V Cy^T) / Lambda) Cy`` with per-axis DCT-II matrices.  Both
+    are built once per key and kept on the grid.  The constant mode is
+    applied separately, so a constant ``b`` maps exactly to a constant (to
+    ``b`` itself when ``symbol(0) == 1``).
+    """
+    def build():
+        mats = [_dct_matrix(n) for n in grid.shape]
+        mu = _laplacian_modes(grid.shape[0], grid.spacing[0])
+        if grid.dim == 2:
+            mu = mu[:, np.newaxis] + _laplacian_modes(grid.shape[1], grid.spacing[1])
+        lam = np.asarray(symbol(mu), dtype=float)
+        if lam.shape != grid.shape or not np.all(lam > 0.0) or not np.isfinite(lam).all():
+            raise ValueError(f"spectral_inverse: symbol must be finite and positive on "
+                             f"the {grid.shape} modes")
+        inv = 1.0 / lam
+        if grid.n_cells <= DENSE_MAX_CELLS:
+            full = mats[0] if grid.dim == 1 else np.kron(mats[0], mats[1])
+            return _symmetric(full.T @ (inv.reshape(-1, 1) * full)), inv.flat[0]
+        for mat in mats + [inv]:
+            mat.setflags(write=False)
+        return tuple(mats), inv
+
+    entry = _cached(grid, ("inverse", key), build)
+
+    if grid.n_cells <= DENSE_MAX_CELLS:
+        mat, inv0 = entry
+
+        def apply_dense(b: np.ndarray) -> np.ndarray:
+            shift = b.flat[0]
+            out = mat @ (b.reshape(-1) - shift)
+            out += shift * inv0
+            return out.reshape(b.shape)
+
+        return apply_dense
+
+    mats, inv = entry
+    inv0 = inv.flat[0]
+    cx, cy = mats[0], mats[-1]
+
+    def apply(b: np.ndarray) -> np.ndarray:
+        shift = b.flat[0]
+        w = b - shift
+        if grid.dim == 1:
+            out = cx.T @ ((cx @ w) * inv)
+        else:
+            out = cx.T @ (((cx @ w @ cy.T) * inv) @ cy)
+        out += shift * inv0
+        return out
+
+    return apply
 
 
 def neumann_laplacian(f: Field) -> Field:
@@ -359,6 +461,7 @@ def cg_solve(
     tol: float = 1e-12,
     max_iter: int = 20000,
     x0: Field | None = None,
+    precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Field:
     """Solve ``apply_op(x) = rhs`` for a symmetric positive-definite operator.
 
@@ -372,6 +475,11 @@ def cg_solve(
     iteration restarted from it if it drifted), so the returned ``x``
     genuinely satisfies ``norm_h(apply_op(x) - rhs) <= tol * norm_h(rhs)``.
     All reductions use a fixed summation order.
+
+    ``precond``, an array map approximating the inverse of ``apply_op`` (for
+    example a ``spectral_inverse``), turns the iteration into preconditioned
+    CG; the stopping test still reads the unpreconditioned residual.  Without
+    it the iteration is plain CG, with ``r.r`` standing in for ``r.z``.
 
     Raises
     ------
@@ -391,12 +499,19 @@ def cg_solve(
         return Field.zeros(grid)
     target = tol * bnorm
 
+    def preconditioned(r: np.ndarray, rs: float) -> tuple[np.ndarray, float]:
+        if precond is None:
+            return r, rs
+        z = precond(r)
+        return z, float(np.vdot(r, z))
+
     x = np.array(x0.values if x0 is not None else np.zeros(grid.shape), dtype=float)
     ax = apply_op(x)
     if ax.shape != b.shape:
         raise GridMismatchError(f"operator output has shape {ax.shape}, rhs has {b.shape}")
-    r = p = b - ax  # no copy: nothing is updated in place
+    r = b - ax
     rs = float(np.vdot(r, r))
+    p, rz = preconditioned(r, rs)  # no copy: nothing is updated in place
     iterations = 0
     while True:
         if math.sqrt(vol * rs) <= target:
@@ -404,8 +519,9 @@ def cg_solve(
             ts = float(np.vdot(true_r, true_r))
             if math.sqrt(vol * ts) <= target:
                 return Field._wrap(grid, x)
-            r = p = true_r  # recurrence drifted; restart from the true residual
+            r = true_r  # recurrence drifted; restart from the true residual
             rs = ts
+            p, rz = preconditioned(r, rs)
         if iterations >= max_iter:
             res = math.sqrt(vol * rs)
             raise CgNonConvergenceError(
@@ -419,10 +535,11 @@ def cg_solve(
                 f"cg_solve: operator is not positive definite along the search "
                 f"direction (p.Ap = {pap:.3e})",
                 residual=math.sqrt(vol * rs), iterations=iterations)
-        alpha = rs / pap
+        alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = float(np.vdot(r, r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rs = float(np.vdot(r, r))
+        z, rz_new = preconditioned(r, rs)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
         iterations += 1

@@ -38,7 +38,7 @@ import numpy as np
 
 from .grid import Field, Grid, cg_solve, inner_product, laplacian_values, norm_h
 from .forward import (ControlSchedule, StateTrajectory, diffusion_operator, l2q_inner,
-                      phase_operator, simulate)
+                      phase_operator, phase_preconditioner, simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
 
 __all__ = [
@@ -86,7 +86,8 @@ def linearized_step(params: ModelParams, phi_b: Field, sigma_b: Field,
 
     rhs_a = xv + tau * laplacian_values(grid, (curvature - s_const) * xv) + tau * d_react
     xi_next = cg_solve(phase_operator(params, grid), Field._wrap(grid, rhs_a),
-                       tol=num.cg_tol, max_iter=num.cg_max_iter, x0=xi)
+                       tol=num.cg_tol, max_iter=num.cg_max_iter, x0=xi,
+                       precond=phase_preconditioner(params, grid))
 
     rhs_b = rv + tau * (h.values - d_react)
     rho_next = cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),
@@ -113,7 +114,8 @@ def adjoint_step(params: ModelParams, phi_b: Field, sigma_b: Field,
 
     p_hat = p_next if source is None else p_next + source
     p1 = cg_solve(phase_operator(params, grid), p_hat,
-                  tol=num.cg_tol, max_iter=num.cg_max_iter, x0=p_next)
+                  tol=num.cg_tol, max_iter=num.cg_max_iter, x0=p_next,
+                  precond=phase_preconditioner(params, grid))
     r1 = cg_solve(diffusion_operator(params, grid), r_next,
                   tol=num.cg_tol, max_iter=num.cg_max_iter, x0=r_next)
 

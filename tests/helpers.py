@@ -1,15 +1,16 @@
 """Shared oracles for the test suite: dense operator assembly, hand stencils,
-stencil-only step operators and their dense-path matrices, the per-column
-snapshot formatter, a per-level KKT audit, an adaptive ODE reference for
-spatially constant runs, and instance builders tied to the shipped
-configuration files."""
+stencil-only step operators and their dense-path matrices, the plain CG
+loop, the per-column snapshot formatter, a per-level KKT audit, an adaptive
+ODE reference for spatially constant runs, and instance builders tied to
+the shipped configuration files."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from chcontrol import ControlSchedule, f_deriv, p_deriv, preset_field
+from chcontrol import CgNonConvergenceError, ControlSchedule, Field, f_deriv, p_deriv, preset_field
 from chcontrol.config import build_grid, build_initial_control, build_params, parse_config
 from chcontrol.grid import laplacian_values
 
@@ -99,6 +100,49 @@ def stencil_diffusion_operator(params, grid):
     """Reference diffusion operator v - tau*lap v, stencil only."""
     tau = params.tau
     return lambda v: v - tau * laplacian_values(grid, v)
+
+
+def reference_cg(apply_op, rhs, tol=1e-12, max_iter=20000, x0=None):
+    """Reference solve: the plain CG loop of ``cg_solve`` before it took a
+    preconditioner, kept verbatim (argument checks aside)."""
+    grid = rhs.grid
+    vol = grid.cell_volume
+    b = rhs.values
+
+    bnorm = math.sqrt(vol * float(np.vdot(b, b)))
+    if bnorm == 0.0:
+        return Field.zeros(grid)
+    target = tol * bnorm
+
+    x = np.array(x0.values if x0 is not None else np.zeros(grid.shape), dtype=float)
+    ax = apply_op(x)
+    r = p = b - ax
+    rs = float(np.vdot(r, r))
+    iterations = 0
+    while True:
+        if math.sqrt(vol * rs) <= target:
+            true_r = b - apply_op(x)
+            ts = float(np.vdot(true_r, true_r))
+            if math.sqrt(vol * ts) <= target:
+                return Field._wrap(grid, x)
+            r = p = true_r
+            rs = ts
+        if iterations >= max_iter:
+            res = math.sqrt(vol * rs)
+            raise CgNonConvergenceError("reference_cg: budget exhausted",
+                                        residual=res, iterations=iterations)
+        ap = apply_op(p)
+        pap = float(np.vdot(p, ap))
+        if not pap > 0.0:
+            raise CgNonConvergenceError("reference_cg: p.Ap not positive",
+                                        residual=math.sqrt(vol * rs), iterations=iterations)
+        alpha = rs / pap
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_new = float(np.vdot(r, r))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+        iterations += 1
 
 
 def snapshot_text_by_column(field, t):

@@ -1,9 +1,32 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from chcontrol import cli, forward, optimize
 from chcontrol.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# The three benchmark commands: the 1D soft tracking run from a rough initial
+# control, the 64x64 filtered-noise relaxation, and the 32x32 transpose check.
+BENCHMARK_COMMANDS = {
+    "optimize_1d": ("optimize", "tracking_soft.cfg",
+                    ("opt.u0=filtered_noise seed=0 amplitude=0.5",)),
+    "simulate_2d": ("simulate", "twodim.cfg",
+                    ("grid.nx=64", "grid.ny=64", "init.phi0=filtered_noise seed=0 amplitude=0.6",
+                     "time.t_final=0.02")),
+    "gradcheck_2d": ("grad-check", "gradcheck.cfg",
+                     ("grid.dim=2", "grid.nx=32", "grid.ny=32", "grid.ly=4.0")),
+}
+
+
+def benchmark_argv(name, outdir, extra=()):
+    sub, config, overrides = BENCHMARK_COMMANDS[name]
+    return [sub, cfg(config), *overrides, *extra, f"io.outdir={outdir}"]
 
 
 def run(args, capsys):
@@ -76,6 +99,15 @@ class TestSimulate:
                             "solver.cg_maxit=1"], capsys)
         assert code == 3
         assert "error=solver" in err
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_COMMANDS))
+    def test_one_iteration_budget_fails_every_benchmark_command(self, name, capsys, tmp_path):
+        # The phase solve is preconditioned; the diffusion solves are not, so
+        # one iteration stays a solver failure on every benchmark command.
+        code, _, err = run(benchmark_argv(name, tmp_path, ("solver.cg_maxit=1",)), capsys)
+        assert code == 3
+        assert "error=solver" in err
+        assert "iterations=1" in err
 
     def test_two_dimensional_run(self, capsys, tmp_path):
         code, out, _ = run(["simulate", cfg("twodim.cfg"), f"io.outdir={tmp_path}"], capsys)
@@ -171,3 +203,22 @@ class TestOptimize:
         assert code == 0
         assert counts["cost"] > 1
         assert counts["simulate"] == counts["cost"]
+
+
+def test_simulate_imports_neither_scipy_nor_numpy_fft(tmp_path):
+    # Either import would raise the peak RSS of every run (scipy.fft alone
+    # adds about 25 MB); the test process itself has scipy loaded, so the run
+    # goes to a fresh interpreter.
+    code = (
+        "import sys\n"
+        "from chcontrol.cli import main\n"
+        f"rc = main({benchmark_argv('simulate_2d', tmp_path)!r})\n"
+        "heavy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "               or m == 'numpy.fft' or m.startswith('numpy.fft.'))\n"
+        "print(rc, heavy)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -10,10 +10,12 @@ from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismat
                        energy, f_deriv, inner_product, integrate, l2q_inner, l2q_norm,
                        lipschitz_probe, norm_h, optimize, p_deriv, preset_field, project,
                        simulate, step)
-from chcontrol.forward import diffusion_operator, phase_operator
-from chcontrol.grid import DENSE_CACHE_SIZE, DENSE_MAX_CELLS, implicit_operator, laplacian_values
-from helpers import (assemble_operator, ode_reference, reference_dense_increments, smooth_field,
-                     smooth_schedule, stencil_diffusion_operator, stencil_phase_operator)
+from chcontrol.forward import diffusion_operator, phase_operator, phase_preconditioner
+from chcontrol.grid import (DENSE_CACHE_SIZE, DENSE_MAX_CELLS, CgNonConvergenceError, cg_solve,
+                            implicit_operator, laplacian_values)
+from helpers import (assemble_operator, load_instance, ode_reference, reference_cg,
+                     reference_dense_increments, smooth_field, smooth_schedule,
+                     stencil_diffusion_operator, stencil_phase_operator)
 
 
 def small_params(**kw):
@@ -68,8 +70,8 @@ class TestImplicitOperator:
         # The stencil's own matrix is asymmetric in the last bit on this box.
         for make, _ in STEP_OPERATORS:
             make(params, g)
-        assert len(g._dense_increments) == 2
-        for mat in g._dense_increments.values():
+        assert len(g._operator_cache) == 2
+        for mat in g._operator_cache.values():
             assert np.array_equal(mat, mat.T)
 
     @given(small_grids, step_params, st.floats(-1e3, 1e3))
@@ -101,9 +103,9 @@ class TestImplicitOperator:
         for make, _ in STEP_OPERATORS:
             make(params, g)
         want = reference_dense_increments(params, g)
-        assert g._dense_increments.keys() == want.keys()
+        assert g._operator_cache.keys() == want.keys()
         for key, mat in want.items():
-            assert g._dense_increments[key].tobytes() == mat.tobytes()
+            assert g._operator_cache[key].tobytes() == mat.tobytes()
 
     @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(32, 32, 4.0, 4.0)])
     def test_operators_leave_their_argument_unmodified(self, g):
@@ -119,12 +121,131 @@ class TestImplicitOperator:
         keys = [("scale", float(k)) for k in range(DENSE_CACHE_SIZE + 3)]
         for key in keys:
             implicit_operator(g, key, lambda v, c=key[1]: c * laplacian_values(g, v))
-        cache = g._dense_increments
+        cache = g._operator_cache
         assert len(cache) == DENSE_CACHE_SIZE
         assert keys[-1] in cache and keys[0] not in cache
         mat = cache[keys[-1]]
         implicit_operator(g, keys[-1], None)  # a hit never calls the increment
         assert cache[keys[-1]] is mat
+
+
+def conditioned_params(grid, gamma):
+    """One-step parameters with tau = gamma * h_min^4, so that the phase
+    operator's condition number stays below about 1 + 64*gamma + 8*S*gamma*h^2
+    and a dense LU inverse is accurate to near machine precision."""
+    tau = gamma * min(grid.spacing[:grid.dim]) ** 4
+    return small_params(tau=tau, t_final=tau)
+
+
+gammas = st.floats(1e-3, 10.0)
+all_grids = grids(4, 4 * DENSE_MAX_CELLS)
+
+
+def phase_inverse_matrix(params, g):
+    return g._operator_cache[("inverse", ("phase", params.tau, params.stabilization))][0]
+
+
+class TestPhasePreconditioner:
+    @given(all_grids, gammas)
+    @example(Grid.box(4, 4, 1.0, 1.5), 10.0)
+    @example(Grid.line(DENSE_MAX_CELLS, 0.5), 10.0)
+    @example(Grid.line(DENSE_MAX_CELLS + 1, 10.0), 1e-3)
+    @example(Grid.box(4, DENSE_MAX_CELLS // 4 + 1, 0.5, 10.0), 10.0)
+    @example(Grid.box(17, 16, 3.0, 0.5), 1.0)
+    def test_matches_dense_inverse(self, g, gamma):
+        params = conditioned_params(g, gamma)
+        want = np.linalg.inv(assemble_operator(phase_operator(params, g), g))
+        got = assemble_operator(phase_preconditioner(params, g), g)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @given(small_grids, gammas)
+    @example(Grid.box(4, 4, 1.0, 1.5), 10.0)
+    def test_dense_inverse_is_bitwise_symmetric(self, g, gamma):
+        params = conditioned_params(g, gamma)
+        phase_preconditioner(params, g)
+        mat = phase_inverse_matrix(params, g)
+        assert mat.shape == (g.n_cells, g.n_cells)
+        assert np.array_equal(mat, mat.T)
+        assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(16, 16, 4.0, 4.0),
+                                   Grid.line(300, 8.0), Grid.box(64, 64, 4.0, 4.0)])
+    def test_constant_fields_map_to_themselves(self, g):
+        # The symbol is 1 on the constant mode.
+        precond = phase_preconditioner(small_params(), g)
+        for c in (0.0, -0.3, 1e3):
+            const = np.full(g.shape, c)
+            assert precond(const).tobytes() == const.tobytes()
+
+    @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(64, 64, 4.0, 4.0)])
+    def test_leaves_its_argument_unmodified(self, g):
+        v = np.random.default_rng(4).uniform(-1.0, 1.0, g.shape)
+        before = v.copy()
+        out = phase_preconditioner(small_params(), g)(v)
+        assert out.shape == v.shape
+        assert v.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("tracking_soft.cfg", ()),
+        ("twodim.cfg", ()),
+        ("twodim.cfg", ("grid.nx=64", "grid.ny=64")),
+        ("gradcheck.cfg", ("grid.dim=2", "grid.nx=32", "grid.ny=32", "grid.ly=4.0")),
+    ])
+    def test_solve_meets_contract_in_two_iterations(self, name, overrides):
+        _, g, params, _ = load_instance(name, overrides)
+        tol = params.numerics.cg_tol
+        op = phase_operator(params, g)
+        rng = np.random.default_rng(g.n_cells)
+        rhs = Field(g, rng.uniform(-1.0, 1.0, g.shape))
+        x0 = Field(g, rng.uniform(-1.0, 1.0, g.shape))
+        x = cg_solve(op, rhs, tol=tol, max_iter=2, x0=x0,
+                     precond=phase_preconditioner(params, g))
+        assert norm_h(Field(g, op(x.values)) - rhs) <= tol * norm_h(rhs)
+        with pytest.raises(CgNonConvergenceError):
+            cg_solve(op, rhs, tol=tol, max_iter=2, x0=x0)
+
+
+def smoother_operator(g):
+    kappa = (2.0 * max(g.spacing[:g.dim])) ** 2
+    return implicit_operator(g, ("diffusion", kappa), lambda v: -kappa * laplacian_values(g, v))
+
+
+class TestUnpreconditionedSolves:
+    """Without a preconditioner, ``cg_solve`` is the plain CG loop byte for
+    byte, on the dense and the stencil path."""
+
+    @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(16, 16, 4.0, 4.0),
+                                   Grid.box(64, 64, 4.0, 4.0)])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    def test_diffusion_and_smoother_solves_match_reference_loop(self, g, with_x0):
+        rng = np.random.default_rng(g.n_cells)
+        rhs = Field(g, rng.uniform(-1.0, 1.0, g.shape))
+        x0 = Field(g, rng.uniform(-1.0, 1.0, g.shape)) if with_x0 else None
+        for op, tol in ((diffusion_operator(small_params(tau=1e-3), g), 1e-13),
+                        (smoother_operator(g), 1e-12)):
+            got = cg_solve(op, rhs, tol=tol, x0=x0)
+            want = reference_cg(op, rhs, tol=tol, x0=x0)
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(64, 64, 4.0, 4.0)])
+    def test_budget_exhaustion_matches_reference_loop(self, g):
+        rhs = Field(g, np.random.default_rng(5).uniform(-1.0, 1.0, g.shape))
+        op = smoother_operator(g)
+        errors = []
+        for solve in (cg_solve, reference_cg):
+            with pytest.raises(CgNonConvergenceError) as err:
+                solve(op, rhs, tol=1e-12, max_iter=3)
+            errors.append((err.value.residual, err.value.iterations))
+        assert errors[0] == errors[1]
+
+    def test_filtered_noise_matches_reference_loop(self):
+        g = Grid.box(64, 64, 4.0, 4.0)
+        rng = np.random.default_rng(7)
+        f = Field(g, 0.6 * rng.uniform(-1.0, 1.0, g.shape))
+        for _ in range(2):
+            f = reference_cg(smoother_operator(g), f, tol=1e-12, max_iter=10000)
+        got = preset_field("filtered_noise", g, seed=7, amplitude=0.6)
+        assert got.values.tobytes() == f.values.tobytes()
 
 
 class TestStep:

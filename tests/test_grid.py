@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from chcontrol import (CgNonConvergenceError, Field, Grid, GridMismatchError, cg_solve,
                        grad_sq_integral, inner_product, integrate, neumann_biharmonic,
                        neumann_laplacian, norm_h, norm_v)
-from chcontrol.grid import laplacian_values
+from chcontrol.grid import DENSE_CACHE_SIZE, DENSE_MAX_CELLS, laplacian_values, spectral_inverse
 from helpers import assemble_operator, mirror_ghost_laplacian_1d, padded_flux_laplacian
 
 field_values = arrays(np.float64, 16, elements=st.floats(-100.0, 100.0))
@@ -328,6 +328,36 @@ class TestCg:
         x = cg_solve(op, rhs, tol=1e-13, x0=Field.zeros(g))
         assert norm_h(Field(g, op(x.values)) - rhs) <= 1e-13 * norm_h(rhs)
 
+    def test_exact_preconditioner_takes_one_iteration(self):
+        g = line16()
+        d = np.linspace(1.0, 50.0, 16)
+        rhs = Field(g, np.random.default_rng(10).uniform(-1, 1, 16))
+        with pytest.raises(CgNonConvergenceError):
+            cg_solve(lambda v: d * v, rhs, tol=1e-13, max_iter=1)
+        x = cg_solve(lambda v: d * v, rhs, tol=1e-13, max_iter=1, precond=lambda v: v / d)
+        assert norm_h(Field(g, d * x.values) - rhs) <= 1e-13 * norm_h(rhs)
+
+    def test_jacobi_preconditioned_solve_matches_dense_solve(self):
+        g = Grid.box(6, 5, 3.0, 2.0)
+        coef = 1.0 + np.random.default_rng(11).uniform(0.0, 30.0, g.shape)
+
+        def op(v):
+            return coef * v - 0.2 * laplacian_values(g, v)
+
+        diag = np.diag(assemble_operator(op, g)).reshape(g.shape)
+        rhs = Field(g, np.random.default_rng(12).uniform(-1, 1, g.shape))
+        x = cg_solve(op, rhs, tol=1e-13, precond=lambda v: v / diag)
+        assert norm_h(Field(g, op(x.values)) - rhs) <= 1e-13 * norm_h(rhs)
+        ref = np.linalg.solve(assemble_operator(op, g), rhs.values.ravel())
+        assert np.max(np.abs(x.values.ravel() - ref)) <= 1e-10
+
+    def test_non_finite_preconditioner_output_raises_at_once(self):
+        g = line16()
+        rhs = Field(g, np.arange(16.0))
+        with pytest.raises(CgNonConvergenceError) as err:
+            cg_solve(lambda v: 2.0 * v, rhs, precond=lambda v: np.full_like(v, np.nan))
+        assert err.value.iterations == 0
+
     def test_zero_rhs(self):
         g = line16()
         x = cg_solve(lambda v: 3.0 * v, Field.zeros(g))
@@ -337,3 +367,42 @@ class TestCg:
         g = line16()
         with pytest.raises(ValueError):
             cg_solve(lambda v: v, Field.zeros(g), tol=0.0)
+
+
+class TestSpectralInverse:
+    """``spectral_inverse`` on the diffusion symbol 1 + c*mu, against the
+    inverse of the assembled I - c*lap."""
+
+    @pytest.mark.parametrize("g", [Grid.line(4, 1.0), Grid.box(4, 4, 1.0, 1.5),
+                                   Grid.box(16, 16, 4.0, 4.0), Grid.line(300, 8.0),
+                                   Grid.box(20, 13, 2.0, 7.0)])
+    def test_matches_dense_inverse(self, g):
+        c = 0.3 * min(g.spacing[:g.dim]) ** 2
+        inverse = spectral_inverse(g, ("diffusion", c), lambda mu: 1.0 + c * mu)
+        want = np.linalg.inv(assemble_operator(lambda v: v - c * laplacian_values(g, v), g))
+        got = assemble_operator(inverse, g)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("g", [Grid.box(8, 8, 1.0, 1.0), Grid.box(32, 32, 1.0, 1.0)])
+    def test_constant_mode_is_scaled_exactly(self, g):
+        inverse = spectral_inverse(g, ("shifted", 4.0), lambda mu: 4.0 + mu)
+        assert np.array_equal(inverse(np.full(g.shape, 3.0)), np.full(g.shape, 0.75))
+
+    @pytest.mark.parametrize("symbol", [lambda mu: 1.0 - mu, lambda mu: np.full_like(mu, np.inf),
+                                        lambda mu: np.ones(3)])
+    def test_rejects_bad_symbols(self, symbol):
+        with pytest.raises(ValueError):
+            spectral_inverse(Grid.line(8, 1.0), ("bad",), symbol)
+
+    @pytest.mark.parametrize("n", [16, DENSE_MAX_CELLS + 4])
+    def test_cache_is_shared_and_bounded(self, n):
+        g = Grid.line(n, 4.0)
+        keys = [("scale", float(k)) for k in range(DENSE_CACHE_SIZE + 3)]
+        for key in keys:
+            spectral_inverse(g, key, lambda mu, c=key[1]: 1.0 + c * mu)
+        cache = g._operator_cache
+        assert len(cache) == DENSE_CACHE_SIZE
+        assert ("inverse", keys[-1]) in cache and ("inverse", keys[0]) not in cache
+        entry = cache[("inverse", keys[-1])]
+        spectral_inverse(g, keys[-1], None)  # a hit never calls the symbol
+        assert cache[("inverse", keys[-1])] is entry
