@@ -34,11 +34,10 @@ called directly.
 function of the laplacian, for ``cg_solve`` to use as its preconditioner.  The
 orthonormal DCT-II ``C`` diagonalizes the mirror-ghost laplacian, with
 per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``, so such an operator is
-``C^T diag(lambda) C``.  Grids of at most ``DENSE_MAX_CELLS`` cells apply
-``C^T diag(1/lambda) C`` as one exactly symmetric dense matrix; larger grids
-apply the per-axis DCT matrices by matrix products.  Both the dense increments
-and the inverses live in one per-grid cache of at most ``DENSE_CACHE_SIZE``
-entries, dropping the oldest first.  The solves stay iterative: the inverse
+``C^T diag(lambda) C``; its inverse is applied as matrix products with the
+per-axis DCT matrices, on every grid size.  Both the dense increments and the
+inverses live in one per-grid cache of at most ``DENSE_CACHE_SIZE`` entries,
+dropping the oldest first.  The solves stay iterative: the inverse
 only preconditions them, so the tolerance and the iteration budget of
 ``cg_solve`` keep their meaning.
 """
@@ -277,21 +276,17 @@ def _cached(grid: Grid, key: Hashable, build: Callable[[], object]):
     return entry
 
 
-def _symmetric(mat: np.ndarray) -> np.ndarray:
-    # Averaging with the transpose makes a matrix exactly symmetric, and
-    # leaves it unchanged wherever it already was.
-    mat = 0.5 * (mat + mat.T)
-    mat.setflags(write=False)
-    return mat
-
-
 def _dense_increment(grid: Grid, key: Hashable, increment) -> np.ndarray:
     def build():
         n = grid.n_cells
         # One batched stencil call: column j is the increment of unit vector j.
-        # Its mirrored entries can differ in the last bit on 2D boxes with
-        # unequal spacings, hence the symmetrization.
-        return _symmetric(increment(np.eye(n).reshape(grid.shape + (n,))).reshape(n, n))
+        mat = increment(np.eye(n).reshape(grid.shape + (n,))).reshape(n, n)
+        # Mirrored entries can differ in the last bit on 2D boxes with unequal
+        # spacings; averaging makes the matrix exactly symmetric, and leaves
+        # it unchanged wherever it already was.
+        mat = 0.5 * (mat + mat.T)
+        mat.setflags(write=False)
+        return mat
     return _cached(grid, key, build)
 
 
@@ -344,13 +339,13 @@ def spectral_inverse(grid: Grid, key: Hashable,
     ``symbol`` maps the laplacian's eigenvalue magnitudes ``mu`` (the sum of
     the per-axis ones, an array of the grid's shape) to the eigenvalues of
     ``A``, which must be positive; ``key`` names it completely on ``grid``,
-    as for ``implicit_operator``.  Grids of at most ``DENSE_MAX_CELLS`` cells
-    apply ``C^T diag(1/lambda) C`` as one exactly symmetric dense matrix
-    (``C`` the orthonormal DCT-II of the flat cell index); larger grids apply
-    ``Cx^T ((Cx V Cy^T) / Lambda) Cy`` with per-axis DCT-II matrices.  Both
-    are built once per key and kept on the grid.  The constant mode is
-    applied separately, so a constant ``b`` maps exactly to a constant (to
-    ``b`` itself when ``symbol(0) == 1``).
+    as for ``implicit_operator``.  The map is ``Cx^T ((Cx V Cy^T) / Lambda) Cy``
+    with the per-axis orthonormal DCT-II matrices ``Cx``, ``Cy`` (``Cx^T
+    ((Cx v) / Lambda)`` in 1D), built once per key and kept on the grid.
+    Each axis of ``n`` cells costs an ``n x n`` matrix, so a 1D grid's
+    memory and time per call grow as ``nx^2``.  The constant mode is applied
+    separately, so a constant ``b`` maps exactly to a constant (to ``b``
+    itself when ``symbol(0) == 1``).
     """
     def build():
         mats = [_dct_matrix(n) for n in grid.shape]
@@ -362,27 +357,11 @@ def spectral_inverse(grid: Grid, key: Hashable,
             raise ValueError(f"spectral_inverse: symbol must be finite and positive on "
                              f"the {grid.shape} modes")
         inv = 1.0 / lam
-        if grid.n_cells <= DENSE_MAX_CELLS:
-            full = mats[0] if grid.dim == 1 else np.kron(mats[0], mats[1])
-            return _symmetric(full.T @ (inv.reshape(-1, 1) * full)), inv.flat[0]
         for mat in mats + [inv]:
             mat.setflags(write=False)
         return tuple(mats), inv
 
-    entry = _cached(grid, ("inverse", key), build)
-
-    if grid.n_cells <= DENSE_MAX_CELLS:
-        mat, inv0 = entry
-
-        def apply_dense(b: np.ndarray) -> np.ndarray:
-            shift = b.flat[0]
-            out = mat @ (b.reshape(-1) - shift)
-            out += shift * inv0
-            return out.reshape(b.shape)
-
-        return apply_dense
-
-    mats, inv = entry
+    mats, inv = _cached(grid, ("inverse", key), build)
     inv0 = inv.flat[0]
     cx, cy = mats[0], mats[-1]
 
