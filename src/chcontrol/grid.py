@@ -31,15 +31,17 @@ threshold a matrix-vector product costs more than the stencil, which is then
 called directly.
 
 ``spectral_inverse`` builds the exact inverse of an operator that is a
-function of the laplacian, for ``cg_solve`` to use as its preconditioner.  The
-orthonormal DCT-II ``C`` diagonalizes the mirror-ghost laplacian, with
-per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``, so such an operator is
-``C^T diag(lambda) C``; its inverse is applied as matrix products with the
-per-axis DCT matrices, on every grid size.  Both the dense increments and the
-inverses live in one per-grid cache of at most ``DENSE_CACHE_SIZE`` entries,
-dropping the oldest first.  The solves stay iterative: the inverse
-only preconditions them, so the tolerance and the iteration budget of
-``cg_solve`` keep their meaning.
+function of the laplacian.  The orthonormal DCT-II ``C`` diagonalizes the
+mirror-ghost laplacian, with per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``,
+so such an operator is ``C^T diag(lambda) C``; its inverse is applied as matrix
+products with the per-axis DCT matrices, on every grid size.  It has two
+users.  The phase solves pass it to ``cg_solve`` as their preconditioner; those
+solves stay iterative, so the tolerance and the iteration budget of
+``cg_solve`` keep their meaning.  The ``filtered_noise`` preset applies it
+directly, as its smoother ``(I - kappa*lap)^{-1}``.  The dense increments, the
+inverses and the DCT matrices (one per axis length, shared by every inverse)
+live in one per-grid cache of at most ``DENSE_CACHE_SIZE`` entries, dropping
+the least recently used first.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class Grid:
         self.cell_volume = self.spacing[0] * self.spacing[1]
         self.shape = (nx,) if dim == 1 else (nx, ny)
         self.n_cells = nx * ny
-        self._operator_cache = {}  # key -> read-only matrices, oldest first
+        self._operator_cache = {}  # key -> read-only matrices, least recently used first
 
     @classmethod
     def line(cls, nx: int, length: float) -> "Grid":
@@ -268,11 +270,12 @@ DENSE_CACHE_SIZE = 8  # cached operators per grid
 
 def _cached(grid: Grid, key: Hashable, build: Callable[[], object]):
     cache = grid._operator_cache
-    entry = cache.get(key)
+    entry = cache.pop(key, None)  # re-inserted below: the dict stays in use order
     if entry is None:
-        entry = cache[key] = build()
-        if len(cache) > DENSE_CACHE_SIZE:
-            del cache[next(iter(cache))]
+        entry = build()
+    cache[key] = entry
+    if len(cache) > DENSE_CACHE_SIZE:
+        del cache[next(iter(cache))]
     return entry
 
 
@@ -323,6 +326,7 @@ def _dct_matrix(n: int) -> np.ndarray:
     mat = np.cos(phase * (np.pi / (2 * n)))
     mat *= math.sqrt(2.0 / n)
     mat[0] = math.sqrt(1.0 / n)
+    mat.setflags(write=False)
     return mat
 
 
@@ -341,14 +345,15 @@ def spectral_inverse(grid: Grid, key: Hashable,
     ``A``, which must be positive; ``key`` names it completely on ``grid``,
     as for ``implicit_operator``.  The map is ``Cx^T ((Cx V Cy^T) / Lambda) Cy``
     with the per-axis orthonormal DCT-II matrices ``Cx``, ``Cy`` (``Cx^T
-    ((Cx v) / Lambda)`` in 1D), built once per key and kept on the grid.
-    Each axis of ``n`` cells costs an ``n x n`` matrix, so a 1D grid's
-    memory and time per call grow as ``nx^2``.  The constant mode is applied
-    separately, so a constant ``b`` maps exactly to a constant (to ``b``
-    itself when ``symbol(0) == 1``).
+    ((Cx v) / Lambda)`` in 1D).  ``Lambda`` is built once per key and kept on
+    the grid; the DCT matrices once per axis length, shared by every key (a
+    square box has one).  Each axis of ``n`` cells costs an ``n x n`` matrix,
+    so a 1D grid's memory and time per call grow as ``nx^2``.  The constant
+    mode is applied separately, so a constant ``b`` maps exactly to a
+    constant (to ``b`` itself when ``symbol(0) == 1``).
     """
     def build():
-        mats = [_dct_matrix(n) for n in grid.shape]
+        mats = tuple(_cached(grid, ("dct", n), lambda n=n: _dct_matrix(n)) for n in grid.shape)
         mu = _laplacian_modes(grid.shape[0], grid.spacing[0])
         if grid.dim == 2:
             mu = mu[:, np.newaxis] + _laplacian_modes(grid.shape[1], grid.spacing[1])
@@ -357,9 +362,8 @@ def spectral_inverse(grid: Grid, key: Hashable,
             raise ValueError(f"spectral_inverse: symbol must be finite and positive on "
                              f"the {grid.shape} modes")
         inv = 1.0 / lam
-        for mat in mats + [inv]:
-            mat.setflags(write=False)
-        return tuple(mats), inv
+        inv.setflags(write=False)
+        return mats, inv
 
     mats, inv = _cached(grid, ("inverse", key), build)
     inv0 = inv.flat[0]

@@ -27,7 +27,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .grid import Field, Grid, cg_solve, implicit_operator, laplacian_values
+from .grid import Field, Grid, spectral_inverse
 
 __all__ = [
     "QuarticDoubleWell",
@@ -321,6 +321,33 @@ def check_hypotheses(params: ModelParams, sample_range=(-5.0, 5.0),
     return HypothesisReport(checks=checks, constants=constants, notes=notes)
 
 
+_SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` words of the SplitMix64 stream of ``seed`` (Steele, Lea
+    and Flood, OOPSLA 2014), as uint64: word ``i`` is the finalizer ``mix``
+    of ``seed + (i + 1) * gamma``, all arithmetic wrapping modulo 2^64."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_SPLITMIX64_GAMMA)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _splitmix64_uniform(seed: int, shape) -> np.ndarray:
+    """Uniform samples on [-1, 1) of the grid ``shape``, in C order, from the
+    top 53 bits of each SplitMix64 word."""
+    words = _splitmix64(seed, math.prod(shape))
+    return ((words >> np.uint64(11)) * 2.0 ** -52 - 1.0).reshape(shape)
+
+
 def preset_field(name: str, grid: Grid, **args) -> Field:
     """Build a named initial/target field on the grid.
 
@@ -328,8 +355,11 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
     tanh_ball:      center (scalar or (cx, cy)), radius, width
                     tanh((radius - |x - center|) / (sqrt(2)*width))
     filtered_noise: seed, amplitude=1.0, kappa=None, passes=2
-                    seeded uniform noise smoothed by repeated implicit
-                    diffusion solves (I - kappa*lap); deterministic per seed
+                    seeded uniform noise on [-amplitude, amplitude) from a
+                    SplitMix64 stream, smoothed by ``passes`` exact implicit
+                    diffusion solves (I - kappa*lap)^{-1}, each applied as one
+                    spectral transform; deterministic per seed, and the
+                    smoothing keeps the field's integral to roundoff
     """
     if name == "constant":
         return Field.full(grid, float(args["value"]))
@@ -364,13 +394,10 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
         kappa = float(kappa)
         if kappa <= 0 or passes < 1:
             raise ValueError("kappa must be positive and passes >= 1")
-        rng = np.random.default_rng(seed)
-        f = Field._wrap(grid, amplitude * rng.uniform(-1.0, 1.0, grid.shape))
-
-        smoother = implicit_operator(grid, ("diffusion", kappa),
-                                     lambda v: -kappa * laplacian_values(grid, v))
+        values = amplitude * _splitmix64_uniform(seed, grid.shape)
+        smoother = spectral_inverse(grid, ("diffusion", kappa), lambda mu: 1.0 + kappa * mu)
         for _ in range(passes):
-            f = cg_solve(smoother, f, tol=1e-12, max_iter=10000)
-        return f
+            values = smoother(values)
+        return Field._wrap(grid, values)
 
     raise ValueError(f"unknown preset '{name}'")

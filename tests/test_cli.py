@@ -205,20 +205,29 @@ class TestOptimize:
         assert counts["simulate"] == counts["cost"]
 
 
-def test_simulate_imports_neither_scipy_nor_numpy_fft(tmp_path):
-    # Either import would raise the peak RSS of every run (scipy.fft alone
-    # adds about 25 MB); the test process itself has scipy loaded, so the run
-    # goes to a fresh interpreter.
+def heavy_modules_after(name, outdir):
+    """Heavy modules in ``sys.modules`` after one benchmark command, run in a
+    fresh interpreter (the test process itself has scipy loaded)."""
     code = (
         "import sys\n"
         "from chcontrol.cli import main\n"
-        f"rc = main({benchmark_argv('simulate_2d', tmp_path)!r})\n"
+        f"rc = main({benchmark_argv(name, outdir)!r})\n"
         "heavy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "               or m == 'numpy.fft' or m.startswith('numpy.fft.'))\n"
+        "               or m.startswith(('numpy.fft', 'numpy.random')))\n"
         "print(rc, heavy)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_simulate_imports_neither_scipy_nor_numpy_fft(tmp_path):
+    # Each import would raise the peak RSS of every run: scipy.fft alone adds
+    # about 25 MB, numpy.random about 6 MB.
+    assert heavy_modules_after("simulate_2d", tmp_path) == "0 []"
+
+
+def test_grad_check_imports_neither_scipy_nor_numpy_random(tmp_path):
+    assert heavy_modules_after("gradcheck_2d", tmp_path) == "0 []"

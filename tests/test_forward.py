@@ -13,8 +13,9 @@ from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismat
 from chcontrol.forward import diffusion_operator, phase_operator, phase_preconditioner
 from chcontrol.grid import (DENSE_CACHE_SIZE, DENSE_MAX_CELLS, CgNonConvergenceError, cg_solve,
                             implicit_operator, laplacian_values)
-from helpers import (assemble_operator, load_instance, ode_reference, reference_cg,
-                     reference_dense_increments, smooth_field, smooth_schedule,
+from chcontrol.model import _splitmix64_uniform
+from helpers import (assemble_operator, load_instance, ode_reference, padded_flux_laplacian,
+                     reference_cg, reference_dense_increments, smooth_field, smooth_schedule,
                      stencil_diffusion_operator, stencil_phase_operator)
 
 
@@ -224,14 +225,44 @@ class TestUnpreconditionedSolves:
             errors.append((err.value.residual, err.value.iterations))
         assert errors[0] == errors[1]
 
-    def test_filtered_noise_matches_reference_loop(self):
+
+class TestFilteredNoise:
+    """The ``filtered_noise`` smoother is ``passes`` exact solves of
+    ``I - kappa*lap`` on the preset's own SplitMix64 draw."""
+
+    @given(small_grids, st.integers(0, 2 ** 64 - 1), st.integers(1, 3), st.floats(0.1, 4.0))
+    @example(Grid.line(4, 0.5), 0, 2, 4.0)
+    @example(Grid.box(4, 4, 0.5, 10.0), 7, 2, 4.0)
+    @example(Grid.box(4, DENSE_MAX_CELLS // 4, 10.0, 0.5), 2 ** 64 - 1, 3, 4.0)
+    def test_matches_dense_solves(self, g, seed, passes, scale):
+        # kappa scaled to the finer spacing keeps cond(I - kappa*lap) below
+        # 1 + 8*scale, so the dense LU solves are accurate to near roundoff.
+        kappa = scale * min(g.spacing[:g.dim]) ** 2
+        lap = assemble_operator(lambda v: padded_flux_laplacian(g, v), g)
+        mat = np.eye(g.n_cells) - kappa * lap
+        want = 0.6 * _splitmix64_uniform(seed, g.shape).ravel()
+        for _ in range(passes):
+            want = np.linalg.solve(mat, want)
+        got = preset_field("filtered_noise", g, seed=seed, amplitude=0.6, kappa=kappa,
+                           passes=passes)
+        assert np.max(np.abs(got.values.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(20, 13, 2.0, 7.0),
+                                   Grid.box(64, 64, 4.0, 4.0)])
+    def test_keeps_the_integral(self, g):
+        raw = Field(g, 0.6 * _splitmix64_uniform(5, g.shape))
+        got = preset_field("filtered_noise", g, seed=5, amplitude=0.6)
+        scale = g.cell_volume * np.sum(np.abs(raw.values))
+        assert abs(integrate(got) - integrate(raw)) <= 1e-14 * scale
+
+    def test_cold_and_warm_cache_agree_bytewise(self):
+        args = dict(seed=7, amplitude=0.6)
+        cold = preset_field("filtered_noise", Grid.box(64, 64, 4.0, 4.0), **args)
         g = Grid.box(64, 64, 4.0, 4.0)
-        rng = np.random.default_rng(7)
-        f = Field(g, 0.6 * rng.uniform(-1.0, 1.0, g.shape))
-        for _ in range(2):
-            f = reference_cg(smoother_operator(g), f, tol=1e-12, max_iter=10000)
-        got = preset_field("filtered_noise", g, seed=7, amplitude=0.6)
-        assert got.values.tobytes() == f.values.tobytes()
+        phase_preconditioner(small_params(), g)  # another inverse on the same axes
+        first = preset_field("filtered_noise", g, **args)
+        warm = preset_field("filtered_noise", g, **args)
+        assert cold.values.tobytes() == first.values.tobytes() == warm.values.tobytes()
 
 
 class TestStep:

@@ -406,3 +406,20 @@ class TestSpectralInverse:
         entry = cache[("inverse", keys[-1])]
         spectral_inverse(g, keys[-1], None)  # a hit never calls the symbol
         assert cache[("inverse", keys[-1])] is entry
+        # Every build touches the DCT matrix, so it outlives the evicted inverses.
+        held = {id(mat) for key, entry in cache.items() if key[0] == "inverse"
+                for mat in entry[0]}
+        assert held == {id(cache[("dct", n)])}
+
+    @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(16, 16, 4.0, 4.0),
+                                   Grid.box(16, 8, 4.0, 1.0)])
+    def test_dct_matrices_are_shared_across_keys(self, g):
+        spectral_inverse(g, ("one",), lambda mu: 1.0 + mu)
+        spectral_inverse(g, ("two",), lambda mu: 2.0 + mu * mu)
+        cache = g._operator_cache
+        (ax, *a_rest), _ = cache[("inverse", ("one",))]
+        (bx, *b_rest), _ = cache[("inverse", ("two",))]
+        assert ax is bx is cache[("dct", g.counts[0])]
+        if g.dim == 2:
+            assert a_rest[0] is b_rest[0] is cache[("dct", g.counts[1])]
+            assert (a_rest[0] is ax) == (g.counts[0] == g.counts[1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chcontrol import (Field, Grid, ModelParams, QuadraticProliferation, QuarticDoubleWell,
                        SigmoidProliferation, check_hypotheses, default_stabilization,
                        f_deriv, p_deriv, preset_field)
-from chcontrol.model import f0_deriv, f1_deriv
+from chcontrol.model import _splitmix64, _splitmix64_uniform, f0_deriv, f1_deriv
 
 
 class TestDoubleWell:
@@ -198,9 +198,25 @@ class TestPresets:
 
     def test_filtered_noise_smooths(self):
         g = Grid.line(64, 4.0)
-        rough = np.random.default_rng(11).uniform(-0.5, 0.5, 64)
+        rough = 0.5 * _splitmix64_uniform(11, g.shape)
         smooth = preset_field("filtered_noise", g, seed=11, amplitude=0.5)
         assert np.max(np.abs(np.diff(smooth.values))) < np.max(np.abs(np.diff(rough)))
+
+    def test_splitmix64_matches_published_words(self):
+        assert _splitmix64(0, 3).tolist() == [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4,
+                                              0x06c45d188009454f]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_splitmix64_uniform_lies_in_half_open_interval(self, seed):
+        u = _splitmix64_uniform(seed, (100, 100))
+        assert u.shape == (100, 100)
+        assert u.min() >= -1.0 and u.max() < 1.0
+        assert abs(u.mean()) < 0.03  # 5 standard errors of 1e4 uniform samples
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_filtered_noise_rejects_out_of_range_seeds(self, seed):
+        with pytest.raises(ValueError):
+            preset_field("filtered_noise", Grid.line(8, 1.0), seed=seed)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
