@@ -23,13 +23,16 @@ print(f"steps: {params.n_steps}, tau = {params.tau}, stabilization = {params.sta
 
 trajectory = simulate(params, control)
 
-mass0 = integrate(trajectory.phi[0]) + integrate(trajectory.sigma[0])
-mass_final = integrate(trajectory.phi[-1]) + integrate(trajectory.sigma[-1])
+# Each level array has one row per time level; wrap a row as a Field to
+# integrate it.
+mass0 = integrate(Field(grid, trajectory.phi[0])) + integrate(Field(grid, trajectory.sigma[0]))
+mass_final = (integrate(Field(grid, trajectory.phi[-1]))
+              + integrate(Field(grid, trajectory.sigma[-1])))
 print(f"\ncombined mass: {mass0:.12f} -> {mass_final:.12f} "
       f"(drift {abs(mass_final - mass0):.3e})")
 print(f"worst per-step mass defect: {np.max(np.abs(trajectory.mass_residuals)):.3e}")
 
-energies = trajectory.energies
+energies = trajectory.energies  # computed on first access
 print(f"energy: {energies[0]:.6f} -> {energies[-1]:.6f}")
 print(f"largest energy increment over a step: {np.diff(energies).max():.3e} "
       "(negative = strictly dissipative)")
@@ -37,8 +40,8 @@ print(f"largest energy increment over a step: {np.diff(energies).max():.3e} "
 print("\nphase field profile (x, phi) every 8th cell at t = 0 and t = T:")
 x = grid.cell_centers()[0]
 for i in range(0, grid.n_cells, 8):
-    print(f"  x={x[i]:5.2f}  phi0={trajectory.phi[0].values[i]:+.4f}  "
-          f"phiT={trajectory.phi[-1].values[i]:+.4f}")
+    print(f"  x={x[i]:5.2f}  phi0={trajectory.phi[0, i]:+.4f}  "
+          f"phiT={trajectory.phi[-1, i]:+.4f}")
 
 try:
     import matplotlib
@@ -48,7 +51,7 @@ try:
 
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 3.5))
     for n in range(0, trajectory.n_steps + 1, 50):
-        ax1.plot(x, trajectory.phi[n].values, label=f"t={trajectory.time(n):.2f}")
+        ax1.plot(x, trajectory.phi[n], label=f"t={trajectory.time(n):.2f}")
     ax1.set_xlabel("x")
     ax1.set_ylabel("phi")
     ax1.legend()

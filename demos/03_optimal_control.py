@@ -7,7 +7,7 @@ a bound must push outward, and where the control weight is positive the
 control must equal the clamped lifted co-state.
 """
 
-from chcontrol import OptimOptions, kkt_report, projected_gradient, simulate
+from chcontrol import Field, OptimOptions, kkt_report, norm_h, projected_gradient, simulate
 from chcontrol.config import (build_grid, build_initial_control, build_params,
                               parse_config)
 from pathlib import Path
@@ -40,9 +40,9 @@ print(f"   interior / lower / upper cells: "
 print(f"   violations: {report.violations} (worst {report.worst_violation:.3e})")
 print(f"   clamp-formula gap max|u - clamp(-lift/beta_u)|: {report.projection_gap:.3e}")
 
-final_misfit = trajectory.phi[-1] - params.phi_omega
-from chcontrol import norm_h
+# trajectory.phi is one (levels, nx) array; its last row is the final state.
+final_misfit = Field(grid, trajectory.phi[-1] - params.phi_omega.values)
+uncontrolled = Field(grid, simulate(params, u0).phi[-1] - params.phi_omega.values)
 
 print(f"\nfinal-state misfit |phi(T) - target|: {norm_h(final_misfit):.6f}")
-print(f"(compare the uncontrolled run: "
-      f"{norm_h(simulate(params, u0).phi[-1] - params.phi_omega):.6f})")
+print(f"(compare the uncontrolled run: {norm_h(uncontrolled):.6f})")

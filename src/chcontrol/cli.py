@@ -74,8 +74,9 @@ class RunWriter:
         (self.outdir / "run.log").write_text(
             "\n".join(self._log_lines) + ("\n" if self._log_lines else ""), encoding="utf-8")
 
-    def snapshot(self, field: Field, t: float, name: str) -> None:
-        write_snapshot(field, t, self.outdir / name)
+    def snapshot(self, field: Field, t: float, name: str) -> str:
+        """Write one snapshot file; returns its text."""
+        return write_snapshot(field, t, self.outdir / name)
 
 
 def _seed_override(cfg: RunConfig) -> RunConfig:
@@ -104,22 +105,28 @@ def cmd_simulate(cfg: RunConfig) -> int:
     writer = RunWriter(cfg)
     every = cfg["io.snapshot_every"]
     traj = simulate(params, u)
-    for n in range(traj.n_steps + 1):
-        if n % every == 0 or n == traj.n_steps:
-            writer.snapshot(traj.phi[n], traj.time(n), f"phi_{n:06d}.csv")
-            writer.snapshot(traj.sigma[n], traj.time(n), f"sigma_{n:06d}.csv")
-    writer.snapshot(traj.phi[-1], traj.time(traj.n_steps), "phi_final.csv")
-    writer.snapshot(traj.sigma[-1], traj.time(traj.n_steps), "sigma_final.csv")
-    for n in range(traj.n_steps):
+    n_final = traj.n_steps
+    for n in range(n_final + 1):
+        if n % every == 0 or n == n_final:
+            phi_text = writer.snapshot(Field._wrap(grid, traj.phi[n]), traj.time(n),
+                                       f"phi_{n:06d}.csv")
+            sigma_text = writer.snapshot(Field._wrap(grid, traj.sigma[n]), traj.time(n),
+                                         f"sigma_{n:06d}.csv")
+    # The loop always ends on the final level: write its text again.
+    (writer.outdir / "phi_final.csv").write_text(phi_text, encoding="utf-8")
+    (writer.outdir / "sigma_final.csv").write_text(sigma_text, encoding="utf-8")
+    mass_residuals, energies = traj.mass_residuals, traj.energies
+    for n in range(n_final):
+        phi_n, sigma_n = Field._wrap(grid, traj.phi[n + 1]), Field._wrap(grid, traj.sigma[n + 1])
         writer.log(step=n, t=traj.time(n + 1),
-                   mass=integrate(traj.phi[n + 1]) + integrate(traj.sigma[n + 1]),
-                   mass_residual=float(traj.mass_residuals[n]),
-                   energy=float(traj.energies[n + 1]),
-                   phi_max=traj.phi[n + 1].max_abs())
+                   mass=integrate(phi_n) + integrate(sigma_n),
+                   mass_residual=float(mass_residuals[n]),
+                   energy=float(energies[n + 1]),
+                   phi_max=phi_n.max_abs())
     writer.flush()
-    print(_kv_line(subcommand="simulate", steps=traj.n_steps,
-                   final_energy=float(traj.energies[-1]),
-                   max_mass_residual=float(np.max(np.abs(traj.mass_residuals)))))
+    print(_kv_line(subcommand="simulate", steps=n_final,
+                   final_energy=float(energies[-1]),
+                   max_mass_residual=float(np.max(np.abs(mass_residuals)))))
     return 0
 
 
@@ -241,8 +248,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
                                 phi_q=None, phi_omega=None)
         u = ControlSchedule.constant(grid, p.n_steps, c)
         traj = simulate(p, u, phi0=Field.full(grid, a0), sigma0=Field.full(grid, b0))
-        got = np.array([float(traj.phi[-1].values.flat[0]),
-                        float(traj.sigma[-1].values.flat[0])])
+        got = np.array([float(traj.phi[-1].flat[0]), float(traj.sigma[-1].flat[0])])
         err = float(np.max(np.abs(got - ref)) / max(1.0, float(np.max(np.abs(ref)))))
         errors.append(err)
         print(_kv_line(subcommand="oracle", tau=tau, rel_error=err))

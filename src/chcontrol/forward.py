@@ -26,11 +26,19 @@ fluxes, so the combined mass obeys
 
     integrate(phi_next + sigma_next) = integrate(phi + sigma) + tau*integrate(u)
 
-up to the linear-solver tolerance; ``simulate`` records the per-step defect.
-The diagnostic energy ``E = grad_sq(phi)/2 + integrate(F(phi)) +
+up to the linear-solver tolerance; the trajectory reports the per-step
+defect.  The diagnostic energy ``E = grad_sq(phi)/2 + integrate(F(phi)) +
 norm_h(sigma)^2/2`` decreases along unforced runs when S dominates the well
 curvature over the range the trajectory visits; the default S covers
 |phi| <= 1.5 and ``simulate`` warns when a run leaves that range.
+
+The stepping core works on arrays.  ``step`` takes the grid and arrays of its
+shape and returns new arrays, checking its two outputs once (finite and
+within the overflow guard).  ``simulate`` validates only what its caller
+hands in (the grids of the ``phi0``/``sigma0`` Fields and the schedule) and
+fills one ``(n_steps + 1, *grid.shape)`` level array per field, row by row.
+The mass defects and energies are computed from those rows on first access,
+so a caller that never reads them (the optimizer) never pays for them.
 """
 
 from __future__ import annotations
@@ -81,10 +89,10 @@ class ControlSchedule:
     constructor copies the values (any array-like, e.g. a list of per-step
     arrays) and checks once that there is at least one step, that each row
     has the grid's shape and that every value is finite; the stored array is
-    read-only (``constant`` stores its one row as a stride-0 view).  Bounds are optional; a schedule is admissible when they are
-    present and hold cellwise.  Arithmetic keeps the left operand's bounds,
-    so directions and trial points can be formed without losing the
-    constraint data.
+    read-only (``constant`` stores its one row as a stride-0 view).  Bounds
+    are optional; a schedule is admissible when they are present and hold
+    cellwise.  Arithmetic keeps the left operand's bounds, so directions and
+    trial points can be formed without losing the constraint data.
     """
 
     __slots__ = ("grid", "values", "u_min", "u_max")
@@ -218,59 +226,80 @@ def chemical_potential(params: ModelParams, phi: Field) -> Field:
                        + f_deriv(params.potential, 1, phi.values))
 
 
-def step(params: ModelParams, phi: Field, sigma: Field, u: Field,
-         step_index=None) -> tuple[Field, Field]:
-    """One stabilized implicit-explicit step; returns (phi_next, sigma_next).
+def _require_grid_shape(grid: Grid, *arrays: np.ndarray) -> None:
+    if any(a.shape != grid.shape for a in arrays):
+        raise GridMismatchError(f"step inputs must have the grid's shape {grid.shape}")
 
-    Raises DivergenceError when either output exceeds the overflow guard,
-    naming the step, and propagates CG non-convergence.
+
+def _check_outputs(a: np.ndarray, b: np.ndarray, guard: float, step_index,
+                   name: str = "step") -> None:
+    """Raise DivergenceError unless both outputs of a step are finite and at
+    most ``guard`` in magnitude; the message names the step."""
+    worst = float(np.maximum(abs(a).max(), abs(b).max()))  # a NaN propagates
+    if not worst <= guard:
+        where = f"unknown {name}" if step_index is None else f"{name} {step_index}"
+        if math.isfinite(worst):
+            message = (f"solution magnitude {worst:.3e} exceeded the overflow guard "
+                       f"{guard:.3e} at {where}")
+        else:
+            message = f"non-finite solution at {where}"
+        raise DivergenceError(message, step_index=step_index)
+
+
+def step(params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,
+         u: np.ndarray, step_index=None) -> tuple[np.ndarray, np.ndarray]:
+    """One stabilized implicit-explicit step on arrays of the grid's shape;
+    returns new arrays (phi_next, sigma_next).
+
+    The inputs are checked for their shape only (``GridMismatchError``) and
+    are not modified.  The two outputs are checked once: a non-finite value,
+    or one above the overflow guard, raises DivergenceError naming the step.
+    CG non-convergence propagates.
     """
-    grid = phi.grid
-    if sigma.grid != grid or u.grid != grid:
-        raise GridMismatchError("state and control must share one grid")
+    _require_grid_shape(grid, phi, sigma, u)
     tau = params.tau
     s_const = params.stabilization
     num = params.numerics
 
-    pv, sv, uv = phi.values, sigma.values, u.values
-    fp = f_deriv(params.potential, 1, pv)
-    mu_t = -laplacian_values(grid, pv) + fp
-    react = p_deriv(params.proliferation, 0, pv) * (sv - mu_t)
+    fp = f_deriv(params.potential, 1, phi)
+    mu_t = -laplacian_values(grid, phi) + fp
+    react = p_deriv(params.proliferation, 0, phi) * (sigma - mu_t)
 
-    rhs_a = pv + tau * laplacian_values(grid, fp - s_const * pv) + tau * react
-    phi_next = cg_solve(phase_operator(params, grid), Field._wrap(grid, rhs_a),
+    rhs_a = phi + tau * laplacian_values(grid, fp - s_const * phi) + tau * react
+    phi_next = cg_solve(phase_operator(params, grid), rhs_a, grid,
                         tol=num.cg_tol, max_iter=num.cg_max_iter, x0=phi,
                         precond=phase_preconditioner(params, grid))
 
-    rhs_b = sv + tau * (uv - react)
-    sigma_next = cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),
+    rhs_b = sigma + tau * (u - react)
+    sigma_next = cg_solve(diffusion_operator(params, grid), rhs_b, grid,
                           tol=num.cg_tol, max_iter=num.cg_max_iter, x0=sigma)
 
-    worst = max(phi_next.max_abs(), sigma_next.max_abs())
-    if worst > num.overflow_guard:
-        where = "unknown step" if step_index is None else f"step {step_index}"
-        raise DivergenceError(
-            f"solution magnitude {worst:.3e} exceeded the overflow guard "
-            f"{num.overflow_guard:.3e} at {where}", step_index=step_index)
+    _check_outputs(phi_next, sigma_next, num.overflow_guard, step_index)
     return phi_next, sigma_next
 
 
 class StateTrajectory:
-    """Time-indexed (phi, sigma) levels with per-step diagnostics.
+    """The (phi, sigma) levels of one run and the schedule ``u`` that drove it.
 
-    ``mass_residuals[n]`` is the defect of the combined-mass identity over
-    step n; ``energies[n]`` is the diagnostic energy at level n.
+    ``phi`` and ``sigma`` are read-only ``(n_steps + 1, *grid.shape)`` arrays;
+    row n is level n.  The diagnostics are computed on first access and then
+    kept: ``mass_residuals[n]`` is the defect of the combined-mass identity
+    over step n, ``energies[n]`` the diagnostic energy at level n.
     """
 
-    __slots__ = ("params", "grid", "phi", "sigma", "mass_residuals", "energies")
+    __slots__ = ("params", "grid", "phi", "sigma", "u", "_mass_residuals", "_energies")
 
-    def __init__(self, params, grid, phi, sigma, mass_residuals, energies):
+    def __init__(self, params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,
+                 u: ControlSchedule):
+        phi.setflags(write=False)
+        sigma.setflags(write=False)
         self.params = params
         self.grid = grid
-        self.phi = list(phi)
-        self.sigma = list(sigma)
-        self.mass_residuals = np.asarray(mass_residuals, dtype=float)
-        self.energies = np.asarray(energies, dtype=float)
+        self.phi = phi
+        self.sigma = sigma
+        self.u = u
+        self._mass_residuals = None
+        self._energies = None
 
     @property
     def n_steps(self) -> int:
@@ -280,7 +309,29 @@ class StateTrajectory:
         return n * self.params.tau
 
     def max_abs_phi(self) -> float:
-        return max(f.max_abs() for f in self.phi)
+        return float(max(self.phi.max(), -self.phi.min()))  # no full-size temporary
+
+    def _fields(self, n: int) -> tuple[Field, Field]:
+        return Field._wrap(self.grid, self.phi[n]), Field._wrap(self.grid, self.sigma[n])
+
+    @property
+    def energies(self) -> np.ndarray:
+        if self._energies is None:
+            self._energies = np.asarray(
+                [energy(self.params, *self._fields(n)) for n in range(self.n_steps + 1)],
+                dtype=float)
+        return self._energies
+
+    @property
+    def mass_residuals(self) -> np.ndarray:
+        if self._mass_residuals is None:
+            tau = self.params.tau
+            mass = [integrate(phi) + integrate(sigma)
+                    for phi, sigma in map(self._fields, range(self.n_steps + 1))]
+            self._mass_residuals = np.asarray(
+                [mass[n + 1] - mass[n] - tau * integrate(self.u[n]) for n in range(self.n_steps)],
+                dtype=float)
+        return self._mass_residuals
 
 
 def energy(params: ModelParams, phi: Field, sigma: Field) -> float:
@@ -297,30 +348,24 @@ def simulate(params: ModelParams, u: ControlSchedule,
     propagate with their step index attached; a warning is emitted when the
     trajectory leaves the range covered by the stabilization constant.
     """
-    phi = phi0 if phi0 is not None else params.phi0
-    sigma = sigma0 if sigma0 is not None else params.sigma0
-    if phi is None or sigma is None:
+    phi0 = phi0 if phi0 is not None else params.phi0
+    sigma0 = sigma0 if sigma0 is not None else params.sigma0
+    if phi0 is None or sigma0 is None:
         raise ValueError("initial fields are required (arguments or params.phi0/sigma0)")
-    grid = phi.grid
-    if sigma.grid != grid or u.grid != grid:
+    grid = phi0.grid
+    if sigma0.grid != grid or u.grid != grid:
         raise GridMismatchError("initial fields and schedule must share one grid")
 
-    phis = [phi]
-    sigmas = [sigma]
-    energies = [energy(params, phi, sigma)]
-    mass_res = []
-    mass_prev = integrate(phi) + integrate(sigma)
-    for n in range(len(u)):
-        u_n = u[n]
-        phi, sigma = step(params, phi, sigma, u_n, step_index=n)
-        phis.append(phi)
-        sigmas.append(sigma)
-        energies.append(energy(params, phi, sigma))
-        mass_now = integrate(phi) + integrate(sigma)
-        mass_res.append(mass_now - mass_prev - params.tau * integrate(u_n))
-        mass_prev = mass_now
+    n_steps = len(u)
+    phi = np.empty((n_steps + 1,) + grid.shape)  # filled row by row
+    sigma = np.empty((n_steps + 1,) + grid.shape)
+    phi[0] = phi0.values
+    sigma[0] = sigma0.values
+    for n in range(n_steps):
+        phi[n + 1], sigma[n + 1] = step(params, grid, phi[n], sigma[n], u.values[n],
+                                        step_index=n)
 
-    traj = StateTrajectory(params, grid, phis, sigmas, mass_res, energies)
+    traj = StateTrajectory(params, grid, phi, sigma, u)
     peak = traj.max_abs_phi()
     needed = default_stabilization(params.potential, peak)
     if params.stabilization < needed * (1.0 - 1e-12):
@@ -368,10 +413,10 @@ def _traj_diff_norms(tau: float, base: StateTrajectory, other: StateTrajectory):
     l2v_phi = 0.0
     linf_sig = 0.0
     l2v_sig = 0.0
-    n_levels = len(base.phi)
-    for n in range(n_levels):
-        dphi = base.phi[n] - other.phi[n]
-        dsig = base.sigma[n] - other.sigma[n]
+    grid = base.grid
+    for n in range(base.n_steps + 1):
+        dphi = Field._wrap(grid, base.phi[n] - other.phi[n])
+        dsig = Field._wrap(grid, base.sigma[n] - other.sigma[n])
         linf_phi = max(linf_phi, norm_h(dphi))
         linf_sig = max(linf_sig, norm_h(dsig))
         if n >= 1:

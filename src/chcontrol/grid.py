@@ -16,8 +16,11 @@ to roundoff and are relied on downstream:
 in a fixed order; together with the fixed iteration order of ``cg_solve``
 this makes every computation bitwise reproducible across runs.
 
-``cg_solve``'s operator is an array map (ndarray in, new ndarray out, argument
-left unmodified); Fields are validated once at entry and once at exit.
+``cg_solve`` works on arrays only: its operator is an array map (ndarray in,
+new ndarray out, argument left unmodified), and its right-hand side, initial
+guess and solution are arrays of the grid's shape.  It validates no values;
+``Field``s are validated where callers hand them to the package, and the time
+steps check their own outputs.
 
 ``implicit_operator`` builds such a map, ``v -> v + increment(v)``, for the
 implicit steps, from a stencil increment that sends constants to zero.  On
@@ -440,22 +443,26 @@ def norm_v(f: Field) -> float:
 
 def cg_solve(
     apply_op: Callable[[np.ndarray], np.ndarray],
-    rhs: Field,
+    rhs: np.ndarray,
+    grid: Grid,
     tol: float = 1e-12,
     max_iter: int = 20000,
-    x0: Field | None = None,
+    x0: np.ndarray | None = None,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Field:
-    """Solve ``apply_op(x) = rhs`` for a symmetric positive-definite operator.
+) -> np.ndarray:
+    """Solve ``apply_op(x) = rhs`` on ``grid`` for a symmetric positive-definite
+    operator; returns ``x`` as a new array.
 
     ``apply_op`` is an array map: ndarray in, new ndarray of the same shape
-    out, argument left unmodified.  Fields are validated once at entry
-    (``rhs``, ``x0``) and once at exit (the solution), not per iteration.
+    out, argument left unmodified.  ``rhs`` and ``x0`` are arrays of the
+    grid's shape (``GridMismatchError`` otherwise); neither is modified, and
+    their values are not validated: a caller hands in finite data and checks
+    what it makes of the result.
 
     Matrix-free conjugate gradients with the residual measured in the
     cell-volume weighted norm, relative to ``rhs``.  When the recurrence
-    residual passes the tolerance the true residual is re-checked (and the
-    iteration restarted from it if it drifted), so the returned ``x``
+    residual passes the tolerance the true residual is checked at once (and
+    the iteration restarted from it if it drifted), so the returned ``x``
     genuinely satisfies ``norm_h(apply_op(x) - rhs) <= tol * norm_h(rhs)``.
     All reductions use a fixed summation order.
 
@@ -467,19 +474,25 @@ def cg_solve(
     Raises
     ------
     CgNonConvergenceError
-        If the budget runs out or ``p.Ap`` is not positive (or NaN).
+        If the budget runs out, ``p.Ap`` is not positive (or NaN), or the
+        norm of ``rhs`` is not finite.
     GridMismatchError
-        If the operator's first output does not have the shape of ``rhs``.
+        If ``rhs``, ``x0`` or the operator's first output does not have the
+        grid's shape.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    grid = rhs.grid
+    b = rhs
+    if b.shape != grid.shape or (x0 is not None and x0.shape != grid.shape):
+        raise GridMismatchError(f"cg_solve: rhs or x0 is not of the grid's shape {grid.shape}")
     vol = grid.cell_volume
-    b = rhs.values
 
     bnorm = math.sqrt(vol * float(np.vdot(b, b)))
     if bnorm == 0.0:
-        return Field.zeros(grid)
+        return np.zeros(grid.shape)
+    if not bnorm < math.inf:  # a non-finite rhs would pass every residual test
+        raise CgNonConvergenceError(
+            f"cg_solve: right-hand side norm is {bnorm!r}", residual=bnorm, iterations=0)
     target = tol * bnorm
 
     def preconditioned(r: np.ndarray, rs: float) -> tuple[np.ndarray, float]:
@@ -488,29 +501,37 @@ def cg_solve(
         z = precond(r)
         return z, float(np.vdot(r, z))
 
-    x = np.array(x0.values if x0 is not None else np.zeros(grid.shape), dtype=float)
+    x = np.array(x0 if x0 is not None else np.zeros(grid.shape), dtype=float)
     ax = apply_op(x)
     if ax.shape != b.shape:
         raise GridMismatchError(f"operator output has shape {ax.shape}, rhs has {b.shape}")
     r = b - ax
     rs = float(np.vdot(r, r))
-    p, rz = preconditioned(r, rs)  # no copy: nothing is updated in place
+    p = None  # the search direction; None starts (or restarts) it from r
     iterations = 0
     while True:
         if math.sqrt(vol * rs) <= target:
             true_r = b - apply_op(x)
             ts = float(np.vdot(true_r, true_r))
             if math.sqrt(vol * ts) <= target:
-                return Field._wrap(grid, x)
+                return x
             r = true_r  # recurrence drifted; restart from the true residual
             rs = ts
-            p, rz = preconditioned(r, rs)
+            p = None
         if iterations >= max_iter:
             res = math.sqrt(vol * rs)
             raise CgNonConvergenceError(
                 f"cg_solve: no convergence after {iterations} iterations "
                 f"(residual {res:.3e}, target {target:.3e})",
                 residual=res, iterations=iterations)
+        # The direction is updated only once the iteration goes on, so a
+        # converged solve applies neither the preconditioner nor the update.
+        if p is None:
+            p, rz = preconditioned(r, rs)  # no copy: nothing is updated in place
+        else:
+            z, rz_new = preconditioned(r, rs)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
         ap = apply_op(p)
         pap = float(np.vdot(p, ap))
         if not pap > 0.0:  # also catches a NaN from a non-finite operator output
@@ -522,7 +543,4 @@ def cg_solve(
         x = x + alpha * p
         r = r - alpha * ap
         rs = float(np.vdot(r, r))
-        z, rz_new = preconditioned(r, rs)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
         iterations += 1

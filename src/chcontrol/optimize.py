@@ -44,16 +44,17 @@ __all__ = [
 
 def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedule) -> float:
     tau = params.tau
+    grid = traj.grid
     n_steps = len(u)
     terms = []
     if params.beta_q > 0.0:
         for n in range(1, n_steps + 1):
-            misfit = traj.phi[n] - params.phi_q_at(n)
+            misfit = Field._wrap(grid, traj.phi[n] - params.phi_q_at(n).values)
             terms.append(tau * 0.5 * params.beta_q * inner_product(misfit, misfit))
     if params.beta_omega > 0.0:
         if params.phi_omega is None:
             raise ValueError("phi_omega is required when beta_omega > 0")
-        final = traj.phi[n_steps] - params.phi_omega
+        final = Field._wrap(grid, traj.phi[n_steps] - params.phi_omega.values)
         terms.append(0.5 * params.beta_omega * inner_product(final, final))
     if params.beta_u > 0.0:
         terms.extend(tau * 0.5 * params.beta_u * ip for ip in u.level_inner_products(u))

@@ -27,6 +27,12 @@ the tau-weighted L2 pairing over space-time is
 
 where ``lift_n`` is computed anyway during the backward step n+1 -> n and
 is recorded on the adjoint trajectory.
+
+Like ``forward.step``, both steps take the grid plus arrays of its shape and
+return new arrays; being linear in their direction, they check their outputs
+for finiteness only.  ``solve_linearized`` and ``solve_adjoint`` fill one
+``(n_steps + 1, *grid.shape)`` level array per channel, row by row, and
+validate only the Fields a caller hands ``solve_adjoint``.
 """
 
 from __future__ import annotations
@@ -36,9 +42,11 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Grid, cg_solve, inner_product, laplacian_values, norm_h
-from .forward import (ControlSchedule, StateTrajectory, diffusion_operator, l2q_inner,
-                      phase_operator, phase_preconditioner, simulate)
+from .grid import (Field, Grid, GridMismatchError, cg_solve, inner_product, laplacian_values,
+                   norm_h)
+from .forward import (ControlSchedule, StateTrajectory, _check_outputs, _require_grid_shape,
+                      diffusion_operator, l2q_inner, phase_operator, phase_preconditioner,
+                      simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
 
 __all__ = [
@@ -55,91 +63,104 @@ __all__ = [
 ]
 
 
-def _level_coefficients(params: ModelParams, phi_b: Field, sigma_b: Field):
+def _level_coefficients(params: ModelParams, grid: Grid, phi_b: np.ndarray,
+                        sigma_b: np.ndarray):
     """Frozen cellwise coefficients of the Jacobian at one base level.
 
     Returns (curvature, rate, rate_slope): F''(phi), P(phi), and
     P'(phi)*(sigma - mu) with mu the explicit potential of the base level.
     """
-    grid = phi_b.grid
-    pv = phi_b.values
-    curvature = np.asarray(f_deriv(params.potential, 2, pv), dtype=float)
-    mu_t = -laplacian_values(grid, pv) + f_deriv(params.potential, 1, pv)
-    rate = np.asarray(p_deriv(params.proliferation, 0, pv), dtype=float)
-    rate_slope = np.asarray(p_deriv(params.proliferation, 1, pv), dtype=float) \
-        * (sigma_b.values - mu_t)
+    curvature = np.asarray(f_deriv(params.potential, 2, phi_b), dtype=float)
+    mu_t = -laplacian_values(grid, phi_b) + f_deriv(params.potential, 1, phi_b)
+    rate = np.asarray(p_deriv(params.proliferation, 0, phi_b), dtype=float)
+    rate_slope = np.asarray(p_deriv(params.proliferation, 1, phi_b), dtype=float) \
+        * (sigma_b - mu_t)
     return curvature, rate, rate_slope
 
 
-def linearized_step(params: ModelParams, phi_b: Field, sigma_b: Field,
-                    xi: Field, rho: Field, h: Field) -> tuple[Field, Field]:
-    """Apply the exact Jacobian of one forward step to (xi, rho, h)."""
-    grid = phi_b.grid
+def linearized_step(params: ModelParams, grid: Grid, phi_b: np.ndarray, sigma_b: np.ndarray,
+                    xi: np.ndarray, rho: np.ndarray, h: np.ndarray,
+                    step_index=None) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the exact Jacobian of one forward step to (xi, rho, h).
+
+    Arrays of the grid's shape in (``GridMismatchError`` otherwise), new
+    arrays out; a non-finite output raises DivergenceError naming the step.
+    """
+    _require_grid_shape(grid, phi_b, sigma_b, xi, rho, h)
     tau = params.tau
     s_const = params.stabilization
     num = params.numerics
-    curvature, rate, rate_slope = _level_coefficients(params, phi_b, sigma_b)
+    curvature, rate, rate_slope = _level_coefficients(params, grid, phi_b, sigma_b)
 
-    xv, rv = xi.values, rho.values
-    eta = -laplacian_values(grid, xv) + curvature * xv
-    d_react = rate_slope * xv + rate * (rv - eta)
+    eta = -laplacian_values(grid, xi) + curvature * xi
+    d_react = rate_slope * xi + rate * (rho - eta)
 
-    rhs_a = xv + tau * laplacian_values(grid, (curvature - s_const) * xv) + tau * d_react
-    xi_next = cg_solve(phase_operator(params, grid), Field._wrap(grid, rhs_a),
+    rhs_a = xi + tau * laplacian_values(grid, (curvature - s_const) * xi) + tau * d_react
+    xi_next = cg_solve(phase_operator(params, grid), rhs_a, grid,
                        tol=num.cg_tol, max_iter=num.cg_max_iter, x0=xi,
                        precond=phase_preconditioner(params, grid))
 
-    rhs_b = rv + tau * (h.values - d_react)
-    rho_next = cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),
+    rhs_b = rho + tau * (h - d_react)
+    rho_next = cg_solve(diffusion_operator(params, grid), rhs_b, grid,
                         tol=num.cg_tol, max_iter=num.cg_max_iter, x0=rho)
+    # Linear in the direction, so only finiteness is checked, not the guard.
+    _check_outputs(xi_next, rho_next, math.inf, step_index, "linearized step")
     return xi_next, rho_next
 
 
-def adjoint_step(params: ModelParams, phi_b: Field, sigma_b: Field,
-                 p_next: Field, r_next: Field,
-                 source: Field | None = None) -> tuple[Field, Field, Field]:
+def adjoint_step(params: ModelParams, grid: Grid, phi_b: np.ndarray, sigma_b: np.ndarray,
+                 p_next: np.ndarray, r_next: np.ndarray, source: np.ndarray | None = None,
+                 step_index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the transpose of one step's Jacobian to the incoming co-state.
 
     ``source`` (the tracking misfit at the arrival level, already scaled by
     tau) is added to the incoming ``p`` channel before transposing, which
-    places it at the right endpoint of the step.  Returns ``(p_n, r_n,
-    lift_n)`` where ``lift_n`` is the diffusion-solve of ``r_next`` that
-    also multiplies the control in the gradient.
+    places it at the right endpoint of the step.  Returns new arrays
+    ``(p_n, r_n, lift_n)`` where ``lift_n`` is the diffusion-solve of
+    ``r_next`` that also multiplies the control in the gradient.  Inputs are
+    checked for their shape only; a non-finite ``p_n`` or ``r_n`` raises
+    DivergenceError naming the step.
     """
-    grid = phi_b.grid
+    _require_grid_shape(grid, phi_b, sigma_b, p_next, r_next)
+    if source is not None:
+        _require_grid_shape(grid, source)
     tau = params.tau
     s_const = params.stabilization
     num = params.numerics
-    curvature, rate, rate_slope = _level_coefficients(params, phi_b, sigma_b)
+    curvature, rate, rate_slope = _level_coefficients(params, grid, phi_b, sigma_b)
 
     p_hat = p_next if source is None else p_next + source
-    p1 = cg_solve(phase_operator(params, grid), p_hat,
+    p1 = cg_solve(phase_operator(params, grid), p_hat, grid,
                   tol=num.cg_tol, max_iter=num.cg_max_iter, x0=p_next,
                   precond=phase_preconditioner(params, grid))
-    r1 = cg_solve(diffusion_operator(params, grid), r_next,
+    r1 = cg_solve(diffusion_operator(params, grid), r_next, grid,
                   tol=num.cg_tol, max_iter=num.cg_max_iter, x0=r_next)
 
-    diff = p1.values - r1.values
+    diff = p1 - r1
     rate_diff = rate * diff
-    p_n = p1.values + tau * (curvature - s_const) * laplacian_values(grid, p1.values) \
+    p_n = p1 + tau * (curvature - s_const) * laplacian_values(grid, p1) \
         + tau * (rate_slope * diff + laplacian_values(grid, rate_diff) - curvature * rate_diff)
-    r_n = r1.values + tau * rate_diff
-    return Field._wrap(grid, p_n), Field._wrap(grid, r_n), r1
+    r_n = r1 + tau * rate_diff
+    _check_outputs(p_n, r_n, math.inf, step_index, "adjoint step")
+    return p_n, r_n, r1
 
 
 class LinearizedTrajectory:
-    """Direction fields (xi, rho) per level, started from zero data.
+    """Direction levels (xi, rho), started from zero data.
 
-    The potential direction ``eta(n) = -lap(xi_n) + F''(phi_n)*xi_n`` is
-    derived on demand from the stored base trajectory.
+    ``xi`` and ``rho`` are read-only ``(n_steps + 1, *grid.shape)`` arrays;
+    row n is level n.  The potential direction ``eta(n) = -lap(xi_n) +
+    F''(phi_n)*xi_n`` is derived on demand from the stored base trajectory.
     """
 
     __slots__ = ("base", "xi", "rho")
 
-    def __init__(self, base: StateTrajectory, xi, rho):
+    def __init__(self, base: StateTrajectory, xi: np.ndarray, rho: np.ndarray):
+        xi.setflags(write=False)
+        rho.setflags(write=False)
         self.base = base
-        self.xi = list(xi)
-        self.rho = list(rho)
+        self.xi = xi
+        self.rho = rho
 
     @property
     def n_steps(self) -> int:
@@ -148,26 +169,29 @@ class LinearizedTrajectory:
     def eta(self, n: int) -> Field:
         grid = self.base.grid
         curvature = np.asarray(
-            f_deriv(self.base.params.potential, 2, self.base.phi[n].values), dtype=float)
-        return Field._wrap(grid, -laplacian_values(grid, self.xi[n].values)
-                           + curvature * self.xi[n].values)
+            f_deriv(self.base.params.potential, 2, self.base.phi[n]), dtype=float)
+        return Field._wrap(grid, -laplacian_values(grid, self.xi[n]) + curvature * self.xi[n])
 
 
 class AdjointTrajectory:
-    """Co-state fields (p, r) per level plus the per-step gradient lift.
+    """Co-state levels (p, r) plus the per-step gradient lift.
 
-    ``q(n) = lap(p_n) - P(phi_n)*(p_n - r_n)`` is derived on demand;
-    ``r_lift`` is one ``(n_steps, *grid.shape)`` array whose row n multiplies
-    the control of step n in the reduced gradient.
+    ``p`` and ``r`` are read-only ``(n_steps + 1, *grid.shape)`` arrays; row n
+    is level n.  ``q(n) = lap(p_n) - P(phi_n)*(p_n - r_n)`` is derived on
+    demand; ``r_lift`` is one ``(n_steps, *grid.shape)`` array whose row n
+    multiplies the control of step n in the reduced gradient.
     """
 
     __slots__ = ("base", "p", "r", "r_lift")
 
-    def __init__(self, base: StateTrajectory, p, r, r_lift):
+    def __init__(self, base: StateTrajectory, p: np.ndarray, r: np.ndarray,
+                 r_lift: np.ndarray):
+        for arr in (p, r, r_lift):
+            arr.setflags(write=False)
         self.base = base
-        self.p = list(p)
-        self.r = list(r)
-        self.r_lift = np.asarray(r_lift, dtype=float)
+        self.p = p
+        self.r = r
+        self.r_lift = r_lift
 
     @property
     def n_steps(self) -> int:
@@ -176,49 +200,57 @@ class AdjointTrajectory:
     def q(self, n: int) -> Field:
         grid = self.base.grid
         rate = np.asarray(
-            p_deriv(self.base.params.proliferation, 0, self.base.phi[n].values), dtype=float)
-        return Field._wrap(grid, laplacian_values(grid, self.p[n].values)
-                           - rate * (self.p[n].values - self.r[n].values))
+            p_deriv(self.base.params.proliferation, 0, self.base.phi[n]), dtype=float)
+        return Field._wrap(grid, laplacian_values(grid, self.p[n])
+                           - rate * (self.p[n] - self.r[n]))
 
 
-def solve_linearized(params: ModelParams, base: StateTrajectory, h) -> LinearizedTrajectory:
+def solve_linearized(params: ModelParams, base: StateTrajectory,
+                     h: ControlSchedule) -> LinearizedTrajectory:
     """Propagate a control direction through the exact Jacobian chain.
 
-    ``h`` is a ControlSchedule (or sequence of fields) with one entry per
-    base step; the direction starts from zero initial data and the output
-    is linear in ``h``.
+    ``h`` is a ControlSchedule with one row per base step; the direction
+    starts from zero initial data and the output is linear in ``h``.
     """
     n_steps = base.n_steps
     if len(h) != n_steps:
         raise ValueError(f"direction has {len(h)} entries, base has {n_steps} steps")
     grid = base.grid
-    xi = Field.zeros(grid)
-    rho = Field.zeros(grid)
-    xis = [xi]
-    rhos = [rho]
+    if h.grid != grid:
+        raise GridMismatchError("direction and base trajectory must share one grid")
+    xi = np.empty((n_steps + 1,) + grid.shape)
+    rho = np.empty((n_steps + 1,) + grid.shape)
+    xi[0] = 0.0
+    rho[0] = 0.0
     for n in range(n_steps):
-        xi, rho = linearized_step(params, base.phi[n], base.sigma[n], xi, rho, h[n])
-        xis.append(xi)
-        rhos.append(rho)
-    return LinearizedTrajectory(base, xis, rhos)
+        xi[n + 1], rho[n + 1] = linearized_step(params, grid, base.phi[n], base.sigma[n],
+                                                xi[n], rho[n], h.values[n], step_index=n)
+    return LinearizedTrajectory(base, xi, rho)
 
 
-def _default_terminal(params: ModelParams, base: StateTrajectory) -> Field:
+def _default_terminal(params: ModelParams, base: StateTrajectory) -> np.ndarray:
     n_final = base.n_steps
     if params.beta_omega == 0.0:
-        return Field.zeros(base.grid)
+        return np.zeros(base.grid.shape)
     if params.phi_omega is None:
         raise ValueError("phi_omega is required when beta_omega > 0")
-    return Field._wrap(base.grid,
-                       params.beta_omega * (base.phi[n_final].values - params.phi_omega.values))
+    return params.beta_omega * (base.phi[n_final] - params.phi_omega.values)
 
 
-def _default_source(params: ModelParams, base: StateTrajectory, level: int) -> Field | None:
+def _default_source(params: ModelParams, base: StateTrajectory, level: int) -> np.ndarray | None:
     if params.beta_q == 0.0:
         return None
     target = params.phi_q_at(level)
-    return Field._wrap(base.grid,
-                       params.tau * params.beta_q * (base.phi[level].values - target.values))
+    return params.tau * params.beta_q * (base.phi[level] - target.values)
+
+
+def _handed_in(field: Field | None, grid: Grid, what: str) -> np.ndarray | None:
+    """The values of a caller's co-state Field, checked to live on ``grid``."""
+    if field is None:
+        return None
+    if field.grid != grid:
+        raise GridMismatchError(f"{what} lives on the wrong grid")
+    return field.values
 
 
 def solve_adjoint(params: ModelParams, base: StateTrajectory,
@@ -229,26 +261,31 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
     Defaults reproduce the tracking cost: terminal
     ``p_N = beta_omega*(phi_N - phi_omega)``, ``r_N = 0``, and per-level
     sources ``tau*beta_q*(phi_n - target_n)`` for n = 1..N.  Passing
-    ``terminal_p`` and/or ``sources`` (a callable of the level) reuses the
-    sweep for arbitrary linear functionals of the trajectory.
+    ``terminal_p`` and/or ``sources`` (a callable of the level returning a
+    Field or None) reuses the sweep for arbitrary linear functionals of the
+    trajectory; those Fields are the only values checked here, for their grid.
     """
     n_steps = base.n_steps
     grid = base.grid
-    p_terminal = terminal_p if terminal_p is not None else _default_terminal(params, base)
-    if p_terminal.grid != grid:
-        raise ValueError("terminal co-state lives on the wrong grid")
-    src = sources if sources is not None else (lambda lvl: _default_source(params, base, lvl))
+    if terminal_p is not None:
+        p_terminal = _handed_in(terminal_p, grid, "terminal co-state")
+    else:
+        p_terminal = _default_terminal(params, base)
 
-    p = [None] * (n_steps + 1)
-    r = [None] * (n_steps + 1)
+    def src(lvl: int) -> np.ndarray | None:
+        if sources is None:
+            return _default_source(params, base, lvl)
+        return _handed_in(sources(lvl), grid, f"adjoint source {lvl}")
+
+    p = np.empty((n_steps + 1,) + grid.shape)
+    r = np.empty((n_steps + 1,) + grid.shape)
     lift = np.empty((n_steps,) + grid.shape)
     p[n_steps] = p_terminal
-    r[n_steps] = Field.zeros(grid)
+    r[n_steps] = 0.0
     for n in range(n_steps - 1, -1, -1):
-        p[n], r[n], lift_n = adjoint_step(
-            params, base.phi[n], base.sigma[n], p[n + 1], r[n + 1], source=src(n + 1))
-        lift[n] = lift_n.values
-    lift.setflags(write=False)
+        p[n], r[n], lift[n] = adjoint_step(params, grid, base.phi[n], base.sigma[n],
+                                           p[n + 1], r[n + 1], source=src(n + 1),
+                                           step_index=n)
     return AdjointTrajectory(base, p, r, lift)
 
 
@@ -291,8 +328,7 @@ def frechet_remainder_sweep(params: ModelParams, u: ControlSchedule, h: ControlS
         traj = simulate(params, u + h.scaled(eps), phi0=phi0, sigma0=sigma0)
         rem = 0.0
         for n in range(base.n_steps + 1):
-            defect = Field._wrap(base.grid, traj.phi[n].values - base.phi[n].values
-                                 - eps * lin.xi[n].values)
+            defect = Field._wrap(base.grid, traj.phi[n] - base.phi[n] - eps * lin.xi[n])
             rem = max(rem, norm_h(defect))
         rows.append((eps, rem))
     return rows
@@ -316,6 +352,9 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
     def smooth(k: int, amplitude: float) -> Field:
         return preset_field("filtered_noise", grid, seed=seed * 997 + k, amplitude=amplitude)
 
+    def field(values: np.ndarray) -> Field:
+        return Field._wrap(grid, values)
+
     phi0 = smooth(1, 0.8)
     sigma0 = smooth(2, 0.5)
     u_bar = ControlSchedule(grid, [smooth(100 + n, 0.5).values for n in range(n_steps)])
@@ -324,11 +363,13 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
     # Single-step identity at the initial level.
     xi0, rho0 = smooth(3, 1.0), smooth(4, 1.0)
     p_in, r_in = smooth(5, 1.0), smooth(6, 1.0)
-    xi1, rho1 = linearized_step(params, phi0, sigma0, xi0, rho0, h[0])
-    p_out, r_out, lift = adjoint_step(params, phi0, sigma0, p_in, r_in, source=None)
-    lhs = inner_product(xi1, p_in) + inner_product(rho1, r_in)
-    rhs = inner_product(xi0, p_out) + inner_product(rho0, r_out) \
-        + tau * inner_product(h[0], lift)
+    xi1, rho1 = linearized_step(params, grid, phi0.values, sigma0.values, xi0.values,
+                                rho0.values, h.values[0])
+    p_out, r_out, lift = adjoint_step(params, grid, phi0.values, sigma0.values, p_in.values,
+                                      r_in.values, source=None)
+    lhs = inner_product(field(xi1), p_in) + inner_product(field(rho1), r_in)
+    rhs = inner_product(xi0, field(p_out)) + inner_product(rho0, field(r_out)) \
+        + tau * inner_product(h[0], field(lift))
     worst = _relative_gap(lhs, rhs)
 
     # Full-horizon identity against a random linear functional.
@@ -336,10 +377,10 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
     lin = solve_linearized(params, base, h)
     weights = {lvl: smooth(300 + lvl, 1.0) for lvl in range(1, n_steps + 1)}
     terminal = smooth(7, 1.0)
-    functional = inner_product(terminal, lin.xi[n_steps]) + math.fsum(
-        tau * inner_product(weights[lvl], lin.xi[lvl]) for lvl in range(1, n_steps + 1))
+    functional = inner_product(terminal, field(lin.xi[n_steps])) + math.fsum(
+        tau * inner_product(weights[lvl], field(lin.xi[lvl])) for lvl in range(1, n_steps + 1))
     adj = solve_adjoint(params, base, terminal_p=terminal,
-                        sources=lambda lvl: Field._wrap(grid, tau * weights[lvl].values))
+                        sources=lambda lvl: field(tau * weights[lvl].values))
     paired = l2q_inner(tau, ControlSchedule(grid, adj.r_lift), h)
     worst = max(worst, _relative_gap(functional, paired))
     return worst

@@ -24,14 +24,17 @@ class SnapshotError(ValueError):
     """Malformed snapshot file or a header/grid mismatch."""
 
 
-def write_snapshot(field: Field, t: float, path) -> None:
+def write_snapshot(field: Field, t: float, path) -> str:
+    """Write ``field`` at time ``t`` to ``path``; returns the text written."""
     grid = field.grid
     nx, ny = grid.counts
     hx, hy = grid.spacing
     arr = field.values.reshape((nx, ny))
     lines = [f"# t={float(t)!r} dim={grid.dim} nx={nx} ny={ny} hx={hx!r} hy={hy!r}"]
     lines.extend(",".join(map(repr, row)) for row in arr.T.tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def read_snapshot_header(path) -> dict:

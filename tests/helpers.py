@@ -1,17 +1,24 @@
-"""Shared oracles for the test suite: dense operator assembly, hand stencils,
-stencil-only step operators and their dense-path matrices, the plain CG
-loop, the per-column snapshot formatter, a per-level KKT audit, an adaptive
-ODE reference for spatially constant runs, and instance builders tied to
-the shipped configuration files."""
+"""Shared oracles for the test suite: a grid strategy, dense operator
+assembly, hand stencils, stencil-only step operators and their dense-path
+matrices, the plain CG loop, the Field-level solve and steps, the per-column
+snapshot formatter, a per-level KKT audit, an adaptive ODE reference for
+spatially constant runs, and instance builders tied to the shipped
+configuration files."""
+
+from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from chcontrol import CgNonConvergenceError, ControlSchedule, Field, f_deriv, p_deriv, preset_field
+from chcontrol import (CgNonConvergenceError, ControlSchedule, DivergenceError, Field, Grid,
+                       GridMismatchError, ModelParams, f_deriv, p_deriv, preset_field)
 from chcontrol.config import build_grid, build_initial_control, build_params, parse_config
+from chcontrol.forward import diffusion_operator, phase_operator, phase_preconditioner
 from chcontrol.grid import laplacian_values
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -28,6 +35,18 @@ def load_instance(name, overrides=()):
     params = build_params(cfg, grid)
     u0 = build_initial_control(cfg, grid, params)
     return cfg, grid, params, u0
+
+
+@st.composite
+def grids(draw, min_cells, max_cells):
+    """1D lines and 2D boxes with min_cells..max_cells cells, down to 4-cell
+    axes, with unequal side lengths."""
+    lengths = st.floats(0.5, 10.0)
+    if draw(st.booleans()):
+        return Grid.line(draw(st.integers(max(4, min_cells), max_cells)), draw(lengths))
+    nx = draw(st.integers(4, max_cells // 4))
+    ny = draw(st.integers(max(4, -(-min_cells // nx)), max_cells // nx))
+    return Grid.box(nx, ny, draw(lengths), draw(lengths))
 
 
 def assemble_operator(op, grid):
@@ -143,6 +162,209 @@ def reference_cg(apply_op, rhs, tol=1e-12, max_iter=20000, x0=None):
         p = r + (rs_new / rs) * p
         rs = rs_new
         iterations += 1
+
+
+# Field-level references: ``cg_solve``, ``step``, ``linearized_step`` and
+# ``adjoint_step`` as they were before the stepping core moved to arrays,
+# kept verbatim (renamed, and calling each other).  The array versions must
+# reproduce them byte for byte.
+def field_cg_solve(
+    apply_op: Callable[[np.ndarray], np.ndarray],
+    rhs: Field,
+    tol: float = 1e-12,
+    max_iter: int = 20000,
+    x0: Field | None = None,
+    precond: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> Field:
+    """Solve ``apply_op(x) = rhs`` for a symmetric positive-definite operator.
+
+    ``apply_op`` is an array map: ndarray in, new ndarray of the same shape
+    out, argument left unmodified.  Fields are validated once at entry
+    (``rhs``, ``x0``) and once at exit (the solution), not per iteration.
+
+    Matrix-free conjugate gradients with the residual measured in the
+    cell-volume weighted norm, relative to ``rhs``.  When the recurrence
+    residual passes the tolerance the true residual is re-checked (and the
+    iteration restarted from it if it drifted), so the returned ``x``
+    genuinely satisfies ``norm_h(apply_op(x) - rhs) <= tol * norm_h(rhs)``.
+    All reductions use a fixed summation order.
+
+    ``precond``, an array map approximating the inverse of ``apply_op`` (for
+    example a ``spectral_inverse``), turns the iteration into preconditioned
+    CG; the stopping test still reads the unpreconditioned residual.  Without
+    it the iteration is plain CG, with ``r.r`` standing in for ``r.z``.
+
+    Raises
+    ------
+    CgNonConvergenceError
+        If the budget runs out or ``p.Ap`` is not positive (or NaN).
+    GridMismatchError
+        If the operator's first output does not have the shape of ``rhs``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    grid = rhs.grid
+    vol = grid.cell_volume
+    b = rhs.values
+
+    bnorm = math.sqrt(vol * float(np.vdot(b, b)))
+    if bnorm == 0.0:
+        return Field.zeros(grid)
+    target = tol * bnorm
+
+    def preconditioned(r: np.ndarray, rs: float) -> tuple[np.ndarray, float]:
+        if precond is None:
+            return r, rs
+        z = precond(r)
+        return z, float(np.vdot(r, z))
+
+    x = np.array(x0.values if x0 is not None else np.zeros(grid.shape), dtype=float)
+    ax = apply_op(x)
+    if ax.shape != b.shape:
+        raise GridMismatchError(f"operator output has shape {ax.shape}, rhs has {b.shape}")
+    r = b - ax
+    rs = float(np.vdot(r, r))
+    p, rz = preconditioned(r, rs)  # no copy: nothing is updated in place
+    iterations = 0
+    while True:
+        if math.sqrt(vol * rs) <= target:
+            true_r = b - apply_op(x)
+            ts = float(np.vdot(true_r, true_r))
+            if math.sqrt(vol * ts) <= target:
+                return Field._wrap(grid, x)
+            r = true_r  # recurrence drifted; restart from the true residual
+            rs = ts
+            p, rz = preconditioned(r, rs)
+        if iterations >= max_iter:
+            res = math.sqrt(vol * rs)
+            raise CgNonConvergenceError(
+                f"cg_solve: no convergence after {iterations} iterations "
+                f"(residual {res:.3e}, target {target:.3e})",
+                residual=res, iterations=iterations)
+        ap = apply_op(p)
+        pap = float(np.vdot(p, ap))
+        if not pap > 0.0:  # also catches a NaN from a non-finite operator output
+            raise CgNonConvergenceError(
+                f"cg_solve: operator is not positive definite along the search "
+                f"direction (p.Ap = {pap:.3e})",
+                residual=math.sqrt(vol * rs), iterations=iterations)
+        alpha = rz / pap
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs = float(np.vdot(r, r))
+        z, rz_new = preconditioned(r, rs)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        iterations += 1
+
+
+def field_step(params: ModelParams, phi: Field, sigma: Field, u: Field,
+               step_index=None) -> tuple[Field, Field]:
+    """One stabilized implicit-explicit step; returns (phi_next, sigma_next).
+
+    Raises DivergenceError when either output exceeds the overflow guard,
+    naming the step, and propagates CG non-convergence.
+    """
+    grid = phi.grid
+    if sigma.grid != grid or u.grid != grid:
+        raise GridMismatchError("state and control must share one grid")
+    tau = params.tau
+    s_const = params.stabilization
+    num = params.numerics
+
+    pv, sv, uv = phi.values, sigma.values, u.values
+    fp = f_deriv(params.potential, 1, pv)
+    mu_t = -laplacian_values(grid, pv) + fp
+    react = p_deriv(params.proliferation, 0, pv) * (sv - mu_t)
+
+    rhs_a = pv + tau * laplacian_values(grid, fp - s_const * pv) + tau * react
+    phi_next = field_cg_solve(phase_operator(params, grid), Field._wrap(grid, rhs_a),
+                              tol=num.cg_tol, max_iter=num.cg_max_iter, x0=phi,
+                              precond=phase_preconditioner(params, grid))
+
+    rhs_b = sv + tau * (uv - react)
+    sigma_next = field_cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),
+                                tol=num.cg_tol, max_iter=num.cg_max_iter, x0=sigma)
+
+    worst = max(phi_next.max_abs(), sigma_next.max_abs())
+    if worst > num.overflow_guard:
+        where = "unknown step" if step_index is None else f"step {step_index}"
+        raise DivergenceError(
+            f"solution magnitude {worst:.3e} exceeded the overflow guard "
+            f"{num.overflow_guard:.3e} at {where}", step_index=step_index)
+    return phi_next, sigma_next
+
+
+def field_level_coefficients(params: ModelParams, phi_b: Field, sigma_b: Field):
+    """Frozen cellwise coefficients of the Jacobian at one base level.
+
+    Returns (curvature, rate, rate_slope): F''(phi), P(phi), and
+    P'(phi)*(sigma - mu) with mu the explicit potential of the base level.
+    """
+    grid = phi_b.grid
+    pv = phi_b.values
+    curvature = np.asarray(f_deriv(params.potential, 2, pv), dtype=float)
+    mu_t = -laplacian_values(grid, pv) + f_deriv(params.potential, 1, pv)
+    rate = np.asarray(p_deriv(params.proliferation, 0, pv), dtype=float)
+    rate_slope = np.asarray(p_deriv(params.proliferation, 1, pv), dtype=float) \
+        * (sigma_b.values - mu_t)
+    return curvature, rate, rate_slope
+
+
+def field_linearized_step(params: ModelParams, phi_b: Field, sigma_b: Field,
+                          xi: Field, rho: Field, h: Field) -> tuple[Field, Field]:
+    """Apply the exact Jacobian of one forward step to (xi, rho, h)."""
+    grid = phi_b.grid
+    tau = params.tau
+    s_const = params.stabilization
+    num = params.numerics
+    curvature, rate, rate_slope = field_level_coefficients(params, phi_b, sigma_b)
+
+    xv, rv = xi.values, rho.values
+    eta = -laplacian_values(grid, xv) + curvature * xv
+    d_react = rate_slope * xv + rate * (rv - eta)
+
+    rhs_a = xv + tau * laplacian_values(grid, (curvature - s_const) * xv) + tau * d_react
+    xi_next = field_cg_solve(phase_operator(params, grid), Field._wrap(grid, rhs_a),
+                             tol=num.cg_tol, max_iter=num.cg_max_iter, x0=xi,
+                             precond=phase_preconditioner(params, grid))
+
+    rhs_b = rv + tau * (h.values - d_react)
+    rho_next = field_cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),
+                              tol=num.cg_tol, max_iter=num.cg_max_iter, x0=rho)
+    return xi_next, rho_next
+
+
+def field_adjoint_step(params: ModelParams, phi_b: Field, sigma_b: Field,
+                       p_next: Field, r_next: Field,
+                       source: Field | None = None) -> tuple[Field, Field, Field]:
+    """Apply the transpose of one step's Jacobian to the incoming co-state.
+
+    ``source`` (the tracking misfit at the arrival level, already scaled by
+    tau) is added to the incoming ``p`` channel before transposing, which
+    places it at the right endpoint of the step.  Returns ``(p_n, r_n,
+    lift_n)`` where ``lift_n`` is the diffusion-solve of ``r_next`` that
+    also multiplies the control in the gradient.
+    """
+    grid = phi_b.grid
+    tau = params.tau
+    s_const = params.stabilization
+    num = params.numerics
+    curvature, rate, rate_slope = field_level_coefficients(params, phi_b, sigma_b)
+
+    p_hat = p_next if source is None else p_next + source
+    p1 = field_cg_solve(phase_operator(params, grid), p_hat,
+                        tol=num.cg_tol, max_iter=num.cg_max_iter, x0=p_next,
+                        precond=phase_preconditioner(params, grid))
+    r1 = field_cg_solve(diffusion_operator(params, grid), r_next,
+                        tol=num.cg_tol, max_iter=num.cg_max_iter, x0=r_next)
+
+    diff = p1.values - r1.values
+    rate_diff = rate * diff
+    p_n = p1.values + tau * (curvature - s_const) * laplacian_values(grid, p1.values) \
+        + tau * (rate_slope * diff + laplacian_values(grid, rate_diff) - curvature * rate_diff)
+    r_n = r1.values + tau * rate_diff
+    return Field._wrap(grid, p_n), Field._wrap(grid, r_n), r1
 
 
 def snapshot_text_by_column(field, t):

@@ -62,7 +62,7 @@ def test_criterion_01_operator_sanity():
     dense = assemble_operator(op, grid)
     rhs = Field(grid, np.random.default_rng(4).uniform(-1, 1, 16))
     cg_gap = float(np.max(np.abs(
-        cg_solve(op, rhs, tol=1e-13).values - np.linalg.solve(dense, rhs.values))))
+        cg_solve(op, rhs.values, grid, tol=1e-13) - np.linalg.solve(dense, rhs.values))))
 
     ok = (worst_cons <= 1e-12 and worst_sym <= 1e-12
           and all(1.9 <= o <= 2.1 for o in orders) and cg_gap <= 1e-10)
@@ -109,11 +109,11 @@ def test_criterion_03_mass_balance(dissipation_run):
     cg_tol = params.numerics.cg_tol
     worst_margin = 0.0
     for n in range(traj.n_steps):
-        data = norm_h(traj.phi[n]) + norm_h(traj.sigma[n])
+        data = norm_h(Field(grid, traj.phi[n])) + norm_h(Field(grid, traj.sigma[n]))
         bound = 10.0 * cg_tol * (1.0 + data)
         worst_margin = max(worst_margin, abs(traj.mass_residuals[n]) / bound)
-    m0 = integrate(traj.phi[0]) + integrate(traj.sigma[0])
-    m_final = integrate(traj.phi[-1]) + integrate(traj.sigma[-1])
+    m0 = integrate(Field(grid, traj.phi[0])) + integrate(Field(grid, traj.sigma[0]))
+    m_final = integrate(Field(grid, traj.phi[-1])) + integrate(Field(grid, traj.sigma[-1]))
     drift = abs(m_final - m0) / (1.0 + abs(m0))
     ok = worst_margin <= 1.0 and traj.n_steps == 200 and drift <= 1e-9
     record(3, "mass balance", ok,
@@ -140,7 +140,7 @@ def test_criterion_05_ode_oracle():
         p = dataclasses.replace(params, tau=tau)
         u = ControlSchedule.constant(grid, p.n_steps, c)
         traj = simulate(p, u, phi0=Field.full(grid, a0), sigma0=Field.full(grid, b0))
-        got = np.array([traj.phi[-1].values[0], traj.sigma[-1].values[0]])
+        got = np.array([traj.phi[-1][0], traj.sigma[-1][0]])
         errors.append(float(np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref)))))
     orders = successive_orders(errors)
     ok = all(0.9 <= o <= 1.1 for o in orders) and errors[-1] <= 1e-3
@@ -160,13 +160,14 @@ def test_criterion_06_linearization_exactness():
         rho = smooth_field(grid, seed * 31 + 4, 1.0)
         h = smooth_field(grid, seed * 31 + 5, 1.0)
         eps = 1e-5
-        plus = step(params, phi_b + eps * xi, sigma_b + eps * rho, eps * h)
-        minus = step(params, phi_b + (-eps) * xi, sigma_b + (-eps) * rho, (-eps) * h)
-        lin = linearized_step(params, phi_b, sigma_b, xi, rho, h)
+        pb, sb = phi_b.values, sigma_b.values
+        xv, rv, hv = xi.values, rho.values, h.values
+        plus = step(params, grid, pb + eps * xv, sb + eps * rv, eps * hv)
+        minus = step(params, grid, pb + (-eps) * xv, sb + (-eps) * rv, (-eps) * hv)
+        lin = linearized_step(params, grid, pb, sb, xv, rv, hv)
         for (fp, fm), exact in zip(zip(plus, minus), lin):
-            fd = (fp.values - fm.values) / (2 * eps)
-            worst = max(worst, float(np.linalg.norm(fd - exact.values)
-                                     / np.linalg.norm(exact.values)))
+            fd = (fp - fm) / (2 * eps)
+            worst = max(worst, float(np.linalg.norm(fd - exact) / np.linalg.norm(exact)))
     ok = worst <= 1e-5
     record(6, "linearization exactness", ok, f"worst relative error={worst:.2e}")
 
@@ -194,17 +195,15 @@ def test_criterion_08_adjoint_exactness():
     for j in range(3 * n):
         e = np.zeros(3 * n)
         e[j] = 1.0
-        a, b = linearized_step(params, phi_b, sigma_b, Field(g8, e[:n]),
-                               Field(g8, e[n:2 * n]), Field(g8, e[2 * n:]))
-        jac[:, j] = np.concatenate([a.values.ravel(), b.values.ravel()])
+        a, b = linearized_step(params, g8, phi_b.values, sigma_b.values, e[:n],
+                               e[n:2 * n], e[2 * n:])
+        jac[:, j] = np.concatenate([a.ravel(), b.ravel()])
     jac_t = np.zeros((3 * n, 2 * n))
     for j in range(2 * n):
         e = np.zeros(2 * n)
         e[j] = 1.0
-        p0, r0, lift = adjoint_step(params, phi_b, sigma_b, Field(g8, e[:n]),
-                                    Field(g8, e[n:]))
-        jac_t[:, j] = np.concatenate([p0.values.ravel(), r0.values.ravel(),
-                                      params.tau * lift.values.ravel()])
+        p0, r0, lift = adjoint_step(params, g8, phi_b.values, sigma_b.values, e[:n], e[n:])
+        jac_t[:, j] = np.concatenate([p0.ravel(), r0.ravel(), params.tau * lift.ravel()])
     dense_gap = float(np.max(np.abs(jac.T - jac_t)) / max(1.0, np.max(np.abs(jac))))
     ok = worst <= 1e-10 and dense_gap <= 1e-9
     record(8, "adjoint exactness", ok,

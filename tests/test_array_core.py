@@ -1,0 +1,225 @@
+"""The array-native stepping core against the Field-level steps it replaced.
+
+``step``, ``linearized_step`` and ``adjoint_step`` take and return arrays, and
+the trajectories are level arrays; ``helpers`` keeps the Field-level steps
+verbatim.  On 1D and 2D grids with unequal sides, on both sides of
+``DENSE_MAX_CELLS``, every result and every trajectory row must be byte-equal
+to theirs, and a solve that fails must fail the same way.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, ModelParams, Numerics,
+                       OptimOptions, energy, forward, integrate, projected_gradient,
+                       sensitivity, simulate, solve_adjoint, solve_linearized, step)
+from chcontrol.cli import main
+from chcontrol.grid import DENSE_MAX_CELLS, CgNonConvergenceError
+from chcontrol.sensitivity import adjoint_step, linearized_step
+from helpers import (CONFIG_DIR, field_adjoint_step, field_linearized_step, field_step, grids,
+                     load_instance, smooth_field, smooth_schedule)
+
+# The dense operator path (at most DENSE_MAX_CELLS cells) and the stencil path.
+any_path_grids = st.one_of(grids(4, DENSE_MAX_CELLS),
+                           grids(DENSE_MAX_CELLS + 1, 2 * DENSE_MAX_CELLS))
+taus = st.floats(1e-4, 1e-2)
+seeds = st.integers(0, 10 ** 6)
+DENSE_BOX = Grid.box(4, DENSE_MAX_CELLS // 4, 0.5, 10.0)
+STENCIL_BOX = Grid.box(20, 13, 2.0, 7.0)
+
+
+def tracking_params(g, tau, seed, n_steps=1):
+    # A small iteration budget keeps a failing solve (fine grids) cheap.
+    target = smooth_field(g, seed + 9, 0.3)
+    return ModelParams(beta_q=1.0, beta_omega=0.5, beta_u=0.1, t_final=n_steps * tau, tau=tau,
+                       phi_q=target, phi_omega=target, numerics=Numerics(cg_max_iter=400))
+
+
+def outcome(fn):
+    """The bytes of every array ``fn()`` returns, or the record of its failure."""
+    try:
+        out = fn()
+    except CgNonConvergenceError as exc:
+        return "solver", str(exc), exc.residual, exc.iterations
+    return tuple((a.values if isinstance(a, Field) else a).tobytes() for a in out)
+
+
+@given(any_path_grids, taus, seeds)
+@example(Grid.line(DENSE_MAX_CELLS, 10.0), 1e-2, 0)
+@example(DENSE_BOX, 1e-3, 1)
+@example(STENCIL_BOX, 1e-3, 2)
+def test_steps_match_field_steps(g, tau, seed):
+    params = tracking_params(g, tau, seed)
+    phi, sigma, u, xi, rho, h, p, r, src = (
+        smooth_field(g, seed + k, amplitude) for k, amplitude in
+        enumerate((0.8, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.1)))
+    base = (phi.values, sigma.values)
+
+    assert outcome(lambda: step(params, g, *base, u.values, step_index=4)) \
+        == outcome(lambda: field_step(params, phi, sigma, u, step_index=4))
+    assert outcome(lambda: linearized_step(params, g, *base, xi.values, rho.values, h.values)) \
+        == outcome(lambda: field_linearized_step(params, phi, sigma, xi, rho, h))
+    for source in (None, src):
+        values = None if source is None else source.values
+        assert outcome(lambda: adjoint_step(params, g, *base, p.values, r.values, values)) \
+            == outcome(lambda: field_adjoint_step(params, phi, sigma, p, r, source))
+
+
+def stacked(fields):
+    return np.array([f.values for f in fields]).tobytes()
+
+
+def field_trajectories(params, phi0, sigma0, u, h):
+    """Levels of the state, the linearization along ``h`` and the default
+    adjoint, stepped with the Field-level references as the sweeps did."""
+    n_steps = len(u)
+    phis, sigmas = [phi0], [sigma0]
+    for n in range(n_steps):
+        phi, sigma = field_step(params, phis[n], sigmas[n], u[n], step_index=n)
+        phis.append(phi)
+        sigmas.append(sigma)
+
+    xis, rhos = [Field.zeros(phi0.grid)], [Field.zeros(phi0.grid)]
+    for n in range(n_steps):
+        xi, rho = field_linearized_step(params, phis[n], sigmas[n], xis[n], rhos[n], h[n])
+        xis.append(xi)
+        rhos.append(rho)
+
+    # Default terminal co-state and tracking sources.
+    grid = phi0.grid
+    ps = [None] * n_steps + [Field(grid, params.beta_omega * (phis[-1].values
+                                                              - params.phi_omega.values))]
+    rs = [None] * n_steps + [Field.zeros(grid)]
+    lifts = [None] * n_steps
+    for n in range(n_steps - 1, -1, -1):
+        source = Field(grid, params.tau * params.beta_q * (phis[n + 1].values
+                                                           - params.phi_q.values))
+        ps[n], rs[n], lifts[n] = field_adjoint_step(params, phis[n], sigmas[n], ps[n + 1],
+                                                    rs[n + 1], source=source)
+    return phis, sigmas, xis, rhos, ps, rs, lifts
+
+
+@given(any_path_grids, taus, seeds)
+@example(Grid.line(32, 8.0), 5e-3, 0)
+@example(DENSE_BOX, 1e-3, 1)
+@example(STENCIL_BOX, 1e-3, 2)
+def test_trajectory_rows_match_field_steps(g, tau, seed):
+    params = tracking_params(g, tau, seed, n_steps=3)
+    phi0, sigma0 = smooth_field(g, seed, 0.8), smooth_field(g, seed + 1, 0.5)
+    u = smooth_schedule(g, params.n_steps, seed + 2, 0.5)
+    h = smooth_schedule(g, params.n_steps, seed + 3, 1.0)
+    try:
+        phis, sigmas, xis, rhos, ps, rs, lifts = field_trajectories(params, phi0, sigma0, u, h)
+    except CgNonConvergenceError:
+        assume(False)  # failures are compared step by step above
+
+    traj = simulate(params, u, phi0=phi0, sigma0=sigma0)
+    assert traj.phi.tobytes() == stacked(phis)
+    assert traj.sigma.tobytes() == stacked(sigmas)
+    assert not traj.phi.flags.writeable and not traj.sigma.flags.writeable
+
+    # The diagnostics, in the order simulate used to compute them.
+    energies = [energy(params, a, b) for a, b in zip(phis, sigmas)]
+    mass = [integrate(a) + integrate(b) for a, b in zip(phis, sigmas)]
+    residuals = [mass[n + 1] - mass[n] - params.tau * integrate(u[n])
+                 for n in range(params.n_steps)]
+    assert traj.energies.tobytes() == np.asarray(energies).tobytes()
+    assert traj.mass_residuals.tobytes() == np.asarray(residuals).tobytes()
+
+    lin = solve_linearized(params, traj, h)
+    assert lin.xi.tobytes() == stacked(xis)
+    assert lin.rho.tobytes() == stacked(rhos)
+
+    adj = solve_adjoint(params, traj)
+    assert adj.p.tobytes() == stacked(ps)
+    assert adj.r.tobytes() == stacked(rs)
+    assert adj.r_lift.tobytes() == stacked(lifts)
+
+
+def poison_solve(monkeypatch, module, bad_call, value):
+    """Make the ``bad_call``-th solve (counted from 0) of ``module`` return ``value``
+    in every cell."""
+    real = module.cg_solve
+    calls = []
+
+    def solve(*args, **kwargs):
+        x = real(*args, **kwargs)
+        calls.append(None)
+        return np.full_like(x, value) if len(calls) == bad_call + 1 else x
+
+    monkeypatch.setattr(module, "cg_solve", solve)
+
+
+def small_run():
+    g = Grid.line(16, 4.0)
+    params = ModelParams(beta_q=1.0, beta_u=1.0, t_final=0.02, tau=5e-3,
+                         phi_q=smooth_field(g, 9, 0.3))
+    u = smooth_schedule(g, params.n_steps, 3, 0.5)
+    return g, params, u, smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
+
+
+class TestNonFiniteOutputs:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_forward_step_names_its_index(self, monkeypatch, value):
+        g, params, u, phi0, sigma0 = small_run()
+        poison_solve(monkeypatch, forward, 5, value)  # the diffusion solve of step 2
+        with pytest.raises(DivergenceError) as err:
+            simulate(params, u, phi0=phi0, sigma0=sigma0)
+        assert err.value.step_index == 2
+        assert "non-finite solution at step 2" in str(err.value)
+
+    def test_sensitivity_steps_name_their_index(self, monkeypatch):
+        g, params, u, phi0, sigma0 = small_run()
+        base = simulate(params, u, phi0=phi0, sigma0=sigma0)
+        poison_solve(monkeypatch, sensitivity, 2, np.nan)  # the phase solve of step 1
+        with pytest.raises(DivergenceError) as err:
+            solve_linearized(params, base, u)
+        assert err.value.step_index == 1
+        assert "non-finite solution at linearized step 1" in str(err.value)
+        # The adjoint sweep runs backward: its third solve belongs to step n_steps - 2.
+        poison_solve(monkeypatch, sensitivity, 2, np.nan)
+        with pytest.raises(DivergenceError) as err:
+            solve_adjoint(params, base)
+        assert err.value.step_index == base.n_steps - 2
+        assert f"adjoint step {base.n_steps - 2}" in str(err.value)
+
+    def test_cli_exits_3_naming_the_step(self, monkeypatch, capsys, tmp_path):
+        poison_solve(monkeypatch, forward, 3, np.nan)
+        code = main(["simulate", str(CONFIG_DIR / "equilibrium.cfg"), f"io.outdir={tmp_path}"])
+        assert code == 3
+        assert "error=divergence step=1" in capsys.readouterr().err
+
+
+class TestDiagnosticsOnDemand:
+    def test_optimizer_computes_no_diagnostics(self, monkeypatch):
+        counts = {"energy": 0, "integrate": 0}
+
+        def counting(name):
+            real = getattr(forward, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(forward, name, wrapper)
+
+        counting("energy")
+        counting("integrate")
+        _, _, params, u0 = load_instance("tracking.cfg", ["time.t_final=0.01"])
+        result = projected_gradient(params, u0, OptimOptions(max_iters=2))
+        assert counts == {"energy": 0, "integrate": 0}
+
+        traj = result.adjoint.base
+        energies = traj.energies
+        assert counts["energy"] == traj.n_steps + 1
+        assert traj.energies is energies
+        assert counts["energy"] == traj.n_steps + 1
+
+    def test_constant_schedule_rows_are_read_directly(self):
+        g, params, _, phi0, sigma0 = small_run()
+        u = ControlSchedule.constant(g, params.n_steps, 0.3)
+        traj = simulate(params, u, phi0=phi0, sigma0=sigma0)
+        assert traj.phi.shape == traj.sigma.shape == (params.n_steps + 1,) + g.shape
+        assert traj.u is u
+        assert np.max(np.abs(traj.mass_residuals)) <= 1e-12

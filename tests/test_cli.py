@@ -121,6 +121,18 @@ class TestSimulate:
         assert "started_unix" in (tmp_path / "run.meta").read_text()
 
 
+    def test_final_snapshots_repeat_the_last_level(self, capsys, tmp_path):
+        # 20 steps written every 7th: the last level is written by the n == N rule.
+        code, _, _ = run(["simulate", cfg("dissipation.cfg"), "time.t_final=0.02",
+                          "io.snapshot_every=7", f"io.outdir={tmp_path}"], capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("phi_0*.csv")) == [
+            f"phi_{n:06d}.csv" for n in (0, 7, 14, 20)]
+        for name in ("phi", "sigma"):
+            assert ((tmp_path / f"{name}_final.csv").read_bytes()
+                    == (tmp_path / f"{name}_000020.csv").read_bytes())
+
+
 class TestDeterminism:
     def test_bitwise_identical_runs(self, capsys, tmp_path):
         args = ["simulate", cfg("dissipation.cfg"), "time.t_final=0.02"]

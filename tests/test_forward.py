@@ -14,9 +14,10 @@ from chcontrol.forward import diffusion_operator, phase_operator, phase_precondi
 from chcontrol.grid import (DENSE_CACHE_SIZE, DENSE_MAX_CELLS, CgNonConvergenceError, cg_solve,
                             implicit_operator, laplacian_values)
 from chcontrol.model import _splitmix64_uniform
-from helpers import (assemble_operator, load_instance, ode_reference, padded_flux_laplacian,
-                     reference_cg, reference_dense_increments, smooth_field, smooth_schedule,
-                     stencil_diffusion_operator, stencil_phase_operator)
+from helpers import (assemble_operator, grids, load_instance, ode_reference,
+                     padded_flux_laplacian, reference_cg, reference_dense_increments,
+                     smooth_field, smooth_schedule, stencil_diffusion_operator,
+                     stencil_phase_operator)
 
 
 def small_params(**kw):
@@ -33,18 +34,6 @@ class TestChemicalPotential:
         assert np.all(chemical_potential(params, Field.full(g, 1.0)).values == 0.0)
         mu = chemical_potential(params, Field.full(g, 0.5))
         assert np.allclose(mu.values, 0.5 ** 3 - 0.5, atol=1e-15)
-
-
-@st.composite
-def grids(draw, min_cells, max_cells):
-    """1D lines and 2D boxes with min_cells..max_cells cells, down to 4-cell
-    axes, with unequal side lengths."""
-    lengths = st.floats(0.5, 10.0)
-    if draw(st.booleans()):
-        return Grid.line(draw(st.integers(max(4, min_cells), max_cells)), draw(lengths))
-    nx = draw(st.integers(4, max_cells // 4))
-    ny = draw(st.integers(max(4, -(-min_cells // nx)), max_cells // nx))
-    return Grid.box(nx, ny, draw(lengths), draw(lengths))
 
 
 small_grids = grids(4, DENSE_MAX_CELLS)
@@ -185,11 +174,11 @@ class TestPhasePreconditioner:
         rng = np.random.default_rng(g.n_cells)
         rhs = Field(g, rng.uniform(-1.0, 1.0, g.shape))
         x0 = Field(g, rng.uniform(-1.0, 1.0, g.shape))
-        x = cg_solve(op, rhs, tol=tol, max_iter=2, x0=x0,
+        x = cg_solve(op, rhs.values, g, tol=tol, max_iter=2, x0=x0.values,
                      precond=phase_preconditioner(params, g))
-        assert norm_h(Field(g, op(x.values)) - rhs) <= tol * norm_h(rhs)
+        assert norm_h(Field(g, op(x)) - rhs) <= tol * norm_h(rhs)
         with pytest.raises(CgNonConvergenceError):
-            cg_solve(op, rhs, tol=tol, max_iter=2, x0=x0)
+            cg_solve(op, rhs.values, g, tol=tol, max_iter=2, x0=x0.values)
 
 
 def smoother_operator(g):
@@ -210,18 +199,19 @@ class TestUnpreconditionedSolves:
         x0 = Field(g, rng.uniform(-1.0, 1.0, g.shape)) if with_x0 else None
         for op, tol in ((diffusion_operator(small_params(tau=1e-3), g), 1e-13),
                         (smoother_operator(g), 1e-12)):
-            got = cg_solve(op, rhs, tol=tol, x0=x0)
+            got = cg_solve(op, rhs.values, g, tol=tol, x0=None if x0 is None else x0.values)
             want = reference_cg(op, rhs, tol=tol, x0=x0)
-            assert got.values.tobytes() == want.values.tobytes()
+            assert got.tobytes() == want.values.tobytes()
 
     @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(64, 64, 4.0, 4.0)])
     def test_budget_exhaustion_matches_reference_loop(self, g):
         rhs = Field(g, np.random.default_rng(5).uniform(-1.0, 1.0, g.shape))
         op = smoother_operator(g)
         errors = []
-        for solve in (cg_solve, reference_cg):
+        for solve in (lambda: cg_solve(op, rhs.values, g, tol=1e-12, max_iter=3),
+                      lambda: reference_cg(op, rhs, tol=1e-12, max_iter=3)):
             with pytest.raises(CgNonConvergenceError) as err:
-                solve(op, rhs, tol=1e-12, max_iter=3)
+                solve()
             errors.append((err.value.residual, err.value.iterations))
         assert errors[0] == errors[1]
 
@@ -269,25 +259,25 @@ class TestStep:
     def test_origin_is_fixed_point(self):
         g = Grid.line(8, 2.0)
         params = small_params()
-        zero = Field.zeros(g)
-        phi1, sigma1 = step(params, zero, zero, zero)
-        assert np.all(phi1.values == 0.0)
-        assert np.all(sigma1.values == 0.0)
+        zero = np.zeros(g.shape)
+        phi1, sigma1 = step(params, g, zero, zero, zero)
+        assert np.all(phi1 == 0.0)
+        assert np.all(sigma1 == 0.0)
 
     def test_constant_fields_follow_scalar_recurrence(self):
         g = Grid.line(8, 2.0)
         params = small_params(tau=2e-3)
         a, b, c = 0.2, 0.1, 0.3
-        phi, sigma = Field.full(g, a), Field.full(g, b)
-        u = Field.full(g, c)
+        phi, sigma = np.full(g.shape, a), np.full(g.shape, b)
+        u = np.full(g.shape, c)
         for _ in range(10):
-            phi, sigma = step(params, phi, sigma, u)
+            phi, sigma = step(params, g, phi, sigma, u)
             exchange = p_deriv(params.proliferation, 0, a) \
                 * (b - f_deriv(params.potential, 1, a))
             a, b = a + params.tau * exchange, b + params.tau * (c - exchange)
-            assert np.ptp(phi.values) == 0.0 and np.ptp(sigma.values) == 0.0
-            assert phi.values[0] == pytest.approx(a, abs=1e-14)
-            assert sigma.values[0] == pytest.approx(b, abs=1e-14)
+            assert np.ptp(phi) == 0.0 and np.ptp(sigma) == 0.0
+            assert phi[0] == pytest.approx(a, abs=1e-14)
+            assert sigma[0] == pytest.approx(b, abs=1e-14)
 
     def test_matches_dense_assembly(self):
         g = Grid.line(8, 4.0)
@@ -295,7 +285,7 @@ class TestStep:
         phi = smooth_field(g, 21, 0.8)
         sigma = smooth_field(g, 22, 0.5)
         u = smooth_field(g, 23, 0.5)
-        phi1, sigma1 = step(params, phi, sigma, u)
+        phi1, sigma1 = step(params, g, phi.values, sigma.values, u.values)
 
         from chcontrol.grid import laplacian_values
         lap = lambda v: laplacian_values(g, v)
@@ -308,8 +298,8 @@ class TestStep:
         rhs_b = sigma.values + params.tau * (u.values - react)
         m_dense = assemble_operator(phase_operator(params, g), g)
         n_dense = assemble_operator(diffusion_operator(params, g), g)
-        assert np.max(np.abs(phi1.values - np.linalg.solve(m_dense, rhs_a))) <= 1e-9
-        assert np.max(np.abs(sigma1.values - np.linalg.solve(n_dense, rhs_b))) <= 1e-9
+        assert np.max(np.abs(phi1 - np.linalg.solve(m_dense, rhs_a))) <= 1e-9
+        assert np.max(np.abs(sigma1 - np.linalg.solve(n_dense, rhs_b))) <= 1e-9
 
     def test_overflow_guard_names_step(self):
         g = Grid.line(8, 2.0)
@@ -321,11 +311,16 @@ class TestStep:
         assert "step 0" in str(err.value)
 
     def test_grid_mismatch(self):
+        # Arrays carry no grid: step checks their shapes, simulate the grids
+        # of the Fields it is handed.
         params = small_params()
-        a = Field.zeros(Grid.line(8, 2.0))
+        g = Grid.line(8, 2.0)
+        with pytest.raises(GridMismatchError):
+            step(params, g, np.zeros(8), np.zeros(9), np.zeros(8))
+        a = Field.zeros(g)
         b = Field.zeros(Grid.line(8, 3.0))
         with pytest.raises(GridMismatchError):
-            step(params, a, b, a)
+            simulate(params, ControlSchedule.constant(g, 2, 0.0), phi0=a, sigma0=b)
 
 
 class TestSimulate:
@@ -335,8 +330,8 @@ class TestSimulate:
         u = ControlSchedule.constant(g, params.n_steps, 0.0)
         traj = simulate(params, u, phi0=Field.full(g, 1.0), sigma0=Field.zeros(g))
         for n in range(traj.n_steps + 1):
-            assert np.max(np.abs(traj.phi[n].values - 1.0)) <= 1e-12
-            assert np.max(np.abs(traj.sigma[n].values)) <= 1e-12
+            assert np.max(np.abs(traj.phi[n] - 1.0)) <= 1e-12
+            assert np.max(np.abs(traj.sigma[n])) <= 1e-12
 
     def test_mass_identity_with_constant_forcing(self):
         g = Grid.line(16, 4.0)
@@ -344,8 +339,8 @@ class TestSimulate:
         c = 0.3
         u = ControlSchedule.constant(g, params.n_steps, c)
         traj = simulate(params, u, phi0=Field.full(g, 0.2), sigma0=Field.full(g, 0.1))
-        m0 = integrate(traj.phi[0]) + integrate(traj.sigma[0])
-        m_final = integrate(traj.phi[-1]) + integrate(traj.sigma[-1])
+        m0 = integrate(Field(g, traj.phi[0])) + integrate(Field(g, traj.sigma[0]))
+        m_final = integrate(Field(g, traj.phi[-1])) + integrate(Field(g, traj.sigma[-1]))
         volume = 4.0
         expected = m0 + 0.1 * c * volume
         assert abs(m_final - expected) <= traj.n_steps * 10 * params.numerics.cg_tol * 10
@@ -359,7 +354,7 @@ class TestSimulate:
             params = small_params(t_final=0.1, tau=tau)
             u = ControlSchedule.constant(g, params.n_steps, c)
             traj = simulate(params, u, phi0=Field.full(g, a0), sigma0=Field.full(g, b0))
-            got = np.array([traj.phi[-1].values[0], traj.sigma[-1].values[0]])
+            got = np.array([traj.phi[-1][0], traj.sigma[-1][0]])
             errors.append(float(np.max(np.abs(got - ref))))
         order = math.log2(errors[0] / errors[1])
         assert 0.9 <= order <= 1.1
@@ -380,9 +375,9 @@ class TestSimulate:
             return 0.5 * (vals[0::2] + vals[1::2])
 
         e_coarse = norm_h(Field(Grid.line(16, 8.0),
-                                runs[16].phi[-1].values - restrict(runs[32].phi[-1].values)))
+                                runs[16].phi[-1] - restrict(runs[32].phi[-1])))
         e_fine = norm_h(Field(Grid.line(32, 8.0),
-                              runs[32].phi[-1].values - restrict(runs[64].phi[-1].values)))
+                              runs[32].phi[-1] - restrict(runs[64].phi[-1])))
         order = math.log2(e_coarse / e_fine)
         assert 1.8 <= order <= 2.2
 

@@ -269,14 +269,14 @@ class TestCg:
     def test_identity(self):
         g = line16()
         rhs = Field(g, np.arange(16.0))
-        x = cg_solve(lambda v: v, rhs)
-        assert np.array_equal(x.values, rhs.values)
+        x = cg_solve(lambda v: v, rhs.values, g)
+        assert np.array_equal(x, rhs.values)
 
     def test_double_identity(self):
         g = line16()
         rhs = Field(g, np.arange(16.0))
-        x = cg_solve(lambda v: 2.0 * v, rhs)
-        assert np.array_equal(x.values, 0.5 * rhs.values)
+        x = cg_solve(lambda v: 2.0 * v, rhs.values, g)
+        assert np.array_equal(x, 0.5 * rhs.values)
 
     def test_matches_dense_solve(self):
         g = Grid.line(8, 4.0)
@@ -288,9 +288,9 @@ class TestCg:
         dense = assemble_operator(op, g)
         rng = np.random.default_rng(3)
         rhs = Field(g, rng.uniform(-1, 1, 8))
-        x = cg_solve(op, rhs, tol=1e-13)
+        x = cg_solve(op, rhs.values, g, tol=1e-13)
         ref = np.linalg.solve(dense, rhs.values)
-        assert np.max(np.abs(x.values - ref)) <= 1e-10
+        assert np.max(np.abs(x - ref)) <= 1e-10
 
     def test_budget_exhaustion_reports_residual(self):
         g = line16()
@@ -300,7 +300,7 @@ class TestCg:
             return v - 0.05 * laplacian_values(g, v)
 
         with pytest.raises(CgNonConvergenceError) as err:
-            cg_solve(op, rhs, tol=1e-14, max_iter=1)
+            cg_solve(op, rhs.values, g, tol=1e-14, max_iter=1)
         assert err.value.iterations == 1
         assert err.value.residual > 0.0
 
@@ -308,14 +308,14 @@ class TestCg:
         g = line16()
         rhs = Field(g, np.arange(16.0))
         with pytest.raises(CgNonConvergenceError) as err:
-            cg_solve(lambda v: np.full_like(v, np.nan), rhs)
+            cg_solve(lambda v: np.full_like(v, np.nan), rhs.values, g)
         assert err.value.iterations == 0
 
     def test_wrong_shape_output_raises(self):
         g = line16()
         rhs = Field(g, np.arange(16.0))
         with pytest.raises(GridMismatchError):
-            cg_solve(lambda v: np.zeros(17), rhs)
+            cg_solve(lambda v: np.zeros(17), rhs.values, g)
 
     def test_operator_receives_plain_arrays(self):
         g = line16()
@@ -325,17 +325,18 @@ class TestCg:
             assert type(v) is np.ndarray
             return v - 0.05 * laplacian_values(g, v)
 
-        x = cg_solve(op, rhs, tol=1e-13, x0=Field.zeros(g))
-        assert norm_h(Field(g, op(x.values)) - rhs) <= 1e-13 * norm_h(rhs)
+        x = cg_solve(op, rhs.values, g, tol=1e-13, x0=np.zeros(g.shape))
+        assert norm_h(Field(g, op(x)) - rhs) <= 1e-13 * norm_h(rhs)
 
     def test_exact_preconditioner_takes_one_iteration(self):
         g = line16()
         d = np.linspace(1.0, 50.0, 16)
         rhs = Field(g, np.random.default_rng(10).uniform(-1, 1, 16))
         with pytest.raises(CgNonConvergenceError):
-            cg_solve(lambda v: d * v, rhs, tol=1e-13, max_iter=1)
-        x = cg_solve(lambda v: d * v, rhs, tol=1e-13, max_iter=1, precond=lambda v: v / d)
-        assert norm_h(Field(g, d * x.values) - rhs) <= 1e-13 * norm_h(rhs)
+            cg_solve(lambda v: d * v, rhs.values, g, tol=1e-13, max_iter=1)
+        x = cg_solve(lambda v: d * v, rhs.values, g, tol=1e-13, max_iter=1,
+                     precond=lambda v: v / d)
+        assert norm_h(Field(g, d * x) - rhs) <= 1e-13 * norm_h(rhs)
 
     def test_jacobi_preconditioned_solve_matches_dense_solve(self):
         g = Grid.box(6, 5, 3.0, 2.0)
@@ -346,27 +347,70 @@ class TestCg:
 
         diag = np.diag(assemble_operator(op, g)).reshape(g.shape)
         rhs = Field(g, np.random.default_rng(12).uniform(-1, 1, g.shape))
-        x = cg_solve(op, rhs, tol=1e-13, precond=lambda v: v / diag)
-        assert norm_h(Field(g, op(x.values)) - rhs) <= 1e-13 * norm_h(rhs)
+        x = cg_solve(op, rhs.values, g, tol=1e-13, precond=lambda v: v / diag)
+        assert norm_h(Field(g, op(x)) - rhs) <= 1e-13 * norm_h(rhs)
         ref = np.linalg.solve(assemble_operator(op, g), rhs.values.ravel())
-        assert np.max(np.abs(x.values.ravel() - ref)) <= 1e-10
+        assert np.max(np.abs(x.ravel() - ref)) <= 1e-10
 
     def test_non_finite_preconditioner_output_raises_at_once(self):
         g = line16()
         rhs = Field(g, np.arange(16.0))
         with pytest.raises(CgNonConvergenceError) as err:
-            cg_solve(lambda v: 2.0 * v, rhs, precond=lambda v: np.full_like(v, np.nan))
+            cg_solve(lambda v: 2.0 * v, rhs.values, g, precond=lambda v: np.full_like(v, np.nan))
         assert err.value.iterations == 0
+
+    def test_converged_solve_skips_the_last_direction_update(self):
+        # Start, one iteration, true residual: the preconditioner is applied
+        # once, for the first direction, and never after convergence.
+        g = line16()
+        d = np.linspace(1.0, 50.0, 16)
+        rhs = np.random.default_rng(10).uniform(-1, 1, 16)
+        calls = {"apply_op": 0, "precond": 0}
+
+        def counted(name, fn):
+            def wrapper(v):
+                calls[name] += 1
+                return fn(v)
+            return wrapper
+
+        cg_solve(counted("apply_op", lambda v: d * v), rhs, g, tol=1e-13,
+                 precond=counted("precond", lambda v: v / d))
+        assert calls == {"apply_op": 3, "precond": 1}
+
+    def test_non_finite_rhs_raises_at_once(self):
+        g = line16()
+        for bad in (np.inf, -np.inf, np.nan):
+            rhs = np.arange(16.0)
+            rhs[3] = bad
+            with pytest.raises(CgNonConvergenceError) as err:
+                cg_solve(lambda v: v, rhs, g, x0=np.zeros(16))
+            assert err.value.iterations == 0
+
+    def test_wrong_shape_rhs_or_x0_raises(self):
+        g = line16()
+        with pytest.raises(GridMismatchError):
+            cg_solve(lambda v: v, np.ones(17), g)
+        with pytest.raises(GridMismatchError):
+            cg_solve(lambda v: v, np.ones(16), g, x0=np.zeros((16, 1)))
+
+    def test_arguments_are_left_unmodified(self):
+        g = line16()
+        rhs = np.random.default_rng(13).uniform(-1, 1, 16)
+        x0 = np.random.default_rng(14).uniform(-1, 1, 16)
+        before = rhs.tobytes() + x0.tobytes()
+        x = cg_solve(lambda v: v - 0.05 * laplacian_values(g, v), rhs, g, tol=1e-13, x0=x0)
+        assert rhs.tobytes() + x0.tobytes() == before
+        assert x is not x0
 
     def test_zero_rhs(self):
         g = line16()
-        x = cg_solve(lambda v: 3.0 * v, Field.zeros(g))
-        assert np.all(x.values == 0.0)
+        x = cg_solve(lambda v: 3.0 * v, np.zeros(g.shape), g)
+        assert np.all(x == 0.0)
 
     def test_invalid_tol(self):
         g = line16()
         with pytest.raises(ValueError):
-            cg_solve(lambda v: v, Field.zeros(g), tol=0.0)
+            cg_solve(lambda v: v, np.zeros(g.shape), g, tol=0.0)
 
 
 class TestSpectralInverse:

@@ -145,8 +145,8 @@ class TestFinalAdjoint:
         assert result.termination_reason == reason
         fresh = solve_adjoint(params, simulate(params, result.control))
         for got, want in ((result.adjoint.p, fresh.p), (result.adjoint.r, fresh.r)):
-            assert len(got) == len(want)
-            assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
         assert np.array_equal(result.adjoint.r_lift, fresh.r_lift)
 
 
