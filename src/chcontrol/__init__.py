@@ -11,8 +11,8 @@ remainder sweeps, an ODE oracle for spatially constant runs).
 """
 
 from .grid import (CgNonConvergenceError, Field, Grid, GridMismatchError, cg_solve,
-                   grad_sq_integral, inner_product, integrate, neumann_biharmonic,
-                   neumann_laplacian, norm_h, norm_v)
+                   grad_sq_integral, inner_product, integrate, level_inner_products,
+                   neumann_biharmonic, neumann_laplacian, norm_h, norm_v)
 from .model import (HypothesisReport, ModelParams, Numerics, QuadraticProliferation,
                     QuarticDoubleWell, SigmoidProliferation, check_hypotheses,
                     default_stabilization, f_deriv, p_deriv, preset_field)
@@ -21,8 +21,8 @@ from .forward import (ControlSchedule, DivergenceError, StabilityReport, StateTr
                       simulate, step)
 from .sensitivity import (AdjointTrajectory, LinearizedTrajectory, adjoint_step,
                           dot_product_test, fit_loglog_slope, frechet_remainder_sweep,
-                          linearized_step, reduced_gradient, solve_adjoint,
-                          solve_linearized)
+                          level_coefficients, linearized_step, reduced_gradient,
+                          solve_adjoint, solve_linearized)
 from .optimize import (KktReport, OptimOptions, OptimResult, cost_taylor_sweep,
                        directional_derivative_check, kkt_report, project,
                        projected_gradient, reduced_cost)

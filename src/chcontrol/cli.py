@@ -24,7 +24,7 @@ import numpy as np
 from .config import (ConfigError, FieldExpr, RunConfig, apply_overrides, build_grid,
                      build_initial_control, build_params, echo_text, parse_config)
 from .forward import ControlSchedule, DivergenceError, simulate
-from .grid import CgNonConvergenceError, Field, integrate
+from .grid import CgNonConvergenceError, Field
 from .model import check_hypotheses, f_deriv, p_deriv, preset_field
 from .optimize import (OptimOptions, cost_taylor_sweep, directional_derivative_check,
                        kkt_report, projected_gradient)
@@ -115,14 +115,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # The loop always ends on the final level: write its text again.
     (writer.outdir / "phi_final.csv").write_text(phi_text, encoding="utf-8")
     (writer.outdir / "sigma_final.csv").write_text(sigma_text, encoding="utf-8")
-    mass_residuals, energies = traj.mass_residuals, traj.energies
+    masses, mass_residuals, energies = traj.masses, traj.mass_residuals, traj.energies
     for n in range(n_final):
-        phi_n, sigma_n = Field._wrap(grid, traj.phi[n + 1]), Field._wrap(grid, traj.sigma[n + 1])
         writer.log(step=n, t=traj.time(n + 1),
-                   mass=integrate(phi_n) + integrate(sigma_n),
+                   mass=float(masses[n + 1]),
                    mass_residual=float(mass_residuals[n]),
                    energy=float(energies[n + 1]),
-                   phi_max=phi_n.max_abs())
+                   phi_max=float(np.max(np.abs(traj.phi[n + 1]))))
     writer.flush()
     print(_kv_line(subcommand="simulate", steps=n_final,
                    final_energy=float(energies[-1]),

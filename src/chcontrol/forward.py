@@ -1,7 +1,10 @@
 """Forward time integration of the coupled phase-field/nutrient system.
 
-One step advances (phi, sigma) with two symmetric positive-definite solves;
-the phase solve is preconditioned with its exact spectral inverse.
+One step advances (phi, sigma) with two symmetric positive-definite solves.
+The phase solve (``_phase_solve``, shared with the linearized and adjoint
+steps) starts at its exact spectral inverse applied to the right-hand side,
+also its preconditioner, so it ends after one check of the true residual; the
+nutrient solve is plain CG started at the old level.
 The chemical potential is evaluated explicitly at the old level,
 ``mu_t = -lap(phi) + F'(phi)``, and the exchange term
 ``R = P(phi) * (sigma - mu_t)`` is frozen over the step.  The phase update
@@ -37,8 +40,9 @@ shape and returns new arrays, checking its two outputs once (finite and
 within the overflow guard).  ``simulate`` validates only what its caller
 hands in (the grids of the ``phi0``/``sigma0`` Fields and the schedule) and
 fills one ``(n_steps + 1, *grid.shape)`` level array per field, row by row.
-The mass defects and energies are computed from those rows on first access,
-so a caller that never reads them (the optimizer) never pays for them.
+The level masses, mass defects and energies are computed from those rows on
+first access, so a caller that never reads them (the optimizer) never pays
+for them.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (Field, Grid, GridMismatchError, cg_solve, grad_sq_integral,
-                   implicit_operator, inner_product, integrate, laplacian_values, norm_h,
-                   spectral_inverse)
+                   implicit_operator, inner_product, integrate, laplacian_values,
+                   level_inner_products, norm_h, spectral_inverse)
 from .model import ModelParams, default_stabilization, f_deriv, p_deriv
 
 __all__ = [
@@ -173,9 +177,7 @@ class ControlSchedule:
     def level_inner_products(self, other: "ControlSchedule") -> list[float]:
         """``inner_product(self[n], other[n])`` for every step n, each summed
         exactly like ``inner_product``."""
-        prods = (self.values * self._other_values(other)).reshape(len(self), -1)
-        vol = self.grid.cell_volume
-        return [vol * math.fsum(row) for row in prods.tolist()]
+        return level_inner_products(self.grid, self.values, self._other_values(other))
 
 
 def l2q_inner(tau: float, a: ControlSchedule, b: ControlSchedule) -> float:
@@ -226,6 +228,16 @@ def chemical_potential(params: ModelParams, phi: Field) -> Field:
                        + f_deriv(params.potential, 1, phi.values))
 
 
+def _phase_solve(params: ModelParams, grid: Grid, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``phase_operator(x) = rhs``, starting at ``M(rhs)`` with the exact
+    inverse ``M = phase_preconditioner`` also as the preconditioner; the phase
+    solve of ``step``, ``linearized_step`` and ``adjoint_step``."""
+    num = params.numerics
+    precond = phase_preconditioner(params, grid)
+    return cg_solve(phase_operator(params, grid), rhs, grid, tol=num.cg_tol,
+                    max_iter=num.cg_max_iter, x0=precond(rhs), precond=precond)
+
+
 def _require_grid_shape(grid: Grid, *arrays: np.ndarray) -> None:
     if any(a.shape != grid.shape for a in arrays):
         raise GridMismatchError(f"step inputs must have the grid's shape {grid.shape}")
@@ -266,9 +278,7 @@ def step(params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,
     react = p_deriv(params.proliferation, 0, phi) * (sigma - mu_t)
 
     rhs_a = phi + tau * laplacian_values(grid, fp - s_const * phi) + tau * react
-    phi_next = cg_solve(phase_operator(params, grid), rhs_a, grid,
-                        tol=num.cg_tol, max_iter=num.cg_max_iter, x0=phi,
-                        precond=phase_preconditioner(params, grid))
+    phi_next = _phase_solve(params, grid, rhs_a)
 
     rhs_b = sigma + tau * (u - react)
     sigma_next = cg_solve(diffusion_operator(params, grid), rhs_b, grid,
@@ -283,11 +293,14 @@ class StateTrajectory:
 
     ``phi`` and ``sigma`` are read-only ``(n_steps + 1, *grid.shape)`` arrays;
     row n is level n.  The diagnostics are computed on first access and then
-    kept: ``mass_residuals[n]`` is the defect of the combined-mass identity
-    over step n, ``energies[n]`` the diagnostic energy at level n.
+    kept: ``masses[n]`` is the combined mass ``integrate(phi_n) +
+    integrate(sigma_n)`` of level n, ``mass_residuals[n]`` the defect of the
+    combined-mass identity over step n, ``energies[n]`` the diagnostic energy
+    at level n.
     """
 
-    __slots__ = ("params", "grid", "phi", "sigma", "u", "_mass_residuals", "_energies")
+    __slots__ = ("params", "grid", "phi", "sigma", "u", "_masses", "_mass_residuals",
+                 "_energies")
 
     def __init__(self, params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,
                  u: ControlSchedule):
@@ -298,6 +311,7 @@ class StateTrajectory:
         self.phi = phi
         self.sigma = sigma
         self.u = u
+        self._masses = None
         self._mass_residuals = None
         self._energies = None
 
@@ -323,11 +337,18 @@ class StateTrajectory:
         return self._energies
 
     @property
+    def masses(self) -> np.ndarray:
+        if self._masses is None:
+            self._masses = np.asarray(
+                [integrate(phi) + integrate(sigma)
+                 for phi, sigma in map(self._fields, range(self.n_steps + 1))], dtype=float)
+        return self._masses
+
+    @property
     def mass_residuals(self) -> np.ndarray:
         if self._mass_residuals is None:
             tau = self.params.tau
-            mass = [integrate(phi) + integrate(sigma)
-                    for phi, sigma in map(self._fields, range(self.n_steps + 1))]
+            mass = self.masses.tolist()
             self._mass_residuals = np.asarray(
                 [mass[n + 1] - mass[n] - tau * integrate(self.u[n]) for n in range(self.n_steps)],
                 dtype=float)

@@ -12,8 +12,8 @@ to roundoff and are relied on downstream:
 * ``inner_product(neumann_laplacian(f), g)`` is symmetric in ``(f, g)``,
   with ``inner_product(neumann_laplacian(f), f) == -grad_sq_integral(f)``.
 
-``integrate`` and ``inner_product`` reduce with exact compensated summation
-in a fixed order; together with the fixed iteration order of ``cg_solve``
+``integrate``, ``inner_product`` and ``level_inner_products`` reduce with
+exact compensated summation in a fixed order; together with the fixed iteration order of ``cg_solve``
 this makes every computation bitwise reproducible across runs.
 
 ``cg_solve`` works on arrays only: its operator is an array map (ndarray in,
@@ -38,9 +38,11 @@ function of the laplacian.  The orthonormal DCT-II ``C`` diagonalizes the
 mirror-ghost laplacian, with per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``,
 so such an operator is ``C^T diag(lambda) C``; its inverse is applied as matrix
 products with the per-axis DCT matrices, on every grid size.  It has two
-users.  The phase solves pass it to ``cg_solve`` as their preconditioner; those
-solves stay iterative, so the tolerance and the iteration budget of
-``cg_solve`` keep their meaning.  The ``filtered_noise`` preset applies it
+users.  The phase solves start ``cg_solve`` at the inverse applied to their
+right-hand side and pass it as their preconditioner too; that start already
+meets the tolerance, so such a solve is one spectral apply plus one check of
+the true residual.  The solves stay iterative, so the tolerance and the
+iteration budget of ``cg_solve`` keep their meaning.  The ``filtered_noise`` preset applies it
 directly, as its smoother ``(I - kappa*lap)^{-1}``.  The dense increments, the
 inverses and the DCT matrices (one per axis length, shared by every inverse)
 live in one per-grid cache of at most ``DENSE_CACHE_SIZE`` entries, dropping
@@ -66,6 +68,7 @@ __all__ = [
     "spectral_inverse",
     "grad_sq_integral",
     "inner_product",
+    "level_inner_products",
     "integrate",
     "norm_h",
     "norm_v",
@@ -426,6 +429,21 @@ def inner_product(f: Field, g: Field) -> float:
     return f.grid.cell_volume * math.fsum(prod.tolist())
 
 
+def level_inner_products(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[float]:
+    """``inner_product`` of row n of ``a`` with row n of ``b`` for every n.
+
+    ``a`` and ``b`` are ``(levels, *grid.shape)`` arrays (``GridMismatchError``
+    otherwise); each row is summed exactly like ``inner_product``, so entry n
+    is bitwise the ``inner_product`` of the two level-n Fields.
+    """
+    if a.shape != b.shape or a.shape[1:] != grid.shape:
+        raise GridMismatchError(f"level arrays of shapes {a.shape} and {b.shape} "
+                                f"on a {grid.shape} grid")
+    prods = (a * b).reshape(len(a), -1)
+    vol = grid.cell_volume
+    return [vol * math.fsum(row) for row in prods.tolist()]
+
+
 def integrate(f: Field) -> float:
     """Cell-volume weighted sum of the field, exactly summed."""
     return f.grid.cell_volume * math.fsum(f.values.ravel().tolist())
@@ -464,7 +482,10 @@ def cg_solve(
     residual passes the tolerance the true residual is checked at once (and
     the iteration restarted from it if it drifted), so the returned ``x``
     genuinely satisfies ``norm_h(apply_op(x) - rhs) <= tol * norm_h(rhs)``.
-    All reductions use a fixed summation order.
+    The starting residual ``rhs - apply_op(x0)`` is already the true one: when
+    it meets the tolerance the solve returns (a copy of) ``x0`` at iteration
+    0, after one operator application and no preconditioner apply.  All
+    reductions use a fixed summation order.
 
     ``precond``, an array map approximating the inverse of ``apply_op`` (for
     example a ``spectral_inverse``), turns the iteration into preconditioned
@@ -495,12 +516,6 @@ def cg_solve(
             f"cg_solve: right-hand side norm is {bnorm!r}", residual=bnorm, iterations=0)
     target = tol * bnorm
 
-    def preconditioned(r: np.ndarray, rs: float) -> tuple[np.ndarray, float]:
-        if precond is None:
-            return r, rs
-        z = precond(r)
-        return z, float(np.vdot(r, z))
-
     x = np.array(x0 if x0 is not None else np.zeros(grid.shape), dtype=float)
     ax = apply_op(x)
     if ax.shape != b.shape:
@@ -511,6 +526,8 @@ def cg_solve(
     iterations = 0
     while True:
         if math.sqrt(vol * rs) <= target:
+            if iterations == 0:  # r is b - A x0 itself, the true residual
+                return x
             true_r = b - apply_op(x)
             ts = float(np.vdot(true_r, true_r))
             if math.sqrt(vol * ts) <= target:
@@ -526,12 +543,13 @@ def cg_solve(
                 residual=res, iterations=iterations)
         # The direction is updated only once the iteration goes on, so a
         # converged solve applies neither the preconditioner nor the update.
-        if p is None:
-            p, rz = preconditioned(r, rs)  # no copy: nothing is updated in place
+        if precond is None:
+            z, rz_new = r, rs  # no copy: nothing is updated in place
         else:
-            z, rz_new = preconditioned(r, rs)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
+            z = precond(r)
+            rz_new = float(np.vdot(r, z))
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         ap = apply_op(p)
         pap = float(np.vdot(p, ap))
         if not pap > 0.0:  # also catches a NaN from a non-finite operator output

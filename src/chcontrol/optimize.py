@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, inner_product
+from .grid import Field, level_inner_products
 from .forward import ControlSchedule, StateTrajectory, l2q_inner, l2q_norm, simulate
 from .model import ModelParams
 from .sensitivity import AdjointTrajectory, fit_loglog_slope, reduced_gradient, solve_adjoint
@@ -48,14 +48,16 @@ def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedul
     n_steps = len(u)
     terms = []
     if params.beta_q > 0.0:
-        for n in range(1, n_steps + 1):
-            misfit = Field._wrap(grid, traj.phi[n] - params.phi_q_at(n).values)
-            terms.append(tau * 0.5 * params.beta_q * inner_product(misfit, misfit))
+        targets = np.array([params.phi_q_at(n).values for n in range(1, n_steps + 1)])
+        misfit = traj.phi[1:] - targets
+        terms.extend(tau * 0.5 * params.beta_q * ip
+                     for ip in level_inner_products(grid, misfit, misfit))
     if params.beta_omega > 0.0:
         if params.phi_omega is None:
             raise ValueError("phi_omega is required when beta_omega > 0")
-        final = Field._wrap(grid, traj.phi[n_steps] - params.phi_omega.values)
-        terms.append(0.5 * params.beta_omega * inner_product(final, final))
+        final = traj.phi[n_steps:] - params.phi_omega.values
+        terms.extend(0.5 * params.beta_omega * ip
+                     for ip in level_inner_products(grid, final, final))
     if params.beta_u > 0.0:
         terms.extend(tau * 0.5 * params.beta_u * ip for ip in u.level_inner_products(u))
     return math.fsum(terms)

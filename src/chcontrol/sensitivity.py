@@ -30,9 +30,14 @@ is recorded on the adjoint trajectory.
 
 Like ``forward.step``, both steps take the grid plus arrays of its shape and
 return new arrays; being linear in their direction, they check their outputs
-for finiteness only.  ``solve_linearized`` and ``solve_adjoint`` fill one
-``(n_steps + 1, *grid.shape)`` level array per channel, row by row, and
-validate only the Fields a caller hands ``solve_adjoint``.
+for finiteness only.  They take the Jacobian's frozen cellwise coefficients
+of their base level, ``level_coefficients``, in place of the base state:
+``solve_linearized`` and ``solve_adjoint`` compute them once per sweep, for
+all levels at once (three ``(n_steps, *grid.shape)`` arrays held for the
+sweep), and fill one ``(n_steps + 1, *grid.shape)`` level array per channel,
+row by row.  Their phase solves are the forward step's (``_phase_solve``:
+started at the exact spectral solution).  Only the Fields a caller hands
+``solve_adjoint`` are validated.
 """
 
 from __future__ import annotations
@@ -44,14 +49,14 @@ import numpy as np
 
 from .grid import (Field, Grid, GridMismatchError, cg_solve, inner_product, laplacian_values,
                    norm_h)
-from .forward import (ControlSchedule, StateTrajectory, _check_outputs, _require_grid_shape,
-                      diffusion_operator, l2q_inner, phase_operator, phase_preconditioner,
-                      simulate)
+from .forward import (ControlSchedule, StateTrajectory, _check_outputs, _phase_solve,
+                      _require_grid_shape, diffusion_operator, l2q_inner, simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
 
 __all__ = [
     "LinearizedTrajectory",
     "AdjointTrajectory",
+    "level_coefficients",
     "linearized_step",
     "solve_linearized",
     "adjoint_step",
@@ -63,42 +68,52 @@ __all__ = [
 ]
 
 
-def _level_coefficients(params: ModelParams, grid: Grid, phi_b: np.ndarray,
-                        sigma_b: np.ndarray):
-    """Frozen cellwise coefficients of the Jacobian at one base level.
+def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
+                       sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frozen cellwise coefficients of the Jacobian at base levels.
 
-    Returns (curvature, rate, rate_slope): F''(phi), P(phi), and
-    P'(phi)*(sigma - mu) with mu the explicit potential of the base level.
+    ``phi`` and ``sigma`` are one level (the grid's shape) or a stack of
+    levels (``(levels, *grid.shape)``), ``GridMismatchError`` otherwise.
+    Returns (curvature, rate, rate_slope) of the same shape: F''(phi),
+    P(phi), and P'(phi)*(sigma - mu) with mu the explicit potential of each
+    level.  All levels go through one laplacian call, on its trailing batch
+    axis; the arithmetic is cellwise, so every level is bitwise what a call on
+    that level alone gives.
     """
-    curvature = np.asarray(f_deriv(params.potential, 2, phi_b), dtype=float)
-    mu_t = -laplacian_values(grid, phi_b) + f_deriv(params.potential, 1, phi_b)
-    rate = np.asarray(p_deriv(params.proliferation, 0, phi_b), dtype=float)
-    rate_slope = np.asarray(p_deriv(params.proliferation, 1, phi_b), dtype=float) \
-        * (sigma_b - mu_t)
+    if phi.shape[phi.ndim - grid.dim:] != grid.shape or phi.ndim > grid.dim + 1 \
+            or sigma.shape != phi.shape:
+        raise GridMismatchError(f"base levels of shapes {phi.shape} and {sigma.shape} "
+                                f"on a {grid.shape} grid")
+    stack = phi.reshape((-1,) + grid.shape)
+    lap = np.moveaxis(laplacian_values(grid, np.moveaxis(stack, 0, -1)), -1, 0)
+    curvature = np.asarray(f_deriv(params.potential, 2, phi), dtype=float)
+    mu_t = -lap.reshape(phi.shape) + f_deriv(params.potential, 1, phi)
+    rate = np.asarray(p_deriv(params.proliferation, 0, phi), dtype=float)
+    rate_slope = np.asarray(p_deriv(params.proliferation, 1, phi), dtype=float) \
+        * (sigma - mu_t)
     return curvature, rate, rate_slope
 
 
-def linearized_step(params: ModelParams, grid: Grid, phi_b: np.ndarray, sigma_b: np.ndarray,
-                    xi: np.ndarray, rho: np.ndarray, h: np.ndarray,
+def linearized_step(params: ModelParams, grid: Grid, coefficients, xi: np.ndarray,
+                    rho: np.ndarray, h: np.ndarray,
                     step_index=None) -> tuple[np.ndarray, np.ndarray]:
     """Apply the exact Jacobian of one forward step to (xi, rho, h).
 
+    ``coefficients`` is ``level_coefficients`` of the step's base level.
     Arrays of the grid's shape in (``GridMismatchError`` otherwise), new
     arrays out; a non-finite output raises DivergenceError naming the step.
     """
-    _require_grid_shape(grid, phi_b, sigma_b, xi, rho, h)
+    curvature, rate, rate_slope = coefficients
+    _require_grid_shape(grid, curvature, rate, rate_slope, xi, rho, h)
     tau = params.tau
     s_const = params.stabilization
     num = params.numerics
-    curvature, rate, rate_slope = _level_coefficients(params, grid, phi_b, sigma_b)
 
     eta = -laplacian_values(grid, xi) + curvature * xi
     d_react = rate_slope * xi + rate * (rho - eta)
 
     rhs_a = xi + tau * laplacian_values(grid, (curvature - s_const) * xi) + tau * d_react
-    xi_next = cg_solve(phase_operator(params, grid), rhs_a, grid,
-                       tol=num.cg_tol, max_iter=num.cg_max_iter, x0=xi,
-                       precond=phase_preconditioner(params, grid))
+    xi_next = _phase_solve(params, grid, rhs_a)
 
     rhs_b = rho + tau * (h - d_react)
     rho_next = cg_solve(diffusion_operator(params, grid), rhs_b, grid,
@@ -108,11 +123,12 @@ def linearized_step(params: ModelParams, grid: Grid, phi_b: np.ndarray, sigma_b:
     return xi_next, rho_next
 
 
-def adjoint_step(params: ModelParams, grid: Grid, phi_b: np.ndarray, sigma_b: np.ndarray,
-                 p_next: np.ndarray, r_next: np.ndarray, source: np.ndarray | None = None,
+def adjoint_step(params: ModelParams, grid: Grid, coefficients, p_next: np.ndarray,
+                 r_next: np.ndarray, source: np.ndarray | None = None,
                  step_index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the transpose of one step's Jacobian to the incoming co-state.
 
+    ``coefficients`` is ``level_coefficients`` of the step's base level.
     ``source`` (the tracking misfit at the arrival level, already scaled by
     tau) is added to the incoming ``p`` channel before transposing, which
     places it at the right endpoint of the step.  Returns new arrays
@@ -121,18 +137,16 @@ def adjoint_step(params: ModelParams, grid: Grid, phi_b: np.ndarray, sigma_b: np
     checked for their shape only; a non-finite ``p_n`` or ``r_n`` raises
     DivergenceError naming the step.
     """
-    _require_grid_shape(grid, phi_b, sigma_b, p_next, r_next)
+    curvature, rate, rate_slope = coefficients
+    _require_grid_shape(grid, curvature, rate, rate_slope, p_next, r_next)
     if source is not None:
         _require_grid_shape(grid, source)
     tau = params.tau
     s_const = params.stabilization
     num = params.numerics
-    curvature, rate, rate_slope = _level_coefficients(params, grid, phi_b, sigma_b)
 
     p_hat = p_next if source is None else p_next + source
-    p1 = cg_solve(phase_operator(params, grid), p_hat, grid,
-                  tol=num.cg_tol, max_iter=num.cg_max_iter, x0=p_next,
-                  precond=phase_preconditioner(params, grid))
+    p1 = _phase_solve(params, grid, p_hat)
     r1 = cg_solve(diffusion_operator(params, grid), r_next, grid,
                   tol=num.cg_tol, max_iter=num.cg_max_iter, x0=r_next)
 
@@ -222,8 +236,11 @@ def solve_linearized(params: ModelParams, base: StateTrajectory,
     rho = np.empty((n_steps + 1,) + grid.shape)
     xi[0] = 0.0
     rho[0] = 0.0
+    curvature, rate, rate_slope = level_coefficients(params, grid, base.phi[:-1],
+                                                     base.sigma[:-1])
     for n in range(n_steps):
-        xi[n + 1], rho[n + 1] = linearized_step(params, grid, base.phi[n], base.sigma[n],
+        xi[n + 1], rho[n + 1] = linearized_step(params, grid,
+                                                (curvature[n], rate[n], rate_slope[n]),
                                                 xi[n], rho[n], h.values[n], step_index=n)
     return LinearizedTrajectory(base, xi, rho)
 
@@ -282,8 +299,10 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
     lift = np.empty((n_steps,) + grid.shape)
     p[n_steps] = p_terminal
     r[n_steps] = 0.0
+    curvature, rate, rate_slope = level_coefficients(params, grid, base.phi[:-1],
+                                                     base.sigma[:-1])
     for n in range(n_steps - 1, -1, -1):
-        p[n], r[n], lift[n] = adjoint_step(params, grid, base.phi[n], base.sigma[n],
+        p[n], r[n], lift[n] = adjoint_step(params, grid, (curvature[n], rate[n], rate_slope[n]),
                                            p[n + 1], r[n + 1], source=src(n + 1),
                                            step_index=n)
     return AdjointTrajectory(base, p, r, lift)
@@ -363,10 +382,11 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
     # Single-step identity at the initial level.
     xi0, rho0 = smooth(3, 1.0), smooth(4, 1.0)
     p_in, r_in = smooth(5, 1.0), smooth(6, 1.0)
-    xi1, rho1 = linearized_step(params, grid, phi0.values, sigma0.values, xi0.values,
-                                rho0.values, h.values[0])
-    p_out, r_out, lift = adjoint_step(params, grid, phi0.values, sigma0.values, p_in.values,
-                                      r_in.values, source=None)
+    coefficients = level_coefficients(params, grid, phi0.values, sigma0.values)
+    xi1, rho1 = linearized_step(params, grid, coefficients, xi0.values, rho0.values,
+                                h.values[0])
+    p_out, r_out, lift = adjoint_step(params, grid, coefficients, p_in.values, r_in.values,
+                                      source=None)
     lhs = inner_product(field(xi1), p_in) + inner_product(field(rho1), r_in)
     rhs = inner_product(xi0, field(p_out)) + inner_product(rho0, field(r_out)) \
         + tau * inner_product(h[0], field(lift))

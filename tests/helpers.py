@@ -166,8 +166,10 @@ def reference_cg(apply_op, rhs, tol=1e-12, max_iter=20000, x0=None):
 
 # Field-level references: ``cg_solve``, ``step``, ``linearized_step`` and
 # ``adjoint_step`` as they were before the stepping core moved to arrays,
-# kept verbatim (renamed, and calling each other).  The array versions must
-# reproduce them byte for byte.
+# kept verbatim (renamed, and calling each other) except that the steps start
+# their phase solve at its exact spectral solution (``field_phase_solve``) and
+# the two linear steps take their level's Jacobian coefficients.  The array
+# versions must reproduce them byte for byte.
 def field_cg_solve(
     apply_op: Callable[[np.ndarray], np.ndarray],
     rhs: Field,
@@ -258,6 +260,17 @@ def field_cg_solve(
         iterations += 1
 
 
+def field_phase_solve(params: ModelParams, rhs: Field) -> Field:
+    """The phase solve of the steps: started at ``M(rhs)``, preconditioned by
+    ``M``, the exact inverse ``phase_preconditioner``."""
+    grid = rhs.grid
+    num = params.numerics
+    precond = phase_preconditioner(params, grid)
+    return field_cg_solve(phase_operator(params, grid), rhs, tol=num.cg_tol,
+                          max_iter=num.cg_max_iter, x0=Field._wrap(grid, precond(rhs.values)),
+                          precond=precond)
+
+
 def field_step(params: ModelParams, phi: Field, sigma: Field, u: Field,
                step_index=None) -> tuple[Field, Field]:
     """One stabilized implicit-explicit step; returns (phi_next, sigma_next).
@@ -278,9 +291,7 @@ def field_step(params: ModelParams, phi: Field, sigma: Field, u: Field,
     react = p_deriv(params.proliferation, 0, pv) * (sv - mu_t)
 
     rhs_a = pv + tau * laplacian_values(grid, fp - s_const * pv) + tau * react
-    phi_next = field_cg_solve(phase_operator(params, grid), Field._wrap(grid, rhs_a),
-                              tol=num.cg_tol, max_iter=num.cg_max_iter, x0=phi,
-                              precond=phase_preconditioner(params, grid))
+    phi_next = field_phase_solve(params, Field._wrap(grid, rhs_a))
 
     rhs_b = sv + tau * (uv - react)
     sigma_next = field_cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),
@@ -311,23 +322,22 @@ def field_level_coefficients(params: ModelParams, phi_b: Field, sigma_b: Field):
     return curvature, rate, rate_slope
 
 
-def field_linearized_step(params: ModelParams, phi_b: Field, sigma_b: Field,
-                          xi: Field, rho: Field, h: Field) -> tuple[Field, Field]:
-    """Apply the exact Jacobian of one forward step to (xi, rho, h)."""
-    grid = phi_b.grid
+def field_linearized_step(params: ModelParams, coefficients, xi: Field, rho: Field,
+                          h: Field) -> tuple[Field, Field]:
+    """Apply the exact Jacobian of one forward step to (xi, rho, h);
+    ``coefficients`` are those of the base level."""
+    grid = xi.grid
     tau = params.tau
     s_const = params.stabilization
     num = params.numerics
-    curvature, rate, rate_slope = field_level_coefficients(params, phi_b, sigma_b)
+    curvature, rate, rate_slope = coefficients
 
     xv, rv = xi.values, rho.values
     eta = -laplacian_values(grid, xv) + curvature * xv
     d_react = rate_slope * xv + rate * (rv - eta)
 
     rhs_a = xv + tau * laplacian_values(grid, (curvature - s_const) * xv) + tau * d_react
-    xi_next = field_cg_solve(phase_operator(params, grid), Field._wrap(grid, rhs_a),
-                             tol=num.cg_tol, max_iter=num.cg_max_iter, x0=xi,
-                             precond=phase_preconditioner(params, grid))
+    xi_next = field_phase_solve(params, Field._wrap(grid, rhs_a))
 
     rhs_b = rv + tau * (h.values - d_react)
     rho_next = field_cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),
@@ -335,10 +345,10 @@ def field_linearized_step(params: ModelParams, phi_b: Field, sigma_b: Field,
     return xi_next, rho_next
 
 
-def field_adjoint_step(params: ModelParams, phi_b: Field, sigma_b: Field,
-                       p_next: Field, r_next: Field,
+def field_adjoint_step(params: ModelParams, coefficients, p_next: Field, r_next: Field,
                        source: Field | None = None) -> tuple[Field, Field, Field]:
-    """Apply the transpose of one step's Jacobian to the incoming co-state.
+    """Apply the transpose of one step's Jacobian to the incoming co-state;
+    ``coefficients`` are those of the base level.
 
     ``source`` (the tracking misfit at the arrival level, already scaled by
     tau) is added to the incoming ``p`` channel before transposing, which
@@ -346,16 +356,14 @@ def field_adjoint_step(params: ModelParams, phi_b: Field, sigma_b: Field,
     lift_n)`` where ``lift_n`` is the diffusion-solve of ``r_next`` that
     also multiplies the control in the gradient.
     """
-    grid = phi_b.grid
+    grid = p_next.grid
     tau = params.tau
     s_const = params.stabilization
     num = params.numerics
-    curvature, rate, rate_slope = field_level_coefficients(params, phi_b, sigma_b)
+    curvature, rate, rate_slope = coefficients
 
     p_hat = p_next if source is None else p_next + source
-    p1 = field_cg_solve(phase_operator(params, grid), p_hat,
-                        tol=num.cg_tol, max_iter=num.cg_max_iter, x0=p_next,
-                        precond=phase_preconditioner(params, grid))
+    p1 = field_phase_solve(params, p_hat)
     r1 = field_cg_solve(diffusion_operator(params, grid), r_next,
                         tol=num.cg_tol, max_iter=num.cg_max_iter, x0=r_next)
 

@@ -20,7 +20,7 @@ from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
                        simulate, solve_adjoint, step)
 from chcontrol.cli import main as cli_main
 from chcontrol.grid import laplacian_values
-from chcontrol.sensitivity import adjoint_step, linearized_step
+from chcontrol.sensitivity import adjoint_step, level_coefficients, linearized_step
 from helpers import (assemble_operator, load_instance, ode_reference, smooth_field,
                      smooth_schedule, successive_orders)
 
@@ -164,7 +164,8 @@ def test_criterion_06_linearization_exactness():
         xv, rv, hv = xi.values, rho.values, h.values
         plus = step(params, grid, pb + eps * xv, sb + eps * rv, eps * hv)
         minus = step(params, grid, pb + (-eps) * xv, sb + (-eps) * rv, (-eps) * hv)
-        lin = linearized_step(params, grid, pb, sb, xv, rv, hv)
+        lin = linearized_step(params, grid, level_coefficients(params, grid, pb, sb),
+                              xv, rv, hv)
         for (fp, fm), exact in zip(zip(plus, minus), lin):
             fd = (fp - fm) / (2 * eps)
             worst = max(worst, float(np.linalg.norm(fd - exact) / np.linalg.norm(exact)))
@@ -190,19 +191,19 @@ def test_criterion_08_adjoint_exactness():
 
     g8 = Grid.line(8, 4.0)
     phi_b, sigma_b = smooth_field(g8, 1, 0.8), smooth_field(g8, 2, 0.5)
+    coefficients = level_coefficients(params, g8, phi_b.values, sigma_b.values)
     n = g8.n_cells
     jac = np.zeros((2 * n, 3 * n))
     for j in range(3 * n):
         e = np.zeros(3 * n)
         e[j] = 1.0
-        a, b = linearized_step(params, g8, phi_b.values, sigma_b.values, e[:n],
-                               e[n:2 * n], e[2 * n:])
+        a, b = linearized_step(params, g8, coefficients, e[:n], e[n:2 * n], e[2 * n:])
         jac[:, j] = np.concatenate([a.ravel(), b.ravel()])
     jac_t = np.zeros((3 * n, 2 * n))
     for j in range(2 * n):
         e = np.zeros(2 * n)
         e[j] = 1.0
-        p0, r0, lift = adjoint_step(params, g8, phi_b.values, sigma_b.values, e[:n], e[n:])
+        p0, r0, lift = adjoint_step(params, g8, coefficients, e[:n], e[n:])
         jac_t[:, j] = np.concatenate([p0.ravel(), r0.ravel(), params.tau * lift.ravel()])
     dense_gap = float(np.max(np.abs(jac.T - jac_t)) / max(1.0, np.max(np.abs(jac))))
     ok = worst <= 1e-10 and dense_gap <= 1e-9

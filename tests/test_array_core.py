@@ -12,14 +12,16 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, ModelParams, Numerics,
-                       OptimOptions, energy, forward, integrate, projected_gradient,
+from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismatchError,
+                       ModelParams, Numerics, OptimOptions, QuadraticProliferation,
+                       SigmoidProliferation, energy, forward, integrate, projected_gradient,
                        sensitivity, simulate, solve_adjoint, solve_linearized, step)
 from chcontrol.cli import main
 from chcontrol.grid import DENSE_MAX_CELLS, CgNonConvergenceError
-from chcontrol.sensitivity import adjoint_step, linearized_step
-from helpers import (CONFIG_DIR, field_adjoint_step, field_linearized_step, field_step, grids,
-                     load_instance, smooth_field, smooth_schedule)
+from chcontrol.sensitivity import adjoint_step, level_coefficients, linearized_step
+from helpers import (CONFIG_DIR, field_adjoint_step, field_level_coefficients,
+                     field_linearized_step, field_step, grids, load_instance, smooth_field,
+                     smooth_schedule)
 
 # The dense operator path (at most DENSE_MAX_CELLS cells) and the stencil path.
 any_path_grids = st.one_of(grids(4, DENSE_MAX_CELLS),
@@ -55,16 +57,51 @@ def test_steps_match_field_steps(g, tau, seed):
     phi, sigma, u, xi, rho, h, p, r, src = (
         smooth_field(g, seed + k, amplitude) for k, amplitude in
         enumerate((0.8, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.1)))
-    base = (phi.values, sigma.values)
+    coefficients = level_coefficients(params, g, phi.values, sigma.values)
+    field_coefficients = field_level_coefficients(params, phi, sigma)
+    assert outcome(lambda: coefficients) == outcome(lambda: field_coefficients)
 
-    assert outcome(lambda: step(params, g, *base, u.values, step_index=4)) \
+    assert outcome(lambda: step(params, g, phi.values, sigma.values, u.values, step_index=4)) \
         == outcome(lambda: field_step(params, phi, sigma, u, step_index=4))
-    assert outcome(lambda: linearized_step(params, g, *base, xi.values, rho.values, h.values)) \
-        == outcome(lambda: field_linearized_step(params, phi, sigma, xi, rho, h))
+    assert outcome(lambda: linearized_step(params, g, coefficients, xi.values, rho.values,
+                                           h.values)) \
+        == outcome(lambda: field_linearized_step(params, field_coefficients, xi, rho, h))
     for source in (None, src):
         values = None if source is None else source.values
-        assert outcome(lambda: adjoint_step(params, g, *base, p.values, r.values, values)) \
-            == outcome(lambda: field_adjoint_step(params, phi, sigma, p, r, source))
+        assert outcome(lambda: adjoint_step(params, g, coefficients, p.values, r.values, values)) \
+            == outcome(lambda: field_adjoint_step(params, field_coefficients, p, r, source))
+
+
+prolifs = st.sampled_from([QuadraticProliferation(p0=2.0),
+                           SigmoidProliferation(p0=1.5, steepness=3.0, floor=0.1)])
+
+
+@given(any_path_grids, st.integers(1, 4), prolifs, seeds)
+@example(Grid.line(DENSE_MAX_CELLS, 10.0), 3, QuadraticProliferation(), 0)
+@example(DENSE_BOX, 2, SigmoidProliferation(), 1)
+@example(STENCIL_BOX, 4, QuadraticProliferation(), 2)
+def test_stacked_coefficients_match_per_level_calls(g, levels, proliferation, seed):
+    params = ModelParams(proliferation=proliferation, beta_u=1.0)
+    phi = np.array([smooth_field(g, seed + k, 0.8).values for k in range(levels)])
+    sigma = np.array([smooth_field(g, seed + 10 + k, 0.5).values for k in range(levels)])
+    stacked_coefficients = level_coefficients(params, g, phi, sigma)
+    for coefficient in stacked_coefficients:
+        assert coefficient.shape == (levels,) + g.shape
+    for n in range(levels):
+        single = level_coefficients(params, g, phi[n], sigma[n])
+        reference = field_level_coefficients(params, Field(g, phi[n]), Field(g, sigma[n]))
+        for a, b, c in zip(stacked_coefficients, single, reference):
+            assert a[n].tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_coefficients_reject_wrong_shapes():
+    g, params = STENCIL_BOX, ModelParams(beta_u=1.0)
+    ok = np.zeros((3,) + g.shape)
+    for phi, sigma in ((np.zeros(g.n_cells), np.zeros(g.n_cells)),
+                       (np.zeros((2, 3) + g.shape), np.zeros((2, 3) + g.shape)),
+                       (ok, ok[:2]), (ok[:, :-1], ok[:, :-1])):
+        with pytest.raises(GridMismatchError):
+            level_coefficients(params, g, phi, sigma)
 
 
 def stacked(fields):
@@ -81,9 +118,11 @@ def field_trajectories(params, phi0, sigma0, u, h):
         phis.append(phi)
         sigmas.append(sigma)
 
+    coefficients = [field_level_coefficients(params, phis[n], sigmas[n])
+                    for n in range(n_steps)]
     xis, rhos = [Field.zeros(phi0.grid)], [Field.zeros(phi0.grid)]
     for n in range(n_steps):
-        xi, rho = field_linearized_step(params, phis[n], sigmas[n], xis[n], rhos[n], h[n])
+        xi, rho = field_linearized_step(params, coefficients[n], xis[n], rhos[n], h[n])
         xis.append(xi)
         rhos.append(rho)
 
@@ -96,7 +135,7 @@ def field_trajectories(params, phi0, sigma0, u, h):
     for n in range(n_steps - 1, -1, -1):
         source = Field(grid, params.tau * params.beta_q * (phis[n + 1].values
                                                            - params.phi_q.values))
-        ps[n], rs[n], lifts[n] = field_adjoint_step(params, phis[n], sigmas[n], ps[n + 1],
+        ps[n], rs[n], lifts[n] = field_adjoint_step(params, coefficients[n], ps[n + 1],
                                                     rs[n + 1], source=source)
     return phis, sigmas, xis, rhos, ps, rs, lifts
 
@@ -173,13 +212,19 @@ class TestNonFiniteOutputs:
     def test_sensitivity_steps_name_their_index(self, monkeypatch):
         g, params, u, phi0, sigma0 = small_run()
         base = simulate(params, u, phi0=phi0, sigma0=sigma0)
-        poison_solve(monkeypatch, sensitivity, 2, np.nan)  # the phase solve of step 1
+        # The phase solves go through forward's ``_phase_solve``, so the solves
+        # of ``sensitivity`` itself are the diffusion solves, one per step.
+        poison_solve(monkeypatch, sensitivity, 1, np.nan)  # the diffusion solve of step 1
         with pytest.raises(DivergenceError) as err:
             solve_linearized(params, base, u)
         assert err.value.step_index == 1
         assert "non-finite solution at linearized step 1" in str(err.value)
-        # The adjoint sweep runs backward: its third solve belongs to step n_steps - 2.
-        poison_solve(monkeypatch, sensitivity, 2, np.nan)
+        poison_solve(monkeypatch, forward, 1, np.nan)  # the phase solve of step 1
+        with pytest.raises(DivergenceError) as err:
+            solve_linearized(params, base, u)
+        assert "non-finite solution at linearized step 1" in str(err.value)
+        # The adjoint sweep runs backward: its second solve belongs to step n_steps - 2.
+        poison_solve(monkeypatch, sensitivity, 1, np.nan)
         with pytest.raises(DivergenceError) as err:
             solve_adjoint(params, base)
         assert err.value.step_index == base.n_steps - 2

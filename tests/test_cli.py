@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chcontrol import cli, forward, optimize
+from chcontrol import cli, forward, optimize, sensitivity
 from chcontrol.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -215,6 +215,43 @@ class TestOptimize:
         assert code == 0
         assert counts["cost"] > 1
         assert counts["simulate"] == counts["cost"]
+
+    def test_benchmark_sweeps_solve_phase_once_and_build_coefficients_once(
+            self, capsys, tmp_path, monkeypatch):
+        # Each phase solve starts at its exact spectral solution, so it applies
+        # the operator once (the true-residual check); each adjoint sweep builds
+        # the Jacobian coefficients of all its levels in one call.
+        counts = {"phase_solves": 0, "phase_applies": 0, "simulates": 0, "sweeps": 0}
+        stacks = []
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        real_phase_operator = forward.phase_operator
+
+        def phase_operator(*args):
+            counts["phase_solves"] += 1  # one operator per phase solve
+            return counting("phase_applies", real_phase_operator(*args))
+
+        real_coefficients = sensitivity.level_coefficients
+
+        def level_coefficients(params, grid, phi, sigma):
+            stacks.append(phi.shape)
+            return real_coefficients(params, grid, phi, sigma)
+
+        monkeypatch.setattr(forward, "phase_operator", phase_operator)
+        monkeypatch.setattr(sensitivity, "level_coefficients", level_coefficients)
+        monkeypatch.setattr(optimize, "simulate", counting("simulates", optimize.simulate))
+        monkeypatch.setattr(optimize, "solve_adjoint", counting("sweeps", optimize.solve_adjoint))
+        code, out, _ = run(benchmark_argv("optimize_1d", tmp_path), capsys)
+        assert code == 0 and "termination=tolerance_met" in out
+        n_steps = 50
+        assert stacks == [(n_steps, 32)] * counts["sweeps"]
+        assert counts["phase_solves"] == (counts["simulates"] + counts["sweeps"]) * n_steps
+        assert counts["phase_applies"] == counts["phase_solves"]
 
 
 def heavy_modules_after(name, outdir):

@@ -377,6 +377,31 @@ class TestCg:
                  precond=counted("precond", lambda v: v / d))
         assert calls == {"apply_op": 3, "precond": 1}
 
+    def test_exact_start_returns_at_iteration_zero(self):
+        # The starting residual is the true one: a start that meets the
+        # tolerance costs one operator application and no iteration, so it
+        # passes even with no iteration budget.
+        g = line16()
+        d = np.linspace(1.0, 50.0, 16)
+        rhs = np.random.default_rng(10).uniform(-1, 1, 16)
+        x0 = rhs / d
+        calls = {"apply_op": 0, "precond": 0}
+
+        def counted(name, fn):
+            def wrapper(v):
+                calls[name] += 1
+                return fn(v)
+            return wrapper
+
+        for precond in (None, counted("precond", lambda v: v / d)):
+            x = cg_solve(counted("apply_op", lambda v: d * v), rhs, g, tol=1e-13, max_iter=0,
+                         x0=x0, precond=precond)
+            assert x.tobytes() == x0.tobytes() and x is not x0
+        assert calls == {"apply_op": 2, "precond": 0}
+        with pytest.raises(CgNonConvergenceError) as err:
+            cg_solve(lambda v: d * v, rhs, g, tol=1e-13, max_iter=0, x0=np.zeros(16))
+        assert err.value.iterations == 0
+
     def test_non_finite_rhs_raises_at_once(self):
         g = line16()
         for bad in (np.inf, -np.inf, np.nan):

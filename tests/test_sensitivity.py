@@ -5,7 +5,7 @@ from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
                        QuadraticProliferation, dot_product_test, fit_loglog_slope,
                        frechet_remainder_sweep, inner_product, norm_h, preset_field,
                        simulate, solve_adjoint, solve_linearized, step)
-from chcontrol.sensitivity import adjoint_step, linearized_step
+from chcontrol.sensitivity import adjoint_step, level_coefficients, linearized_step
 from helpers import smooth_field, smooth_schedule
 
 
@@ -36,7 +36,8 @@ class TestLinearizedStep:
         params = tight_params()
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         zero = np.zeros(g.shape)
-        xi1, rho1 = linearized_step(params, g, phi_b.values, sigma_b.values, zero, zero, zero)
+        coefficients = level_coefficients(params, g, phi_b.values, sigma_b.values)
+        xi1, rho1 = linearized_step(params, g, coefficients, zero, zero, zero)
         assert np.all(xi1 == 0.0) and np.all(rho1 == 0.0)
 
     def test_doubling_is_exact(self):
@@ -44,7 +45,7 @@ class TestLinearizedStep:
         params = tight_params()
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         xi, rho, h = smooth_field(g, 3, 1.0), smooth_field(g, 4, 1.0), smooth_field(g, 5, 1.0)
-        base = (params, g, phi_b.values, sigma_b.values)
+        base = (params, g, level_coefficients(params, g, phi_b.values, sigma_b.values))
         a1, b1 = linearized_step(*base, xi.values, rho.values, h.values)
         a2, b2 = linearized_step(*base, 2.0 * xi.values, 2.0 * rho.values, 2.0 * h.values)
         assert np.array_equal(a2, 2.0 * a1)
@@ -64,7 +65,7 @@ class TestLinearizedStep:
         xv, rv, hv = xi.values, rho.values, h.values
         plus = step(params, g, pb + eps * xv, sb + eps * rv, eps * hv)
         minus = step(params, g, pb + (-eps) * xv, sb + (-eps) * rv, (-eps) * hv)
-        lin = linearized_step(params, g, pb, sb, xv, rv, hv)
+        lin = linearized_step(params, g, level_coefficients(params, g, pb, sb), xv, rv, hv)
         for fd_pair, exact in zip(zip(plus, minus), lin):
             fd = (fd_pair[0] - fd_pair[1]) / (2 * eps)
             rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
@@ -125,7 +126,8 @@ class TestAdjointStep:
         params = tight_params()
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         zero = np.zeros(g.shape)
-        p, r, lift = adjoint_step(params, g, phi_b.values, sigma_b.values, zero, zero)
+        coefficients = level_coefficients(params, g, phi_b.values, sigma_b.values)
+        p, r, lift = adjoint_step(params, g, coefficients, zero, zero)
         assert np.all(p == 0.0) and np.all(r == 0.0)
         assert np.all(lift == 0.0)
 
@@ -135,7 +137,7 @@ class TestAdjointStep:
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         xi, rho, h = smooth_field(g, 3, 1.0), smooth_field(g, 4, 1.0), smooth_field(g, 5, 1.0)
         p_in, r_in = smooth_field(g, 6, 1.0), smooth_field(g, 7, 1.0)
-        base = (params, g, phi_b.values, sigma_b.values)
+        base = (params, g, level_coefficients(params, g, phi_b.values, sigma_b.values))
         xi1, rho1 = (Field(g, a) for a in linearized_step(*base, xi.values, rho.values, h.values))
         p0, r0, lift = (Field(g, a) for a in adjoint_step(*base, p_in.values, r_in.values))
         lhs = inner_product(xi1, p_in) + inner_product(rho1, r_in)
@@ -147,19 +149,19 @@ class TestAdjointStep:
         g = Grid.line(8, 4.0)
         params = tight_params()
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
+        coefficients = level_coefficients(params, g, phi_b.values, sigma_b.values)
         n = g.n_cells
         jac = np.zeros((2 * n, 3 * n))
         for j in range(3 * n):
             e = np.zeros(3 * n)
             e[j] = 1.0
-            a, b = linearized_step(params, g, phi_b.values, sigma_b.values, e[:n],
-                                   e[n:2 * n], e[2 * n:])
+            a, b = linearized_step(params, g, coefficients, e[:n], e[n:2 * n], e[2 * n:])
             jac[:, j] = np.concatenate([a.ravel(), b.ravel()])
         jac_t = np.zeros((3 * n, 2 * n))
         for j in range(2 * n):
             e = np.zeros(2 * n)
             e[j] = 1.0
-            p0, r0, lift = adjoint_step(params, g, phi_b.values, sigma_b.values, e[:n], e[n:])
+            p0, r0, lift = adjoint_step(params, g, coefficients, e[:n], e[n:])
             jac_t[:, j] = np.concatenate([p0.ravel(), r0.ravel(), params.tau * lift.ravel()])
         gap = np.max(np.abs(jac.T - jac_t)) / max(1.0, np.max(np.abs(jac)))
         assert gap <= 1e-9
