@@ -68,8 +68,11 @@ __all__ = [
 ]
 
 
+Coefficients = tuple[np.ndarray, np.ndarray, np.ndarray]  # (curvature, rate, rate_slope)
+
+
 def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
-                       sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       sigma: np.ndarray) -> Coefficients:
     """Frozen cellwise coefficients of the Jacobian at base levels.
 
     ``phi`` and ``sigma`` are one level (the grid's shape) or a stack of
@@ -94,8 +97,8 @@ def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
     return curvature, rate, rate_slope
 
 
-def linearized_step(params: ModelParams, grid: Grid, coefficients, xi: np.ndarray,
-                    rho: np.ndarray, h: np.ndarray,
+def linearized_step(params: ModelParams, grid: Grid, coefficients: Coefficients,
+                    xi: np.ndarray, rho: np.ndarray, h: np.ndarray,
                     step_index=None) -> tuple[np.ndarray, np.ndarray]:
     """Apply the exact Jacobian of one forward step to (xi, rho, h).
 
@@ -123,8 +126,8 @@ def linearized_step(params: ModelParams, grid: Grid, coefficients, xi: np.ndarra
     return xi_next, rho_next
 
 
-def adjoint_step(params: ModelParams, grid: Grid, coefficients, p_next: np.ndarray,
-                 r_next: np.ndarray, source: np.ndarray | None = None,
+def adjoint_step(params: ModelParams, grid: Grid, coefficients: Coefficients,
+                 p_next: np.ndarray, r_next: np.ndarray, source: np.ndarray | None = None,
                  step_index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the transpose of one step's Jacobian to the incoming co-state.
 

@@ -1,9 +1,9 @@
 """Shared oracles for the test suite: a grid strategy, dense operator
 assembly, hand stencils, stencil-only step operators and their dense-path
 matrices, the plain CG loop, the Field-level solve and steps, the per-column
-snapshot formatter, a per-level KKT audit, an adaptive ODE reference for
-spatially constant runs, and instance builders tied to the shipped
-configuration files."""
+snapshot formatter, a per-level KKT audit and tracking cost, an adaptive ODE
+reference for spatially constant runs, and instance builders tied to the
+shipped configuration files."""
 
 from __future__ import annotations
 
@@ -435,6 +435,30 @@ def kkt_report_by_level(params, u, adjoint, tol):
                      violations=violations, worst_violation=worst,
                      stationarity=stationarity, projection_gap=projection_gap,
                      note=note)
+
+
+def tracking_cost_by_level(params, traj, u):
+    """Reference tracking cost: the per-level loop of ``inner_product``s over
+    wrapped Fields that ``optimize._tracking_cost`` replaced with whole-array
+    code, kept verbatim."""
+    from chcontrol import inner_product
+
+    tau = params.tau
+    grid = traj.grid
+    n_steps = len(u)
+    terms = []
+    if params.beta_q > 0.0:
+        for n in range(1, n_steps + 1):
+            misfit = Field._wrap(grid, traj.phi[n] - params.phi_q_at(n).values)
+            terms.append(tau * 0.5 * params.beta_q * inner_product(misfit, misfit))
+    if params.beta_omega > 0.0:
+        if params.phi_omega is None:
+            raise ValueError("phi_omega is required when beta_omega > 0")
+        final = Field._wrap(grid, traj.phi[n_steps] - params.phi_omega.values)
+        terms.append(0.5 * params.beta_omega * inner_product(final, final))
+    if params.beta_u > 0.0:
+        terms.extend(tau * 0.5 * params.beta_u * ip for ip in u.level_inner_products(u))
+    return math.fsum(terms)
 
 
 def ode_reference(params, a0, b0, c, t_final):

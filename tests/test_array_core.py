@@ -164,6 +164,7 @@ def test_trajectory_rows_match_field_steps(g, tau, seed):
     mass = [integrate(a) + integrate(b) for a, b in zip(phis, sigmas)]
     residuals = [mass[n + 1] - mass[n] - params.tau * integrate(u[n])
                  for n in range(params.n_steps)]
+    assert traj.masses.tobytes() == np.asarray(mass).tobytes()
     assert traj.energies.tobytes() == np.asarray(energies).tobytes()
     assert traj.mass_residuals.tobytes() == np.asarray(residuals).tobytes()
 

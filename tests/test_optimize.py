@@ -5,7 +5,9 @@ from chcontrol import (ControlSchedule, Field, Grid, ModelParams, OptimOptions,
                        cost_taylor_sweep, directional_derivative_check, kkt_report,
                        l2q_norm, project, projected_gradient, reduced_cost, simulate,
                        solve_adjoint)
-from helpers import kkt_report_by_level, load_instance, smooth_field, smooth_schedule
+from chcontrol.optimize import _tracking_cost
+from helpers import (kkt_report_by_level, load_instance, smooth_field, smooth_schedule,
+                     tracking_cost_by_level)
 
 # Reached cost of the shipped soft-penalty tracking run, pinned by the first
 # green build as a regression value.
@@ -72,6 +74,27 @@ class TestReducedCost:
         u = ControlSchedule.constant(g, params.n_steps, 5.0, u_min=-1.0, u_max=1.0)
         assert not u.is_admissible()
         assert reduced_cost(params, u) > 0.0
+
+
+class TestReducedCostMatchesLevelLoop:
+    """The whole-array tracking cost equals the per-level loop bit for bit,
+    for constant and per-level targets, with and without the terminal term."""
+
+    @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(5, 7, 1.0, 1.5)])
+    @pytest.mark.parametrize("per_level_target", [False, True])
+    @pytest.mark.parametrize("beta_omega", [0.0, 0.5])
+    def test_equals_reference(self, g, per_level_target, beta_omega):
+        n_steps = 4
+        targets = [smooth_field(g, 20 + n, 0.5) for n in range(n_steps + 1)]
+        params = ModelParams(beta_q=1.0, beta_omega=beta_omega, beta_u=0.3,
+                             t_final=n_steps * 5e-3, tau=5e-3,
+                             phi_q=targets if per_level_target else targets[0],
+                             phi_omega=targets[-1], phi0=smooth_field(g, 1, 0.8),
+                             sigma0=smooth_field(g, 2, 0.5))
+        u = smooth_schedule(g, n_steps, 3, 0.5)
+        traj = simulate(params, u)
+        cost = _tracking_cost(params, traj, u)
+        assert cost == tracking_cost_by_level(params, traj, u) and cost > 0.0
 
 
 class TestProject:
