@@ -88,12 +88,17 @@ def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
         raise GridMismatchError(f"base levels of shapes {phi.shape} and {sigma.shape} "
                                 f"on a {grid.shape} grid")
     stack = phi.reshape((-1,) + grid.shape)
+    # mu = -lap(phi) + F'(phi) is formed as F'(phi) - lap(phi), bit for bit the
+    # same, in one buffer that then holds sigma - mu and the rate slope, so a
+    # stack of levels makes few temporaries.
     lap = np.moveaxis(laplacian_values(grid, np.moveaxis(stack, 0, -1)), -1, 0)
+    mu = np.asarray(f_deriv(params.potential, 1, phi), dtype=float)
+    mu -= lap.reshape(phi.shape)
+    del lap
+    rate_slope = np.subtract(sigma, mu, out=mu)
+    np.multiply(p_deriv(params.proliferation, 1, phi), rate_slope, out=rate_slope)
     curvature = np.asarray(f_deriv(params.potential, 2, phi), dtype=float)
-    mu_t = -lap.reshape(phi.shape) + f_deriv(params.potential, 1, phi)
     rate = np.asarray(p_deriv(params.proliferation, 0, phi), dtype=float)
-    rate_slope = np.asarray(p_deriv(params.proliferation, 1, phi), dtype=float) \
-        * (sigma - mu_t)
     return curvature, rate, rate_slope
 
 
