@@ -11,8 +11,8 @@ remainder sweeps, an ODE oracle for spatially constant runs).
 """
 
 from .grid import (CgNonConvergenceError, Field, Grid, GridMismatchError, cg_solve,
-                   grad_sq_integral, inner_product, integrate, level_inner_products,
-                   neumann_biharmonic, neumann_laplacian, norm_h, norm_v)
+                   grad_sq_integral, inner_product, integrate, neumann_biharmonic,
+                   neumann_laplacian, norm_h, norm_v)
 from .model import (HypothesisReport, ModelParams, Numerics, QuadraticProliferation,
                     QuarticDoubleWell, SigmoidProliferation, check_hypotheses,
                     default_stabilization, f_deriv, p_deriv, preset_field)

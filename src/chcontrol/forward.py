@@ -3,8 +3,10 @@
 One step advances (phi, sigma) with two symmetric positive-definite solves.
 The phase solve (``_phase_solve``, shared with the linearized and adjoint
 steps) starts at its exact spectral inverse applied to the right-hand side,
-also its preconditioner, so it ends after one check of the true residual; the
-nutrient solve is plain CG started at the old level.
+also its preconditioner, so it usually ends after one check of the true
+residual (on 2D grids the start's roundoff can miss the tolerance, and one
+PCG iteration follows); the nutrient solve is plain CG started at the old
+level.
 The chemical potential is evaluated explicitly at the old level,
 ``mu_t = -lap(phi) + F'(phi)``, and the exchange term
 ``R = P(phi) * (sigma - mu_t)`` is frozen over the step.  The phase update

@@ -13,8 +13,9 @@ to roundoff and are relied on downstream:
   with ``inner_product(neumann_laplacian(f), f) == -grad_sq_integral(f)``.
 
 ``integrate``, ``inner_product`` and ``level_inner_products`` reduce with
-exact compensated summation in a fixed order; together with the fixed iteration order of ``cg_solve``
-this makes every computation bitwise reproducible across runs.
+exact compensated summation in a fixed order; together with the fixed
+iteration order of ``cg_solve`` this makes every computation bitwise
+reproducible across runs.
 
 ``cg_solve`` works on arrays only: its operator is an array map (ndarray in,
 new ndarray out, argument left unmodified), and its right-hand side, initial
@@ -39,11 +40,13 @@ mirror-ghost laplacian, with per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``,
 so such an operator is ``C^T diag(lambda) C``; its inverse is applied as matrix
 products with the per-axis DCT matrices, on every grid size.  It has two
 users.  The phase solves start ``cg_solve`` at the inverse applied to their
-right-hand side and pass it as their preconditioner too; that start already
-meets the tolerance, so such a solve is one spectral apply plus one check of
-the true residual.  The solves stay iterative, so the tolerance and the
-iteration budget of ``cg_solve`` keep their meaning.  The ``filtered_noise`` preset applies it
-directly, as its smoother ``(I - kappa*lap)^{-1}``.  The dense increments, the
+right-hand side and pass it as their preconditioner too.  Where that start
+meets the tolerance (the 1D control grids) a solve is one spectral apply plus
+one check of the true residual; where the roundoff of the matrix products
+misses it (2D grids, tight tolerances) the solve goes on as PCG.  The solves
+stay iterative, so the tolerance and the iteration budget of ``cg_solve``
+keep their meaning.  The ``filtered_noise`` preset applies it directly, as
+its smoother ``(I - kappa*lap)^{-1}``.  The dense increments, the
 inverses and the DCT matrices (one per axis length, shared by every inverse)
 live in one per-grid cache of at most ``DENSE_CACHE_SIZE`` entries, dropping
 the least recently used first.

@@ -68,7 +68,8 @@ def test_steps_match_field_steps(g, tau, seed):
         == outcome(lambda: field_linearized_step(params, field_coefficients, xi, rho, h))
     for source in (None, src):
         values = None if source is None else source.values
-        assert outcome(lambda: adjoint_step(params, g, coefficients, p.values, r.values, values)) \
+        assert outcome(lambda: adjoint_step(params, g, coefficients, p.values, r.values,
+                                            values)) \
             == outcome(lambda: field_adjoint_step(params, field_coefficients, p, r, source))
 
 

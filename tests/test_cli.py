@@ -245,7 +245,8 @@ class TestOptimize:
         monkeypatch.setattr(forward, "phase_operator", phase_operator)
         monkeypatch.setattr(sensitivity, "level_coefficients", level_coefficients)
         monkeypatch.setattr(optimize, "simulate", counting("simulates", optimize.simulate))
-        monkeypatch.setattr(optimize, "solve_adjoint", counting("sweeps", optimize.solve_adjoint))
+        monkeypatch.setattr(optimize, "solve_adjoint",
+                            counting("sweeps", optimize.solve_adjoint))
         code, out, _ = run(benchmark_argv("optimize_1d", tmp_path), capsys)
         assert code == 0 and "termination=tolerance_met" in out
         n_steps = 50
