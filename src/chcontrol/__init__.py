@@ -11,14 +11,12 @@ remainder sweeps, an ODE oracle for spatially constant runs).
 """
 
 from .grid import (CgNonConvergenceError, Field, Grid, GridMismatchError, cg_solve,
-                   grad_sq_integral, inner_product, integrate, neumann_biharmonic,
-                   neumann_laplacian, norm_h, norm_v)
+                   grad_sq_integral, inner_product, integrate, neumann_laplacian, norm_h)
 from .model import (HypothesisReport, ModelParams, Numerics, QuadraticProliferation,
                     QuarticDoubleWell, SigmoidProliferation, check_hypotheses,
                     default_stabilization, f_deriv, p_deriv, preset_field)
 from .forward import (ControlSchedule, DivergenceError, StabilityReport, StateTrajectory,
-                      chemical_potential, energy, l2q_inner, l2q_norm, lipschitz_probe,
-                      simulate, step)
+                      energy, l2q_inner, l2q_norm, lipschitz_probe, simulate, step)
 from .sensitivity import (AdjointTrajectory, LinearizedTrajectory, adjoint_step,
                           dot_product_test, fit_loglog_slope, frechet_remainder_sweep,
                           level_coefficients, linearized_step, reduced_gradient,

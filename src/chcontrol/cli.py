@@ -14,6 +14,7 @@ identical configurations produce bitwise-identical artifacts.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -43,12 +44,10 @@ exit codes: 0 pass, 1 criteria failure, 2 usage/config error,
             3 divergence or linear-solver failure (error=divergence / error=solver)
 """
 
-_FLOAT_FMT = repr
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return _FLOAT_FMT(value)
+        return repr(value)
     return str(value)
 
 
@@ -57,7 +56,7 @@ def _kv_line(**pairs) -> str:
 
 
 class RunWriter:
-    """Per-run output directory: echoed config, log lines, snapshots."""
+    """Per-run output directory ``outdir``: writes the echoed config and the log."""
 
     def __init__(self, cfg: RunConfig):
         self.outdir = Path(cfg["io.outdir"])
@@ -73,10 +72,6 @@ class RunWriter:
     def flush(self) -> None:
         (self.outdir / "run.log").write_text(
             "\n".join(self._log_lines) + ("\n" if self._log_lines else ""), encoding="utf-8")
-
-    def snapshot(self, field: Field, t: float, name: str) -> str:
-        """Write one snapshot file; returns its text."""
-        return write_snapshot(field, t, self.outdir / name)
 
 
 def _seed_override(cfg: RunConfig) -> RunConfig:
@@ -108,10 +103,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     n_final = traj.n_steps
     for n in range(n_final + 1):
         if n % every == 0 or n == n_final:
-            phi_text = writer.snapshot(Field._wrap(grid, traj.phi[n]), traj.time(n),
-                                       f"phi_{n:06d}.csv")
-            sigma_text = writer.snapshot(Field._wrap(grid, traj.sigma[n]), traj.time(n),
-                                         f"sigma_{n:06d}.csv")
+            phi_text = write_snapshot(Field._wrap(grid, traj.phi[n]), traj.time(n),
+                                      writer.outdir / f"phi_{n:06d}.csv")
+            sigma_text = write_snapshot(Field._wrap(grid, traj.sigma[n]), traj.time(n),
+                                        writer.outdir / f"sigma_{n:06d}.csv")
     # The loop always ends on the final level: write its text again.
     (writer.outdir / "phi_final.csv").write_text(phi_text, encoding="utf-8")
     (writer.outdir / "sigma_final.csv").write_text(sigma_text, encoding="utf-8")
@@ -187,14 +182,12 @@ def cmd_taylor(cfg: RunConfig) -> int:
     h = _direction_schedule(grid, params.n_steps, seed, amplitude=2.0)
 
     def emit_rows(sweep, rows):
-        import math as _math
-
         prev = None
         for eps, rem in rows:
             if prev is None:
                 print(_kv_line(subcommand="taylor", sweep=sweep, eps=eps, remainder=rem))
             else:
-                order = _math.log(prev[1] / rem) / _math.log(prev[0] / eps)
+                order = math.log(prev[1] / rem) / math.log(prev[0] / eps)
                 print(_kv_line(subcommand="taylor", sweep=sweep, eps=eps, remainder=rem,
                                order=order))
             prev = (eps, rem)

@@ -42,11 +42,21 @@ class ConfigError(ValueError):
         self.key = key
 
 
+# Preset kind -> argument -> type; a trailing "?" marks an optional argument.
 _EXPR_KINDS = {
     "constant": {"value": "float"},
     "tanh_ball": {"center": "floats", "radius": "float", "width": "float"},
     "filtered_noise": {"seed": "int", "amplitude": "float?", "kappa": "float?", "passes": "int?"},
     "file": {"path": "str"},
+}
+
+# Argument type -> (parse the text, render the parsed value canonically).
+_ARG_TYPES = {
+    "float": (float, repr),
+    "int": (int, repr),
+    "floats": (lambda text: tuple(float(v) for v in text.split(",")),
+               lambda values: ",".join(map(repr, values))),
+    "str": (str, str),
 }
 
 
@@ -75,7 +85,8 @@ class FieldExpr:
                 raise ValueError(f"preset {kind!r} does not take argument {key!r}")
             if key in args:
                 raise ValueError(f"duplicate argument {key!r}")
-            args[key] = _normalize_arg(spec[key], key, value)
+            parse, render = _ARG_TYPES[spec[key].rstrip("?")]
+            args[key] = render(parse(value))
         for key, kind_spec in spec.items():
             if not kind_spec.endswith("?") and key not in args:
                 raise ValueError(f"preset {kind!r} requires argument {key!r}")
@@ -101,23 +112,6 @@ class FieldExpr:
         return self.kind == "file" and "{n}" in str(self.arg("path", ""))
 
     def build(self, grid: Grid, level: int | None = None) -> Field:
-        if self.kind == "constant":
-            return preset_field("constant", grid, value=float(self.arg("value")))
-        if self.kind == "tanh_ball":
-            center = tuple(float(c) for c in str(self.arg("center")).split(","))
-            return preset_field("tanh_ball", grid,
-                                center=center if len(center) > 1 else center[0],
-                                radius=float(self.arg("radius")),
-                                width=float(self.arg("width")))
-        if self.kind == "filtered_noise":
-            kwargs = {"seed": int(self.arg("seed"))}
-            if self.arg("amplitude") is not None:
-                kwargs["amplitude"] = float(self.arg("amplitude"))
-            if self.arg("kappa") is not None:
-                kwargs["kappa"] = float(self.arg("kappa"))
-            if self.arg("passes") is not None:
-                kwargs["passes"] = int(self.arg("passes"))
-            return preset_field("filtered_noise", grid, **kwargs)
         if self.kind == "file":
             path = str(self.arg("path"))
             if "{n}" in path:
@@ -125,18 +119,9 @@ class FieldExpr:
                     raise ValueError(f"{path!r} is per-level; a level index is required")
                 path = path.replace("{n}", str(level))
             return read_snapshot(path, grid)
-        raise ValueError(f"unknown preset {self.kind!r}")
-
-
-def _normalize_arg(kind_spec: str, key: str, value: str) -> str:
-    base = kind_spec.rstrip("?")
-    if base == "float":
-        return repr(float(value))
-    if base == "int":
-        return repr(int(value))
-    if base == "floats":
-        return ",".join(repr(float(v)) for v in value.split(","))
-    return value
+        spec = _EXPR_KINDS[self.kind]
+        args = {key: _ARG_TYPES[spec[key].rstrip("?")][0](value) for key, value in self.args}
+        return preset_field(self.kind, grid, **args)
 
 
 # (key, type, default); types: int, float, choice:<a|b>, expr, float_or_expr, auto_or_float, str

@@ -1,12 +1,13 @@
 """Forward time integration of the coupled phase-field/nutrient system.
 
-One step advances (phi, sigma) with two symmetric positive-definite solves.
-The phase solve (``_phase_solve``, shared with the linearized and adjoint
-steps) starts at its exact spectral inverse applied to the right-hand side,
-also its preconditioner, so it usually ends after one check of the true
-residual (on 2D grids the start's roundoff can miss the tolerance, and one
-PCG iteration follows); the nutrient solve is plain CG started at the old
-level.
+One step advances (phi, sigma) with two symmetric positive-definite solves,
+each written once here and shared with the linearized and adjoint steps.
+The phase solve (``_phase_solve``) starts at its exact spectral inverse
+applied to the right-hand side, also its preconditioner, so it usually ends
+after one check of the true residual (on 2D grids the start's roundoff can
+miss the tolerance, and one PCG iteration follows); the nutrient solve
+(``_diffusion_solve``) is plain CG started at the old level.  Both read the
+solver tolerance and iteration budget from ``params.numerics``.
 The chemical potential is evaluated explicitly at the old level,
 ``mu_t = -lap(phi) + F'(phi)``, and the exchange term
 ``R = P(phi) * (sigma - mu_t)`` is frozen over the step.  The phase update
@@ -58,7 +59,7 @@ import numpy as np
 from .grid import (Field, Grid, GridMismatchError, cg_solve, grad_sq_integral,
                    implicit_operator, inner_product, integrate, laplacian_values,
                    level_inner_products, norm_h, spectral_inverse)
-from .model import ModelParams, default_stabilization, f_deriv, p_deriv
+from .model import ModelParams, _bound_values, default_stabilization, f_deriv, p_deriv
 
 __all__ = [
     "DivergenceError",
@@ -66,7 +67,6 @@ __all__ = [
     "StateTrajectory",
     "StabilityReport",
     "ProbeRow",
-    "chemical_potential",
     "step",
     "simulate",
     "energy",
@@ -152,9 +152,7 @@ class ControlSchedule:
         return self.u_min is not None and self.u_max is not None
 
     def bound_arrays(self):
-        lo = self.u_min.values if isinstance(self.u_min, Field) else self.u_min
-        hi = self.u_max.values if isinstance(self.u_max, Field) else self.u_max
-        return lo, hi
+        return _bound_values(self.u_min), _bound_values(self.u_max)
 
     def is_admissible(self, atol: float = 0.0) -> bool:
         if not self.has_bounds():
@@ -224,12 +222,6 @@ def diffusion_operator(params: ModelParams, grid: Grid):
                              lambda v: -tau * laplacian_values(grid, v))
 
 
-def chemical_potential(params: ModelParams, phi: Field) -> Field:
-    """mu = -lap(phi) + F'(phi), the variational derivative of the well energy."""
-    return Field._wrap(phi.grid, -laplacian_values(phi.grid, phi.values)
-                       + f_deriv(params.potential, 1, phi.values))
-
-
 def _phase_solve(params: ModelParams, grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve ``phase_operator(x) = rhs``, starting at ``M(rhs)`` with the exact
     inverse ``M = phase_preconditioner`` also as the preconditioner; the phase
@@ -238,6 +230,16 @@ def _phase_solve(params: ModelParams, grid: Grid, rhs: np.ndarray) -> np.ndarray
     precond = phase_preconditioner(params, grid)
     return cg_solve(phase_operator(params, grid), rhs, grid, tol=num.cg_tol,
                     max_iter=num.cg_max_iter, x0=precond(rhs), precond=precond)
+
+
+def _diffusion_solve(params: ModelParams, grid: Grid, rhs: np.ndarray,
+                     x0: np.ndarray) -> np.ndarray:
+    """Solve ``diffusion_operator(x) = rhs`` by plain CG started at ``x0``
+    (the old level); the nutrient solve of ``step``, ``linearized_step`` and
+    ``adjoint_step``."""
+    num = params.numerics
+    return cg_solve(diffusion_operator(params, grid), rhs, grid, tol=num.cg_tol,
+                    max_iter=num.cg_max_iter, x0=x0)
 
 
 def _require_grid_shape(grid: Grid, *arrays: np.ndarray) -> None:
@@ -273,7 +275,6 @@ def step(params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,
     _require_grid_shape(grid, phi, sigma, u)
     tau = params.tau
     s_const = params.stabilization
-    num = params.numerics
 
     fp = f_deriv(params.potential, 1, phi)
     mu_t = -laplacian_values(grid, phi) + fp
@@ -283,10 +284,9 @@ def step(params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,
     phi_next = _phase_solve(params, grid, rhs_a)
 
     rhs_b = sigma + tau * (u - react)
-    sigma_next = cg_solve(diffusion_operator(params, grid), rhs_b, grid,
-                          tol=num.cg_tol, max_iter=num.cg_max_iter, x0=sigma)
+    sigma_next = _diffusion_solve(params, grid, rhs_b, sigma)
 
-    _check_outputs(phi_next, sigma_next, num.overflow_guard, step_index)
+    _check_outputs(phi_next, sigma_next, params.numerics.overflow_guard, step_index)
     return phi_next, sigma_next
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "GridMismatchError",
     "CgNonConvergenceError",
     "neumann_laplacian",
-    "neumann_biharmonic",
     "laplacian_values",
     "implicit_operator",
     "spectral_inverse",
@@ -74,7 +73,6 @@ __all__ = [
     "level_inner_products",
     "integrate",
     "norm_h",
-    "norm_v",
     "cg_solve",
 ]
 
@@ -396,15 +394,6 @@ def neumann_laplacian(f: Field) -> Field:
     return Field._wrap(f.grid, laplacian_values(f.grid, f.values))
 
 
-def neumann_biharmonic(f: Field) -> Field:
-    """Laplacian applied twice, with ghosts re-mirrored between applications.
-
-    This encodes both a zero normal derivative of the field and a zero
-    normal derivative of its laplacian.
-    """
-    return neumann_laplacian(neumann_laplacian(f))
-
-
 def grad_sq_integral(f: Field) -> float:
     """Face-based discrete Dirichlet energy, sum of cell_volume*(df/h)^2.
 
@@ -455,11 +444,6 @@ def integrate(f: Field) -> float:
 def norm_h(f: Field) -> float:
     """Discrete L2 norm induced by ``inner_product``."""
     return math.sqrt(max(inner_product(f, f), 0.0))
-
-
-def norm_v(f: Field) -> float:
-    """Discrete H1 norm: sqrt(norm_h^2 + grad_sq_integral)."""
-    return math.sqrt(max(inner_product(f, f) + grad_sq_integral(f), 0.0))
 
 
 def cg_solve(

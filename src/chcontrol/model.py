@@ -51,7 +51,6 @@ class QuarticDoubleWell:
     """Quartic double well w*(s^2-1)^2/4 with minima at s = +-1."""
 
     well_scale: float = 1.0
-    kind: ClassVar[str] = "quartic_double_well"
     growth_exponent: ClassVar[int] = 4  # exponent of the convex part's curvature growth
 
     def __post_init__(self):
@@ -103,7 +102,6 @@ class QuadraticProliferation:
     """P(s) = p0*(1 + s^2): strictly positive, derivative grows linearly."""
 
     p0: float = 0.5
-    kind: ClassVar[str] = "quadratic"
     growth_exponent: ClassVar[int] = 2
 
     def __post_init__(self):
@@ -124,7 +122,6 @@ class SigmoidProliferation:
     p0: float = 1.0
     steepness: float = 1.0
     floor: float = 0.0
-    kind: ClassVar[str] = "sigmoid"
     growth_exponent: ClassVar[int] = 1
 
     def __post_init__(self):
@@ -171,6 +168,7 @@ def default_stabilization(potential: QuarticDoubleWell, phi_max: float = 1.5) ->
 
 
 def _bound_values(bound):
+    """A control bound, a number or a Field, as a float or the Field's values."""
     return bound.values if isinstance(bound, Field) else float(bound)
 
 
@@ -181,7 +179,7 @@ class ModelParams:
     ``stabilization=None`` resolves to the default curvature bound.  The
     tracking target ``phi_q`` may be a single field (constant in time) or a
     sequence indexed by time level.  Weights must be nonnegative and not all
-    zero; control bounds must be ordered cellwise; ``delta`` is fixed to 1.
+    zero; control bounds must be ordered cellwise.
     """
 
     potential: QuarticDoubleWell = field(default_factory=QuarticDoubleWell)
@@ -191,7 +189,6 @@ class ModelParams:
     beta_u: float = 1.0
     t_final: float = 0.1
     tau: float = 1e-3
-    delta: float = 1.0
     stabilization: float | None = None
     u_min: float | Field = -1.0
     u_max: float | Field = 1.0
@@ -203,8 +200,6 @@ class ModelParams:
     n_steps: int = field(init=False)
 
     def __post_init__(self):
-        if self.delta != 1.0:
-            raise ValueError("delta is fixed to 1")
         betas = (self.beta_q, self.beta_omega, self.beta_u)
         if any(b < 0 for b in betas):
             raise ValueError("cost weights beta_q, beta_omega, beta_u must be nonnegative")
@@ -287,7 +282,7 @@ def check_hypotheses(params: ModelParams, sample_range=(-5.0, 5.0),
     p_vals = np.asarray(p_deriv(prol, 0, s), dtype=float)
     p_der = np.asarray(p_deriv(prol, 1, s), dtype=float)
     checks["proliferation_nonnegative"] = bool(np.min(p_vals) >= 0.0)
-    q = getattr(prol, "growth_exponent", 2)
+    q = prol.growth_exponent
     alpha1 = float(np.max(np.abs(p_der) / (1.0 + np.abs(s) ** (q - 1))))
     constants["alpha1"] = alpha1
     checks["proliferation_derivative_growth"] = bool(np.isfinite(alpha1))

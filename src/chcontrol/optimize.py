@@ -25,7 +25,8 @@ import numpy as np
 from .grid import Field, level_inner_products
 from .forward import ControlSchedule, StateTrajectory, l2q_inner, l2q_norm, simulate
 from .model import ModelParams
-from .sensitivity import AdjointTrajectory, fit_loglog_slope, reduced_gradient, solve_adjoint
+from .sensitivity import (AdjointTrajectory, _tracking_misfits, fit_loglog_slope,
+                          reduced_gradient, solve_adjoint)
 
 __all__ = [
     "OptimOptions",
@@ -45,17 +46,13 @@ __all__ = [
 def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedule) -> float:
     tau = params.tau
     grid = traj.grid
-    n_steps = len(u)
+    level_misfit, final_misfit = _tracking_misfits(params, traj.phi)
     terms = []
-    if params.beta_q > 0.0:
-        targets = np.array([params.phi_q_at(n).values for n in range(1, n_steps + 1)])
-        misfit = traj.phi[1:] - targets
+    if level_misfit is not None:
         terms.extend(tau * 0.5 * params.beta_q * ip
-                     for ip in level_inner_products(grid, misfit, misfit))
-    if params.beta_omega > 0.0:
-        if params.phi_omega is None:
-            raise ValueError("phi_omega is required when beta_omega > 0")
-        final = traj.phi[n_steps:] - params.phi_omega.values
+                     for ip in level_inner_products(grid, level_misfit, level_misfit))
+    if final_misfit is not None:
+        final = final_misfit[np.newaxis]
         terms.extend(0.5 * params.beta_omega * ip
                      for ip in level_inner_products(grid, final, final))
     if params.beta_u > 0.0:
@@ -232,6 +229,15 @@ def kkt_report(params: ModelParams, u: ControlSchedule,
                      note=note)
 
 
+def _cost_and_pairing(params: ModelParams, u: ControlSchedule, h: ControlSchedule,
+                      phi0: Field | None, sigma0: Field | None) -> tuple[float, float]:
+    """The reduced cost at ``u`` and the adjoint pairing ``<g, h>`` of its
+    gradient with the direction ``h``."""
+    cost, traj = _evaluate(params, u, phi0=phi0, sigma0=sigma0)
+    grad = reduced_gradient(params, u, solve_adjoint(params, traj))
+    return cost, l2q_inner(params.tau, grad, h)
+
+
 def cost_taylor_sweep(params: ModelParams, u: ControlSchedule, h: ControlSchedule,
                       eps_values=(1e-2, 1e-3, 1e-4, 1e-5),
                       phi0: Field | None = None, sigma0: Field | None = None):
@@ -241,10 +247,7 @@ def cost_taylor_sweep(params: ModelParams, u: ControlSchedule, h: ControlSchedul
     ``(eps, |J(u + eps*h) - J(u) - eps*<g, h>|)`` and slope is the log-log
     fit; a slope near 2 certifies the adjoint gradient.
     """
-    cost0, traj = _evaluate(params, u, phi0=phi0, sigma0=sigma0)
-    adjoint = solve_adjoint(params, traj)
-    grad = reduced_gradient(params, u, adjoint)
-    pairing = l2q_inner(params.tau, grad, h)
+    cost0, pairing = _cost_and_pairing(params, u, h, phi0, sigma0)
     rows = []
     for eps in eps_values:
         eps = float(eps)
@@ -259,10 +262,7 @@ def directional_derivative_check(params: ModelParams, u: ControlSchedule,
                                  sigma0: Field | None = None) -> float:
     """Relative gap between the adjoint pairing <g, h> and a centered
     finite-difference directional derivative of the reduced cost."""
-    _, traj = _evaluate(params, u, phi0=phi0, sigma0=sigma0)
-    adjoint = solve_adjoint(params, traj)
-    grad = reduced_gradient(params, u, adjoint)
-    pairing = l2q_inner(params.tau, grad, h)
+    _, pairing = _cost_and_pairing(params, u, h, phi0, sigma0)
     plus = reduced_cost(params, u + h.scaled(eps), phi0=phi0, sigma0=sigma0)
     minus = reduced_cost(params, u + h.scaled(-eps), phi0=phi0, sigma0=sigma0)
     fd = (plus - minus) / (2.0 * eps)

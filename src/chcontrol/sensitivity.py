@@ -35,9 +35,13 @@ of their base level, ``level_coefficients``, in place of the base state:
 ``solve_linearized`` and ``solve_adjoint`` compute them once per sweep, for
 all levels at once (three ``(n_steps, *grid.shape)`` arrays held for the
 sweep), and fill one ``(n_steps + 1, *grid.shape)`` level array per channel,
-row by row.  Their phase solves are the forward step's (``_phase_solve``:
-started at the exact spectral solution).  Only the Fields a caller hands
-``solve_adjoint`` are validated.
+row by row.  Both implicit solves are the forward step's own, written
+once in the forward module: ``_phase_solve`` (started at the exact spectral
+solution) and ``_diffusion_solve``, the nutrient solve (plain CG started at
+the incoming level).  The tracking misfits are computed once, by
+``_tracking_misfits``, for the adjoint's default data and for the reduced
+cost in ``optimize``.  Only the Fields a caller hands ``solve_adjoint`` are
+validated.
 """
 
 from __future__ import annotations
@@ -47,10 +51,9 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (Field, Grid, GridMismatchError, cg_solve, inner_product, laplacian_values,
-                   norm_h)
-from .forward import (ControlSchedule, StateTrajectory, _check_outputs, _phase_solve,
-                      _require_grid_shape, diffusion_operator, l2q_inner, simulate)
+from .grid import Field, Grid, GridMismatchError, inner_product, laplacian_values, norm_h
+from .forward import (ControlSchedule, StateTrajectory, _check_outputs, _diffusion_solve,
+                      _phase_solve, _require_grid_shape, l2q_inner, simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
 
 __all__ = [
@@ -115,7 +118,6 @@ def linearized_step(params: ModelParams, grid: Grid, coefficients: Coefficients,
     _require_grid_shape(grid, curvature, rate, rate_slope, xi, rho, h)
     tau = params.tau
     s_const = params.stabilization
-    num = params.numerics
 
     eta = -laplacian_values(grid, xi) + curvature * xi
     d_react = rate_slope * xi + rate * (rho - eta)
@@ -124,8 +126,7 @@ def linearized_step(params: ModelParams, grid: Grid, coefficients: Coefficients,
     xi_next = _phase_solve(params, grid, rhs_a)
 
     rhs_b = rho + tau * (h - d_react)
-    rho_next = cg_solve(diffusion_operator(params, grid), rhs_b, grid,
-                        tol=num.cg_tol, max_iter=num.cg_max_iter, x0=rho)
+    rho_next = _diffusion_solve(params, grid, rhs_b, rho)
     # Linear in the direction, so only finiteness is checked, not the guard.
     _check_outputs(xi_next, rho_next, math.inf, step_index, "linearized step")
     return xi_next, rho_next
@@ -151,12 +152,10 @@ def adjoint_step(params: ModelParams, grid: Grid, coefficients: Coefficients,
         _require_grid_shape(grid, source)
     tau = params.tau
     s_const = params.stabilization
-    num = params.numerics
 
     p_hat = p_next if source is None else p_next + source
     p1 = _phase_solve(params, grid, p_hat)
-    r1 = cg_solve(diffusion_operator(params, grid), r_next, grid,
-                  tol=num.cg_tol, max_iter=num.cg_max_iter, x0=r_next)
+    r1 = _diffusion_solve(params, grid, r_next, r_next)
 
     diff = p1 - r1
     rate_diff = rate * diff
@@ -253,20 +252,28 @@ def solve_linearized(params: ModelParams, base: StateTrajectory,
     return LinearizedTrajectory(base, xi, rho)
 
 
-def _default_terminal(params: ModelParams, base: StateTrajectory) -> np.ndarray:
-    n_final = base.n_steps
-    if params.beta_omega == 0.0:
-        return np.zeros(base.grid.shape)
-    if params.phi_omega is None:
-        raise ValueError("phi_omega is required when beta_omega > 0")
-    return params.beta_omega * (base.phi[n_final] - params.phi_omega.values)
+def _tracking_misfits(params: ModelParams, phi: np.ndarray, tracking: bool = True,
+                      terminal: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The misfits of the tracking cost on the level array ``phi``.
 
-
-def _default_source(params: ModelParams, base: StateTrajectory, level: int) -> np.ndarray | None:
-    if params.beta_q == 0.0:
-        return None
-    target = params.phi_q_at(level)
-    return params.tau * params.beta_q * (base.phi[level] - target.values)
+    Returns ``(phi_n - target_n for n = 1..N, phi_N - phi_omega)``: an
+    ``(N, *grid.shape)`` array and one of the grid's shape.  A part is None
+    when its weight is zero or it is not asked for (``tracking``,
+    ``terminal``).  A time-constant target broadcasts over the levels; only
+    a per-level sequence is stacked.
+    """
+    level_misfit = final_misfit = None
+    if tracking and params.beta_q > 0.0:
+        if isinstance(params.phi_q, Field):
+            target = params.phi_q.values
+        else:
+            target = np.array([params.phi_q_at(n).values for n in range(1, len(phi))])
+        level_misfit = phi[1:] - target
+    if terminal and params.beta_omega > 0.0:
+        if params.phi_omega is None:
+            raise ValueError("phi_omega is required when beta_omega > 0")
+        final_misfit = phi[-1] - params.phi_omega.values
+    return level_misfit, final_misfit
 
 
 def _handed_in(field: Field | None, grid: Grid, what: str) -> np.ndarray | None:
@@ -292,19 +299,30 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
     """
     n_steps = base.n_steps
     grid = base.grid
+    level_misfit, final_misfit = _tracking_misfits(
+        params, base.phi, tracking=sources is None, terminal=terminal_p is None)
     if terminal_p is not None:
         p_terminal = _handed_in(terminal_p, grid, "terminal co-state")
+    elif final_misfit is None:
+        p_terminal = 0.0
     else:
-        p_terminal = _default_terminal(params, base)
+        p_terminal = params.beta_omega * final_misfit
+
+    if level_misfit is None:
+        lift = np.empty((n_steps,) + grid.shape)
+    else:
+        # Row n first holds the default source of step n, the scaled misfit
+        # of level n + 1; the step reads it before its lift overwrites it.
+        lift = level_misfit
+        lift *= params.tau * params.beta_q
 
     def src(lvl: int) -> np.ndarray | None:
-        if sources is None:
-            return _default_source(params, base, lvl)
-        return _handed_in(sources(lvl), grid, f"adjoint source {lvl}")
+        if sources is not None:
+            return _handed_in(sources(lvl), grid, f"adjoint source {lvl}")
+        return None if level_misfit is None else lift[lvl - 1]
 
     p = np.empty((n_steps + 1,) + grid.shape)
     r = np.empty((n_steps + 1,) + grid.shape)
-    lift = np.empty((n_steps,) + grid.shape)
     p[n_steps] = p_terminal
     r[n_steps] = 0.0
     curvature, rate, rate_slope = level_coefficients(params, grid, base.phi[:-1],

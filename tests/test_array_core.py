@@ -179,10 +179,10 @@ def test_trajectory_rows_match_field_steps(g, tau, seed):
     assert adj.r_lift.tobytes() == stacked(lifts)
 
 
-def poison_solve(monkeypatch, module, bad_call, value):
-    """Make the ``bad_call``-th solve (counted from 0) of ``module`` return ``value``
-    in every cell."""
-    real = module.cg_solve
+def poison_solve(monkeypatch, module, bad_call, value, name="cg_solve"):
+    """Make the ``bad_call``-th call (counted from 0) of the solve ``module.name``
+    return ``value`` in every cell."""
+    real = getattr(module, name)
     calls = []
 
     def solve(*args, **kwargs):
@@ -190,7 +190,7 @@ def poison_solve(monkeypatch, module, bad_call, value):
         calls.append(None)
         return np.full_like(x, value) if len(calls) == bad_call + 1 else x
 
-    monkeypatch.setattr(module, "cg_solve", solve)
+    monkeypatch.setattr(module, name, solve)
 
 
 def small_run():
@@ -214,19 +214,19 @@ class TestNonFiniteOutputs:
     def test_sensitivity_steps_name_their_index(self, monkeypatch):
         g, params, u, phi0, sigma0 = small_run()
         base = simulate(params, u, phi0=phi0, sigma0=sigma0)
-        # The phase solves go through forward's ``_phase_solve``, so the solves
-        # of ``sensitivity`` itself are the diffusion solves, one per step.
-        poison_solve(monkeypatch, sensitivity, 1, np.nan)  # the diffusion solve of step 1
+        # Both steps make their solves through forward's ``_diffusion_solve``
+        # (the nutrient solve) and ``_phase_solve``, one of each per step.
+        poison_solve(monkeypatch, sensitivity, 1, np.nan, "_diffusion_solve")  # step 1's
         with pytest.raises(DivergenceError) as err:
             solve_linearized(params, base, u)
         assert err.value.step_index == 1
         assert "non-finite solution at linearized step 1" in str(err.value)
-        poison_solve(monkeypatch, forward, 1, np.nan)  # the phase solve of step 1
+        poison_solve(monkeypatch, sensitivity, 1, np.nan, "_phase_solve")  # step 1's
         with pytest.raises(DivergenceError) as err:
             solve_linearized(params, base, u)
         assert "non-finite solution at linearized step 1" in str(err.value)
         # The adjoint sweep runs backward: its second solve belongs to step n_steps - 2.
-        poison_solve(monkeypatch, sensitivity, 1, np.nan)
+        poison_solve(monkeypatch, sensitivity, 1, np.nan, "_diffusion_solve")
         with pytest.raises(DivergenceError) as err:
             solve_adjoint(params, base)
         assert err.value.step_index == base.n_steps - 2

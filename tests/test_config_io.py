@@ -115,6 +115,21 @@ class TestFieldExpr:
         const = FieldExpr.parse("constant value=1.0")
         assert const.with_seed(9) is const
 
+    @pytest.mark.parametrize("text, grid, args", [
+        ("constant value=-0.25", Grid.line(8, 2.0), {"value": -0.25}),
+        ("tanh_ball center=1.0 radius=0.5 width=0.2", Grid.line(8, 2.0),
+         {"center": 1.0, "radius": 0.5, "width": 0.2}),
+        ("tanh_ball center=1.0,0.5 radius=0.5 width=0.2", Grid.box(8, 6, 2.0, 1.0),
+         {"center": (1.0, 0.5), "radius": 0.5, "width": 0.2}),
+        ("filtered_noise seed=4", Grid.box(8, 6, 2.0, 1.0), {"seed": 4}),
+        ("filtered_noise seed=4 amplitude=0.5 kappa=0.01 passes=3", Grid.line(8, 2.0),
+         {"seed": 4, "amplitude": 0.5, "kappa": 0.01, "passes": 3}),
+    ])
+    def test_build_passes_typed_arguments(self, text, grid, args):
+        expr = FieldExpr.parse(text)
+        want = preset_field(expr.kind, grid, **args).values
+        assert expr.build(grid).values.tobytes() == want.tobytes()
+
     def test_per_level_file_expr(self, tmp_path):
         g = Grid.line(8, 2.0)
         for level in (1, 2, 3):

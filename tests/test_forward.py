@@ -6,10 +6,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismatchError,
-                       ModelParams, Numerics, QuadraticProliferation, chemical_potential,
-                       energy, f_deriv, inner_product, integrate, l2q_inner, l2q_norm,
-                       lipschitz_probe, norm_h, optimize, p_deriv, preset_field, project,
-                       simulate, step)
+                       ModelParams, Numerics, QuadraticProliferation, energy, f_deriv,
+                       inner_product, integrate, l2q_inner, l2q_norm, lipschitz_probe, norm_h,
+                       optimize, p_deriv, preset_field, project, simulate, step)
 from chcontrol.forward import diffusion_operator, phase_operator, phase_preconditioner
 from chcontrol.grid import (DENSE_CACHE_SIZE, DENSE_MAX_CELLS, CgNonConvergenceError, cg_solve,
                             implicit_operator, laplacian_values)
@@ -24,16 +23,6 @@ def small_params(**kw):
     defaults = dict(beta_u=1.0, t_final=0.05, tau=5e-3)
     defaults.update(kw)
     return ModelParams(**defaults)
-
-
-class TestChemicalPotential:
-    def test_constant_states(self):
-        g = Grid.line(8, 2.0)
-        params = small_params()
-        assert np.all(chemical_potential(params, Field.zeros(g)).values == 0.0)
-        assert np.all(chemical_potential(params, Field.full(g, 1.0)).values == 0.0)
-        mu = chemical_potential(params, Field.full(g, 0.5))
-        assert np.allclose(mu.values, 0.5 ** 3 - 0.5, atol=1e-15)
 
 
 small_grids = grids(4, DENSE_MAX_CELLS)

@@ -90,10 +90,6 @@ class TestModelParams:
         params = ModelParams(beta_u=1.0, t_final=0.1, tau=0.001)
         assert params.n_steps == 100
 
-    def test_delta_fixed(self):
-        with pytest.raises(ValueError):
-            ModelParams(beta_u=1.0, delta=0.5)
-
     def test_weights_not_all_zero(self):
         with pytest.raises(ValueError):
             ModelParams(beta_q=0.0, beta_omega=0.0, beta_u=0.0)

@@ -3,8 +3,8 @@ import pytest
 
 from chcontrol import (ControlSchedule, Field, Grid, ModelParams, OptimOptions,
                        cost_taylor_sweep, directional_derivative_check, kkt_report,
-                       l2q_norm, project, projected_gradient, reduced_cost, simulate,
-                       solve_adjoint)
+                       l2q_norm, project, projected_gradient, reduced_cost, reduced_gradient,
+                       simulate, solve_adjoint)
 from chcontrol.optimize import _tracking_cost
 from helpers import (kkt_report_by_level, load_instance, smooth_field, smooth_schedule,
                      tracking_cost_by_level)
@@ -95,6 +95,23 @@ class TestReducedCostMatchesLevelLoop:
         traj = simulate(params, u)
         cost = _tracking_cost(params, traj, u)
         assert cost == tracking_cost_by_level(params, traj, u) and cost > 0.0
+
+    @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(5, 7, 1.0, 1.5)])
+    def test_constant_target_equals_its_level_sequence(self, g):
+        # A constant target broadcasts over the levels, the same target given
+        # per level is stacked: cost and gradient agree bit for bit.
+        n_steps = 4
+        target = smooth_field(g, 20, 0.5)
+        u = smooth_schedule(g, n_steps, 3, 0.5)
+        results = []
+        for phi_q in (target, [target] * (n_steps + 1)):
+            params = ModelParams(beta_q=1.0, beta_omega=0.5, beta_u=0.3,
+                                 t_final=n_steps * 5e-3, tau=5e-3, phi_q=phi_q,
+                                 phi_omega=target, phi0=smooth_field(g, 1, 0.8),
+                                 sigma0=smooth_field(g, 2, 0.5))
+            grad = reduced_gradient(params, u, solve_adjoint(params, simulate(params, u)))
+            results.append((reduced_cost(params, u), grad.values.tobytes()))
+        assert results[0] == results[1]
 
 
 class TestProject:

@@ -201,6 +201,21 @@ class TestSolveAdjoint:
             assert np.max(np.abs(adj.p[n])) <= 1e-12
             assert np.max(np.abs(adj.r[n])) <= 1e-12
 
+    def test_handed_in_data_need_no_targets(self):
+        # Only the default data that are used are formed: each missing target
+        # is an error only when its default is needed.
+        g = Grid.line(16, 4.0)
+        params = tight_params(beta_q=1.0, beta_omega=1.0, beta_u=1.0)
+        u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
+        base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
+        terminal, no_sources = Field.zeros(g), (lambda lvl: None)
+        with pytest.raises(ValueError, match="phi_q is required"):
+            solve_adjoint(params, base, terminal_p=terminal)
+        with pytest.raises(ValueError, match="phi_omega is required"):
+            solve_adjoint(params, base, sources=no_sources)
+        adj = solve_adjoint(params, base, terminal_p=terminal, sources=no_sources)
+        assert np.all(adj.p == 0.0) and np.all(adj.r == 0.0)
+
     def test_backward_norms_bounded(self):
         g = Grid.line(16, 4.0)
         params, u, _ = coupled_instance(g)
