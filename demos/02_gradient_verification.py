@@ -31,7 +31,7 @@ for seed in (0, 1, 2):
     gap = dot_product_test(params, grid, 8, seed)
     print(f"   seed {seed}: {gap:.3e}")
 
-u = ControlSchedule.constant(grid, params.n_steps, 0.0, u_min=-2.0, u_max=2.0)
+u = ControlSchedule.constant(grid, params.n_steps, 0.0)
 h = ControlSchedule(grid, [preset_field("filtered_noise", grid, seed=7063 + n,
                                         amplitude=2.0).values
                            for n in range(params.n_steps)])

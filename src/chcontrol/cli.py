@@ -7,8 +7,10 @@ Subcommands: simulate, optimize, grad-check, taylor, oracle,
 check-hypotheses.  Exit codes: 0 pass, 1 criteria failure, 2 usage or
 config error, 3 numerical divergence.  The environment variable RUN_SEED,
 when set, overrides every seed in the configuration and the built-in seed
-lists.  Run logs contain no timestamps (those go to a .meta sidecar), so
-identical configurations produce bitwise-identical artifacts.
+lists; it must be an integer in [0, 2^54) (exit 2 otherwise).  Run logs
+contain no timestamps (those go to a .meta sidecar), so identical
+configurations produce bitwise-identical artifacts for one numpy/BLAS build,
+CPU kernel and BLAS thread count (see the ``grid`` module).
 """
 
 from __future__ import annotations
@@ -74,11 +76,26 @@ class RunWriter:
             "\n".join(self._log_lines) + ("\n" if self._log_lines else ""), encoding="utf-8")
 
 
-def _seed_override(cfg: RunConfig) -> RunConfig:
+def _run_seed() -> int | None:
+    """RUN_SEED, or None when it is unset or empty; any value but an integer
+    in [0, 2^54) is a ConfigError.  Below 2^54 every derived seed,
+    seed*997 + k or seed*1009 + n for k, n < 2^57, stays in [0, 2^64)."""
     seed_env = os.environ.get("RUN_SEED")
     if not seed_env:
+        return None
+    try:
+        seed = int(seed_env)
+    except ValueError:
+        seed = -1  # rejected below
+    if not 0 <= seed < 2 ** 54:
+        raise ConfigError(f"RUN_SEED must be an integer in [0, 2^54), got {seed_env!r}")
+    return seed
+
+
+def _seed_override(cfg: RunConfig) -> RunConfig:
+    seed = _run_seed()
+    if seed is None:
         return cfg
-    seed = int(seed_env)
     values = dict(cfg.values)
     for key, value in values.items():
         if isinstance(value, FieldExpr):
@@ -87,10 +104,8 @@ def _seed_override(cfg: RunConfig) -> RunConfig:
 
 
 def _seeds(default=(0, 1, 2)) -> list[int]:
-    seed_env = os.environ.get("RUN_SEED")
-    if seed_env:
-        return [int(seed_env)]
-    return list(default)
+    seed = _run_seed()
+    return list(default) if seed is None else [seed]
 
 
 def cmd_simulate(cfg: RunConfig) -> int:

@@ -347,8 +347,16 @@ def build_grid(cfg: RunConfig) -> Grid:
                 (cfg["grid.lx"], cfg["grid.ly"]))
 
 
-def _build_bound(value, grid: Grid):
-    return value.build(grid) if isinstance(value, FieldExpr) else float(value)
+def _build_field(cfg: RunConfig, key: str, grid: Grid, level: int | None = None):
+    """The field of ``key`` on ``grid`` (a number stays a float); a bad preset
+    argument or an unreadable file becomes a ConfigError naming the key."""
+    value = cfg[key]
+    if not isinstance(value, FieldExpr):
+        return float(value)
+    try:
+        return value.build(grid, level)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc), key=key) from exc
 
 
 def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
@@ -358,13 +366,14 @@ def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
     else:
         proliferation = SigmoidProliferation(p0=cfg["model.p0"], steepness=cfg["model.k"],
                                              floor=cfg["model.p_floor"])
-    n_steps = cfg.n_steps
-    phi_q_expr: FieldExpr = cfg["target.phi_q"]
-    if phi_q_expr.is_time_varying():
-        per_level = [phi_q_expr.build(grid, level=max(n, 1)) for n in range(n_steps + 1)]
-        phi_q = per_level
+    if cfg["target.phi_q"].is_time_varying():
+        phi_q = [_build_field(cfg, "target.phi_q", grid, level=max(n, 1))
+                 for n in range(cfg.n_steps + 1)]
     else:
-        phi_q = phi_q_expr.build(grid)
+        phi_q = _build_field(cfg, "target.phi_q", grid)
+    fields = {name: _build_field(cfg, key, grid) for name, key in (
+        ("u_min", "model.u_min"), ("u_max", "model.u_max"), ("phi_omega", "target.phi_omega"),
+        ("phi0", "init.phi0"), ("sigma0", "init.sigma0"))}
     try:
         return ModelParams(
             potential=QuarticDoubleWell(well_scale=cfg["model.well_scale"]),
@@ -375,21 +384,16 @@ def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
             t_final=cfg["time.t_final"],
             tau=cfg["time.tau"],
             stabilization=cfg["model.stabilization"],
-            u_min=_build_bound(cfg["model.u_min"], grid),
-            u_max=_build_bound(cfg["model.u_max"], grid),
             phi_q=phi_q,
-            phi_omega=cfg["target.phi_omega"].build(grid),
-            phi0=cfg["init.phi0"].build(grid),
-            sigma0=cfg["init.sigma0"].build(grid),
             numerics=Numerics(cg_tol=cfg["solver.cg_tol"],
                               cg_max_iter=cfg["solver.cg_maxit"],
                               overflow_guard=cfg["solver.overflow_guard"]),
+            **fields,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_initial_control(cfg: RunConfig, grid: Grid, params: ModelParams) -> ControlSchedule:
-    u0_field = cfg["opt.u0"].build(grid)
-    return ControlSchedule.constant(grid, params.n_steps, u0_field.values,
-                                    u_min=params.u_min, u_max=params.u_max)
+    return ControlSchedule.constant(grid, params.n_steps,
+                                    _build_field(cfg, "opt.u0", grid).values)

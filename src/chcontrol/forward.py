@@ -56,10 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, GridMismatchError, cg_solve, grad_sq_integral,
-                   implicit_operator, inner_product, integrate, laplacian_values,
-                   level_inner_products, norm_h, spectral_inverse)
-from .model import ModelParams, _bound_values, default_stabilization, f_deriv, p_deriv
+from .grid import (Field, Grid, GridMismatchError, _grad_sq, _volume_sum, cg_solve,
+                   implicit_operator, laplacian_values, level_inner_products,
+                   spectral_inverse)
+from .model import ModelParams, default_stabilization, f_deriv, p_deriv
 
 __all__ = [
     "DivergenceError",
@@ -89,23 +89,21 @@ class DivergenceError(RuntimeError):
 
 class ControlSchedule:
     """Piecewise-constant-in-time control: one ``(n_steps, *grid.shape)`` array
-    of values, plus optional box bounds.
+    of values.
 
     Row n acts on [t_n, t_{n+1}) and ``u[n]`` returns it as a Field.  The
     constructor copies the values (any array-like, e.g. a list of per-step
     arrays) and checks once that there is at least one step, that each row
     has the grid's shape and that every value is finite; the stored array is
-    read-only (``constant`` stores its one row as a stride-0 view).  Bounds
-    are optional; a schedule is admissible when they are present and hold
-    cellwise.  Arithmetic keeps the left operand's bounds, so directions and
-    trial points can be formed without losing the constraint data.
+    read-only (``constant`` stores its one row as a stride-0 view).  A
+    schedule carries values only: the box constraint belongs to the problem
+    (its bounds live on ``ModelParams``), so controls, directions and trial
+    points are all plain schedules.
     """
 
-    __slots__ = ("grid", "values", "u_min", "u_max")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values,
-                 u_min: float | Field | None = None,
-                 u_max: float | Field | None = None):
+    def __init__(self, grid: Grid, values):
         arr = np.array(values, dtype=float)
         if arr.size == 0:
             raise ValueError("schedule needs at least one step")
@@ -114,18 +112,12 @@ class ControlSchedule:
                 f"schedule values have shape {arr.shape}, grid expects (n_steps, *{grid.shape})")
         if not np.isfinite(arr).all():
             raise ValueError("schedule contains non-finite values")
-        for b in (u_min, u_max):
-            if isinstance(b, Field) and b.grid != grid:
-                raise GridMismatchError("bound field on a different grid")
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
-        self.u_min = u_min
-        self.u_max = u_max
 
     @classmethod
-    def constant(cls, grid: Grid, n_steps: int, value=0.0,
-                 u_min=None, u_max=None) -> "ControlSchedule":
+    def constant(cls, grid: Grid, n_steps: int, value=0.0) -> "ControlSchedule":
         """The same row at every step: ``value`` is a number or a grid-shaped
         array.  The row is checked once and stored once; ``values`` is a
         read-only view of it with stride 0 along the step axis."""
@@ -135,7 +127,7 @@ class ControlSchedule:
         row = np.array(value, dtype=float)
         if row.ndim == 0:
             row = np.full(grid.shape, row)
-        sched = cls(grid, row[np.newaxis], u_min=u_min, u_max=u_max)
+        sched = cls(grid, row[np.newaxis])
         sched.values = np.broadcast_to(sched.values, (n_steps,) + grid.shape)
         return sched
 
@@ -146,19 +138,7 @@ class ControlSchedule:
         return Field._wrap(self.grid, self.values[n])
 
     def with_values(self, values) -> "ControlSchedule":
-        return ControlSchedule(self.grid, values, u_min=self.u_min, u_max=self.u_max)
-
-    def has_bounds(self) -> bool:
-        return self.u_min is not None and self.u_max is not None
-
-    def bound_arrays(self):
-        return _bound_values(self.u_min), _bound_values(self.u_max)
-
-    def is_admissible(self, atol: float = 0.0) -> bool:
-        if not self.has_bounds():
-            return False
-        lo, hi = self.bound_arrays()
-        return not (np.any(self.values < lo - atol) or np.any(self.values > hi + atol))
+        return ControlSchedule(self.grid, values)
 
     def _other_values(self, other: "ControlSchedule") -> np.ndarray:
         if len(other) != len(self) or other.grid != self.grid:
@@ -327,23 +307,21 @@ class StateTrajectory:
     def max_abs_phi(self) -> float:
         return float(max(self.phi.max(), -self.phi.min()))  # no full-size temporary
 
-    def _fields(self, n: int) -> tuple[Field, Field]:
-        return Field._wrap(self.grid, self.phi[n]), Field._wrap(self.grid, self.sigma[n])
-
     @property
     def energies(self) -> np.ndarray:
         if self._energies is None:
             self._energies = np.asarray(
-                [energy(self.params, *self._fields(n)) for n in range(self.n_steps + 1)],
-                dtype=float)
+                [_level_energy(self.params, self.grid, self.phi[n], self.sigma[n])
+                 for n in range(self.n_steps + 1)], dtype=float)
         return self._energies
 
     @property
     def masses(self) -> np.ndarray:
         if self._masses is None:
+            grid = self.grid
             self._masses = np.asarray(
-                [integrate(phi) + integrate(sigma)
-                 for phi, sigma in map(self._fields, range(self.n_steps + 1))], dtype=float)
+                [_volume_sum(grid, self.phi[n]) + _volume_sum(grid, self.sigma[n])
+                 for n in range(self.n_steps + 1)], dtype=float)
         return self._masses
 
     @property
@@ -352,15 +330,24 @@ class StateTrajectory:
             tau = self.params.tau
             mass = self.masses.tolist()
             self._mass_residuals = np.asarray(
-                [mass[n + 1] - mass[n] - tau * integrate(self.u[n]) for n in range(self.n_steps)],
-                dtype=float)
+                [mass[n + 1] - mass[n] - tau * _volume_sum(self.grid, self.u.values[n])
+                 for n in range(self.n_steps)], dtype=float)
         return self._mass_residuals
+
+
+def _level_energy(params: ModelParams, grid: Grid, phi: np.ndarray,
+                  sigma: np.ndarray) -> float:
+    """``energy`` of one level given as arrays of the grid's shape."""
+    well = np.asarray(f_deriv(params.potential, 0, phi))
+    sigma_norm = math.sqrt(max(_volume_sum(grid, sigma * sigma), 0.0))
+    return 0.5 * _grad_sq(grid, phi) + _volume_sum(grid, well) + 0.5 * sigma_norm ** 2
 
 
 def energy(params: ModelParams, phi: Field, sigma: Field) -> float:
     """Diagnostic energy grad_sq(phi)/2 + integral of F(phi) + |sigma|^2/2."""
-    well = Field._wrap(phi.grid, np.asarray(f_deriv(params.potential, 0, phi.values)))
-    return 0.5 * grad_sq_integral(phi) + integrate(well) + 0.5 * norm_h(sigma) ** 2
+    if sigma.grid != phi.grid:
+        raise GridMismatchError("phi and sigma must share one grid")
+    return _level_energy(params, phi.grid, phi.values, sigma.values)
 
 
 def simulate(params: ModelParams, u: ControlSchedule,
@@ -438,13 +425,15 @@ def _traj_diff_norms(tau: float, base: StateTrajectory, other: StateTrajectory):
     l2v_sig = 0.0
     grid = base.grid
     for n in range(base.n_steps + 1):
-        dphi = Field._wrap(grid, base.phi[n] - other.phi[n])
-        dsig = Field._wrap(grid, base.sigma[n] - other.sigma[n])
-        linf_phi = max(linf_phi, norm_h(dphi))
-        linf_sig = max(linf_sig, norm_h(dsig))
+        dphi = base.phi[n] - other.phi[n]
+        dsig = base.sigma[n] - other.sigma[n]
+        dphi_sq = _volume_sum(grid, dphi * dphi)
+        dsig_sq = _volume_sum(grid, dsig * dsig)
+        linf_phi = max(linf_phi, math.sqrt(max(dphi_sq, 0.0)))
+        linf_sig = max(linf_sig, math.sqrt(max(dsig_sq, 0.0)))
         if n >= 1:
-            l2v_phi += tau * (inner_product(dphi, dphi) + grad_sq_integral(dphi))
-            l2v_sig += tau * (inner_product(dsig, dsig) + grad_sq_integral(dsig))
+            l2v_phi += tau * (dphi_sq + _grad_sq(grid, dphi))
+            l2v_sig += tau * (dsig_sq + _grad_sq(grid, dsig))
     return linf_phi, math.sqrt(l2v_phi), linf_sig, math.sqrt(l2v_sig)
 
 

@@ -12,10 +12,12 @@ to roundoff and are relied on downstream:
 * ``inner_product(neumann_laplacian(f), g)`` is symmetric in ``(f, g)``,
   with ``inner_product(neumann_laplacian(f), f) == -grad_sq_integral(f)``.
 
-``integrate``, ``inner_product`` and ``level_inner_products`` reduce with
-exact compensated summation in a fixed order; together with the fixed
-iteration order of ``cg_solve`` this makes every computation bitwise
-reproducible across runs.
+``integrate``, ``inner_product`` and ``level_inner_products`` sum exactly
+(Python's ``fsum``), whatever the order of the terms.  The other reductions
+go through BLAS, whose summation order follows the CPU kernel and the thread
+count: the dots of ``cg_solve`` and ``grad_sq_integral`` and the matrix
+products of ``spectral_inverse`` and the dense operators.  So results are
+bitwise reproducible for one numpy/BLAS build, CPU kernel and thread count.
 
 ``cg_solve`` works on arrays only: its operator is an array map (ndarray in,
 new ndarray out, argument left unmodified), and its right-hand side, initial
@@ -173,9 +175,8 @@ class Grid:
 class Field:
     """One real value per grid cell; immutable once constructed.
 
-    Construction validates the shape against the grid and rejects NaN/Inf,
-    and every operator returns a fresh validated field, so non-finite
-    values surface at the operation that produced them.
+    Construction validates the shape against the grid and rejects NaN/Inf.
+    A Field carries values only; arithmetic is done on ``values``.
     """
 
     __slots__ = ("grid", "values")
@@ -204,29 +205,6 @@ class Field:
     @classmethod
     def full(cls, grid: Grid, value: float) -> "Field":
         return cls._wrap(grid, np.full(grid.shape, float(value)))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def _other_values(self, other):
-        if isinstance(other, Field):
-            _require_same_grid(self, other)
-            return other.values
-        return float(other)
-
-    def __add__(self, other):
-        return Field._wrap(self.grid, self.values + self._other_values(other))
-
-    def __sub__(self, other):
-        return Field._wrap(self.grid, self.values - self._other_values(other))
-
-    def __mul__(self, other):
-        return Field._wrap(self.grid, self.values * self._other_values(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field._wrap(self.grid, -self.values)
 
     def __repr__(self) -> str:
         return f"Field({self.grid!r}, min={self.values.min():.4g}, max={self.values.max():.4g})"
@@ -394,31 +372,36 @@ def neumann_laplacian(f: Field) -> Field:
     return Field._wrap(f.grid, laplacian_values(f.grid, f.values))
 
 
+def _grad_sq(grid: Grid, values: np.ndarray) -> float:
+    """``grad_sq_integral`` of an array of the grid's shape."""
+    total = 0.0
+    for axis in range(grid.dim):
+        h = grid.spacing[axis]
+        d = np.diff(values, axis=axis).ravel()
+        total += grid.cell_volume / (h * h) * float(np.dot(d, d))
+    return total
+
+
 def grad_sq_integral(f: Field) -> float:
     """Face-based discrete Dirichlet energy, sum of cell_volume*(df/h)^2.
 
     Boundary faces carry zero flux and contribute nothing; the value equals
     ``-inner_product(neumann_laplacian(f), f)`` up to roundoff.
     """
-    g = f.grid
-    total = 0.0
-    for axis in range(g.dim):
-        h = g.spacing[axis]
-        d = np.diff(f.values, axis=axis).ravel()
-        total += g.cell_volume / (h * h) * float(np.dot(d, d))
-    return total
+    return _grad_sq(f.grid, f.values)
 
 
-def _require_same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
+def _volume_sum(grid: Grid, values: np.ndarray) -> float:
+    """Cell-volume weighted sum of ``values``, exactly summed: the one exact
+    reduction, behind ``integrate``, ``inner_product`` and the diagnostics."""
+    return grid.cell_volume * math.fsum(values.ravel().tolist())
 
 
 def inner_product(f: Field, g: Field) -> float:
     """Cell-volume weighted inner product, exactly summed in a fixed order."""
-    _require_same_grid(f, g)
-    prod = (f.values * g.values).ravel()
-    return f.grid.cell_volume * math.fsum(prod.tolist())
+    if f.grid != g.grid:
+        raise GridMismatchError("fields live on different grids")
+    return _volume_sum(f.grid, f.values * g.values)
 
 
 def level_inner_products(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -426,19 +409,18 @@ def level_inner_products(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[float
 
     ``a`` and ``b`` are ``(levels, *grid.shape)`` arrays (``GridMismatchError``
     otherwise); each row is summed exactly like ``inner_product``, so entry n
-    is bitwise the ``inner_product`` of the two level-n Fields.
+    is bitwise the ``inner_product`` of the two level-n Fields.  The rows are
+    reduced one at a time, so no temporary outgrows one level.
     """
     if a.shape != b.shape or a.shape[1:] != grid.shape:
         raise GridMismatchError(f"level arrays of shapes {a.shape} and {b.shape} "
                                 f"on a {grid.shape} grid")
-    prods = (a * b).reshape(len(a), -1)
-    vol = grid.cell_volume
-    return [vol * math.fsum(row) for row in prods.tolist()]
+    return [_volume_sum(grid, a[n] * b[n]) for n in range(len(a))]
 
 
 def integrate(f: Field) -> float:
     """Cell-volume weighted sum of the field, exactly summed."""
-    return f.grid.cell_volume * math.fsum(f.values.ravel().tolist())
+    return _volume_sum(f.grid, f.values)
 
 
 def norm_h(f: Field) -> float:

@@ -27,7 +27,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .grid import Field, Grid, spectral_inverse
+from .grid import Field, Grid, GridMismatchError, spectral_inverse
 
 __all__ = [
     "QuarticDoubleWell",
@@ -167,9 +167,14 @@ def default_stabilization(potential: QuarticDoubleWell, phi_max: float = 1.5) ->
     return potential.well_scale * max(2.0, 3.0 * phi_max * phi_max - 1.0)
 
 
-def _bound_values(bound):
-    """A control bound, a number or a Field, as a float or the Field's values."""
-    return bound.values if isinstance(bound, Field) else float(bound)
+def _bound_values(bound, grid: Grid | None = None):
+    """A control bound, a number or a Field, as a float or the Field's values;
+    a Field on another ``grid`` than the one given raises GridMismatchError."""
+    if not isinstance(bound, Field):
+        return float(bound)
+    if grid is not None and bound.grid != grid:
+        raise GridMismatchError("bound field on a different grid")
+    return bound.values
 
 
 @dataclass
@@ -179,7 +184,8 @@ class ModelParams:
     ``stabilization=None`` resolves to the default curvature bound.  The
     tracking target ``phi_q`` may be a single field (constant in time) or a
     sequence indexed by time level.  Weights must be nonnegative and not all
-    zero; control bounds must be ordered cellwise.
+    zero.  ``u_min``/``u_max`` (numbers or Fields, ordered cellwise) are the
+    problem's box, the one home of the admissible set.
     """
 
     potential: QuarticDoubleWell = field(default_factory=QuarticDoubleWell)
@@ -376,9 +382,8 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
                 raise ValueError("2D tanh_ball needs center=(cx, cy)")
             cx, cy = float(center[0]), float(center[1])
             dist = np.sqrt((mesh[0] - cx) ** 2 + (mesh[1] - cy) ** 2)
-        return Field._wrap(grid, np.tanh((radius - dist) / (math.sqrt(2.0) * width)))
-
-    if name == "filtered_noise":
+        values = np.tanh((radius - dist) / (math.sqrt(2.0) * width))
+    elif name == "filtered_noise":
         seed = int(args["seed"])
         amplitude = float(args.get("amplitude", 1.0))
         passes = int(args.get("passes", 2))
@@ -393,6 +398,6 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
         smoother = spectral_inverse(grid, ("diffusion", kappa), lambda mu: 1.0 + kappa * mu)
         for _ in range(passes):
             values = smoother(values)
-        return Field._wrap(grid, values)
-
-    raise ValueError(f"unknown preset '{name}'")
+    else:
+        raise ValueError(f"unknown preset '{name}'")
+    return Field._wrap(grid, values)

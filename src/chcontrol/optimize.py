@@ -13,6 +13,8 @@ iteration is ``u+ = project(u - alpha*g)`` with Armijo backtracking on the
 projection arc; the stopping measure ``|u - project(u - g)|`` vanishes
 exactly at stationary points, where the clamp formula
 ``u = clamp(-lift/beta_u, u_min, u_max)`` holds cellwise for beta_u > 0.
+The box ``[u_min, u_max]`` is the problem's: ``project`` and ``kkt_report``
+read it from ``ModelParams``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .grid import Field, level_inner_products
 from .forward import ControlSchedule, StateTrajectory, l2q_inner, l2q_norm, simulate
-from .model import ModelParams
+from .model import ModelParams, _bound_values
 from .sensitivity import (AdjointTrajectory, _tracking_misfits, fit_loglog_slope,
                           reduced_gradient, solve_adjoint)
 
@@ -73,11 +75,10 @@ def reduced_cost(params: ModelParams, u: ControlSchedule,
     return _evaluate(params, u, phi0=phi0, sigma0=sigma0)[0]
 
 
-def project(u: ControlSchedule) -> ControlSchedule:
-    """Cellwise clamp onto the schedule's box bounds; idempotent."""
-    if not u.has_bounds():
-        raise ValueError("projection needs bounds on the schedule")
-    lo, hi = u.bound_arrays()
+def project(params: ModelParams, u: ControlSchedule) -> ControlSchedule:
+    """Cellwise clamp onto the box ``[params.u_min, params.u_max]``;
+    idempotent.  A Field bound off ``u``'s grid raises GridMismatchError."""
+    lo, hi = (_bound_values(b, u.grid) for b in (params.u_min, params.u_max))
     return u.with_values(np.clip(u.values, lo, hi))
 
 
@@ -119,7 +120,7 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
                        options: OptimOptions | None = None,
                        phi0: Field | None = None,
                        sigma0: Field | None = None) -> OptimResult:
-    """Minimize the reduced cost over the box by projected gradient descent.
+    """Minimize the reduced cost over the box of ``params`` by projected gradient descent.
 
     Each iterate re-simulates, solves the adjoint, and backtracks along the
     projection arc until ``J(u+) <= J(u) - (armijo_c/alpha)*|u+ - u|^2``.
@@ -132,7 +133,7 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
     """
     opts = options or OptimOptions()
     tau = params.tau
-    u = project(u0)
+    u = project(params, u0)
     cost, traj = _evaluate(params, u, phi0=phi0, sigma0=sigma0)
     cost_history = [cost]
     grad_history = []
@@ -144,14 +145,14 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
         adjoint = solve_adjoint(params, traj)
         grad = reduced_gradient(params, u, adjoint)
         grad_history.append(l2q_norm(tau, grad))
-        stationarity = l2q_norm(tau, u - project(u - grad))
+        stationarity = l2q_norm(tau, u - project(params, u - grad))
         if stationarity <= opts.tol:
             reason = "tolerance_met"
             break
         alpha_try = min(opts.alpha0, alpha / opts.alpha_shrink)
         accepted = False
         for _ in range(opts.max_backtracks):
-            trial = project(u - grad.scaled(alpha_try))
+            trial = project(params, u - grad.scaled(alpha_try))
             move = trial - u
             move_sq = l2q_inner(tau, move, move)
             if move_sq == 0.0:
@@ -200,10 +201,8 @@ def kkt_report(params: ModelParams, u: ControlSchedule,
     clamp-formula gap ``max |u - clamp(-lift/beta_u)|`` is reported too;
     with beta_u = 0 that check is skipped with a note.
     """
-    if not u.has_bounds():
-        raise ValueError("kkt_report needs bounds on the schedule")
     grad = reduced_gradient(params, u, adjoint)
-    lo, hi = u.bound_arrays()
+    lo, hi = (_bound_values(b, u.grid) for b in (params.u_min, params.u_max))
     uv, gv = u.values, grad.values
     at_lower = uv <= lo
     at_upper = uv >= hi
@@ -219,7 +218,7 @@ def kkt_report(params: ModelParams, u: ControlSchedule,
         projection_gap = float(np.max(np.abs(uv - clamp)))
     else:
         note = "clamp-formula check skipped: control weight beta_u is zero"
-    stationarity = l2q_norm(params.tau, u - project(u - grad))
+    stationarity = l2q_norm(params.tau, u - project(params, u - grad))
     return KktReport(n_interior=int(np.count_nonzero(interior)),
                      n_lower=int(np.count_nonzero(at_lower)),
                      n_upper=int(np.count_nonzero(at_upper)),

@@ -51,7 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Grid, GridMismatchError, inner_product, laplacian_values, norm_h
+from .grid import (Field, Grid, GridMismatchError, _volume_sum, inner_product,
+                   laplacian_values)
 from .forward import (ControlSchedule, StateTrajectory, _check_outputs, _diffusion_solve,
                       _phase_solve, _require_grid_shape, l2q_inner, simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
@@ -339,7 +340,7 @@ def reduced_gradient(params: ModelParams, u: ControlSchedule,
     """Cost gradient g_n = beta_u*u_n + lift_n in the tau-weighted L2 pairing.
 
     The adjoint must come from the trajectory generated by ``u``.  The
-    result is a bound-free schedule (a direction, not a control).
+    result is a direction, not a control.
     """
     if adjoint.n_steps != len(u):
         raise ValueError("adjoint and control disagree on the number of steps")
@@ -373,8 +374,8 @@ def frechet_remainder_sweep(params: ModelParams, u: ControlSchedule, h: ControlS
         traj = simulate(params, u + h.scaled(eps), phi0=phi0, sigma0=sigma0)
         rem = 0.0
         for n in range(base.n_steps + 1):
-            defect = Field._wrap(base.grid, traj.phi[n] - base.phi[n] - eps * lin.xi[n])
-            rem = max(rem, norm_h(defect))
+            defect = traj.phi[n] - base.phi[n] - eps * lin.xi[n]
+            rem = max(rem, math.sqrt(max(_volume_sum(base.grid, defect * defect), 0.0)))
         rows.append((eps, rem))
     return rows
 

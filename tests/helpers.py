@@ -1,7 +1,8 @@
 """Shared oracles for the test suite: a grid strategy, dense operator
 assembly, hand stencils, stencil-only step operators and their dense-path
 matrices, the plain CG loop, the Field-level solve and steps, the per-column
-snapshot formatter, a per-level KKT audit and tracking cost, an adaptive ODE
+snapshot formatter, a per-level KKT audit, tracking cost, stability probe and
+state remainder sweep, an adaptive ODE
 reference for spatially constant runs, and instance builders tied to the
 shipped configuration files."""
 
@@ -297,7 +298,7 @@ def field_step(params: ModelParams, phi: Field, sigma: Field, u: Field,
     sigma_next = field_cg_solve(diffusion_operator(params, grid), Field._wrap(grid, rhs_b),
                                 tol=num.cg_tol, max_iter=num.cg_max_iter, x0=sigma)
 
-    worst = max(phi_next.max_abs(), sigma_next.max_abs())
+    worst = float(max(np.max(np.abs(phi_next.values)), np.max(np.abs(sigma_next.values))))
     if worst > num.overflow_guard:
         where = "unknown step" if step_index is None else f"step {step_index}"
         raise DivergenceError(
@@ -362,7 +363,7 @@ def field_adjoint_step(params: ModelParams, coefficients, p_next: Field, r_next:
     num = params.numerics
     curvature, rate, rate_slope = coefficients
 
-    p_hat = p_next if source is None else p_next + source
+    p_hat = p_next if source is None else Field._wrap(grid, p_next.values + source.values)
     p1 = field_phase_solve(params, p_hat)
     r1 = field_cg_solve(diffusion_operator(params, grid), r_next,
                         tol=num.cg_tol, max_iter=num.cg_max_iter, x0=r_next)
@@ -392,9 +393,9 @@ def smooth_field(grid, seed, amplitude=1.0):
     return preset_field("filtered_noise", grid, seed=seed, amplitude=amplitude)
 
 
-def smooth_schedule(grid, n_steps, seed, amplitude=1.0, u_min=None, u_max=None):
+def smooth_schedule(grid, n_steps, seed, amplitude=1.0):
     values = [smooth_field(grid, seed * 1009 + n, amplitude).values for n in range(n_steps)]
-    return ControlSchedule(grid, values, u_min=u_min, u_max=u_max)
+    return ControlSchedule(grid, values)
 
 
 def kkt_report_by_level(params, u, adjoint, tol):
@@ -403,7 +404,7 @@ def kkt_report_by_level(params, u, adjoint, tol):
     from chcontrol import KktReport, l2q_norm, project, reduced_gradient
 
     grad = reduced_gradient(params, u, adjoint)
-    lo, hi = u.bound_arrays()
+    lo, hi = (b.values if isinstance(b, Field) else b for b in (params.u_min, params.u_max))
     n_interior = n_lower = n_upper = violations = 0
     worst = 0.0
     projection_gap = None
@@ -430,7 +431,7 @@ def kkt_report_by_level(params, u, adjoint, tol):
         if projection_gap is not None:
             clamp = np.clip(-adjoint.r_lift[n] / params.beta_u, lo, hi)
             projection_gap = max(projection_gap, float(np.max(np.abs(uv - clamp))))
-    stationarity = l2q_norm(params.tau, u - project(u - grad))
+    stationarity = l2q_norm(params.tau, u - project(params, u - grad))
     return KktReport(n_interior=n_interior, n_lower=n_lower, n_upper=n_upper,
                      violations=violations, worst_violation=worst,
                      stationarity=stationarity, projection_gap=projection_gap,
@@ -459,6 +460,55 @@ def tracking_cost_by_level(params, traj, u):
     if params.beta_u > 0.0:
         terms.extend(tau * 0.5 * params.beta_u * ip for ip in u.level_inner_products(u))
     return math.fsum(terms)
+
+
+def probe_rows_by_level(params, u1, u2, eps_values):
+    """Reference ``lipschitz_probe`` rows: the per-level norms of wrapped
+    difference Fields that ``forward._traj_diff_norms`` replaced with
+    reductions of level arrays, kept verbatim around the same simulations."""
+    from chcontrol import grad_sq_integral, inner_product, l2q_norm, norm_h, simulate
+    from chcontrol.forward import ProbeRow
+
+    base = simulate(params, u1)
+    h = u2 - u1
+    tau = params.tau
+    grid = base.grid
+    rows = []
+    for eps in eps_values:
+        u_eps = u1 + h.scaled(float(eps))
+        other = simulate(params, u_eps)
+        linf_phi = l2v_phi = linf_sig = l2v_sig = 0.0
+        for n in range(base.n_steps + 1):
+            dphi = Field._wrap(grid, base.phi[n] - other.phi[n])
+            dsig = Field._wrap(grid, base.sigma[n] - other.sigma[n])
+            linf_phi = max(linf_phi, norm_h(dphi))
+            linf_sig = max(linf_sig, norm_h(dsig))
+            if n >= 1:
+                l2v_phi += tau * (inner_product(dphi, dphi) + grad_sq_integral(dphi))
+                l2v_sig += tau * (inner_product(dsig, dsig) + grad_sq_integral(dsig))
+        rows.append(ProbeRow(eps=float(eps), du_l2q=l2q_norm(tau, u_eps - u1),
+                             phi_linf_h=linf_phi, phi_l2v=math.sqrt(l2v_phi),
+                             sigma_linf_h=linf_sig, sigma_l2v=math.sqrt(l2v_sig)))
+    return rows
+
+
+def frechet_rows_by_level(params, u, h, eps_values):
+    """Reference ``frechet_remainder_sweep`` rows: the ``norm_h`` of one
+    wrapped defect Field per level, kept verbatim around the same solves."""
+    from chcontrol import norm_h, simulate, solve_linearized
+
+    base = simulate(params, u)
+    lin = solve_linearized(params, base, h)
+    rows = []
+    for eps in eps_values:
+        eps = float(eps)
+        traj = simulate(params, u + h.scaled(eps))
+        rem = 0.0
+        for n in range(base.n_steps + 1):
+            defect = Field._wrap(base.grid, traj.phi[n] - base.phi[n] - eps * lin.xi[n])
+            rem = max(rem, norm_h(defect))
+        rows.append((eps, rem))
+    return rows
 
 
 def ode_reference(params, a0, b0, c, t_final):

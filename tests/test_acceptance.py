@@ -6,6 +6,7 @@ them as they stream).  Instances come from the shipped configuration files
 where one exists for the criterion.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
                        cost_taylor_sweep, directional_derivative_check, dot_product_test,
                        fit_loglog_slope, frechet_remainder_sweep, inner_product,
                        integrate, kkt_report, l2q_norm, lipschitz_probe,
-                       neumann_laplacian, norm_h, preset_field, projected_gradient,
+                       neumann_laplacian, norm_h, preset_field, project, projected_gradient,
                        simulate, solve_adjoint, step)
 from chcontrol.cli import main as cli_main
 from chcontrol.grid import laplacian_values
@@ -50,7 +51,8 @@ def test_criterion_01_operator_sanity():
         grid = Grid.line(n, length)
         x = grid.cell_centers()[0]
         f = Field(grid, np.cos(np.pi * x / length))
-        errors.append(norm_h(neumann_laplacian(f) + (np.pi / length) ** 2 * f))
+        errors.append(norm_h(Field(grid, neumann_laplacian(f).values
+                                   + (np.pi / length) ** 2 * f.values)))
     orders = successive_orders(errors)
 
     grid = Grid.line(16, 4.0)
@@ -226,13 +228,13 @@ def test_criterion_10_optimizer_analytic_cases():
     grid = Grid.line(16, 4.0)
     params = ModelParams(beta_q=0.0, beta_omega=0.0, beta_u=1.0, t_final=0.05, tau=5e-3,
                          phi0=Field.full(grid, 0.2), sigma0=Field.zeros(grid))
+    clamped_params = dataclasses.replace(params, u_min=0.5, u_max=1.0)
     free = projected_gradient(
-        params, smooth_schedule(grid, params.n_steps, seed=1, amplitude=0.8,
-                                u_min=-1.0, u_max=1.0),
+        params, smooth_schedule(grid, params.n_steps, seed=1, amplitude=0.8),
         OptimOptions(tol=1e-8, max_iters=50))
     free_norm = l2q_norm(params.tau, free.control)
     clamped = projected_gradient(
-        params, ControlSchedule.constant(grid, params.n_steps, 0.9, u_min=0.5, u_max=1.0),
+        clamped_params, ControlSchedule.constant(grid, params.n_steps, 0.9),
         OptimOptions(tol=1e-8, max_iters=50))
     clamp_gap = float(np.max(np.abs(clamped.control.values - 0.5)))
     monotone = all(
@@ -241,7 +243,9 @@ def test_criterion_10_optimizer_analytic_cases():
     ok = (free.termination_reason == "tolerance_met" and free.iterations <= 50
           and free_norm <= 1e-8
           and clamped.termination_reason == "tolerance_met" and clamp_gap == 0.0
-          and monotone and free.control.is_admissible() and clamped.control.is_admissible())
+          and monotone
+          and all(np.array_equal(project(p, res.control).values, res.control.values)
+                  for p, res in ((params, free), (clamped_params, clamped))))
     record(10, "optimizer analytic cases", ok,
            f"|u*|={free_norm:.2e} iters={free.iterations} clamp_gap={clamp_gap:.2e}")
 
@@ -279,6 +283,13 @@ def test_criterion_12_stability_echo():
 
 
 def test_criterion_13_reproducibility(tmp_path, capsys):
+    """Two runs of one configuration in one process write the same bytes.
+
+    This is the guarantee the package gives: bitwise for one numpy/BLAS
+    build, CPU kernel and BLAS thread count.  The exact sums (``math.fsum``)
+    do not depend on any of these; the BLAS dot and matrix products do, so
+    outputs may differ across BLAS kernels or thread counts.
+    """
     config = str(Path(__file__).resolve().parent.parent / "configs" / "dissipation.cfg")
     outputs = []
     for sub in ("a", "b"):

@@ -241,7 +241,8 @@ class TestNonFiniteOutputs:
 
 class TestDiagnosticsOnDemand:
     def test_optimizer_computes_no_diagnostics(self, monkeypatch):
-        counts = {"energy": 0, "integrate": 0}
+        # The diagnostics reduce level arrays through these two helpers.
+        counts = {"_level_energy": 0, "_volume_sum": 0}
 
         def counting(name):
             real = getattr(forward, name)
@@ -251,17 +252,17 @@ class TestDiagnosticsOnDemand:
                 return real(*args, **kwargs)
             monkeypatch.setattr(forward, name, wrapper)
 
-        counting("energy")
-        counting("integrate")
+        counting("_level_energy")
+        counting("_volume_sum")
         _, _, params, u0 = load_instance("tracking.cfg", ["time.t_final=0.01"])
         result = projected_gradient(params, u0, OptimOptions(max_iters=2))
-        assert counts == {"energy": 0, "integrate": 0}
+        assert counts == {"_level_energy": 0, "_volume_sum": 0}
 
         traj = result.adjoint.base
         energies = traj.energies
-        assert counts["energy"] == traj.n_steps + 1
+        assert counts["_level_energy"] == traj.n_steps + 1
         assert traj.energies is energies
-        assert counts["energy"] == traj.n_steps + 1
+        assert counts["_level_energy"] == traj.n_steps + 1
 
     def test_constant_schedule_rows_are_read_directly(self):
         g, params, _, phi0, sigma0 = small_run()

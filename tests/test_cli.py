@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chcontrol import cli, forward, optimize, sensitivity
+from chcontrol import Grid, cli, forward, optimize, preset_field, sensitivity
 from chcontrol.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -64,6 +64,39 @@ class TestUsageErrors:
                             f"io.outdir={tmp_path}", "grid.nz=1"], capsys)
         assert code == 2
         assert "grid.nz" in err
+
+    @pytest.mark.parametrize("sub, config, override, key", [
+        ("optimize", "tracking.cfg", "opt.u0=tanh_ball center=1.0 radius=-1.0 width=0.3",
+         "opt.u0"),
+        ("optimize", "tracking.cfg", "opt.u0=file path={missing}", "opt.u0"),
+        ("simulate", "equilibrium.cfg", "init.phi0=file path={missing}", "init.phi0"),
+        ("optimize", "tracking.cfg", "target.phi_q=file path={missing}_{{n}}.csv",
+         "target.phi_q"),
+    ])
+    def test_unbuildable_field_names_its_key(self, sub, config, override, key, capsys,
+                                             tmp_path):
+        override = override.format(missing=tmp_path / "missing")
+        code, _, err = run([sub, cfg(config), override, f"io.outdir={tmp_path}"], capsys)
+        assert code == 2
+        assert err.startswith("error=config") and f"key {key}" in err
+
+    @pytest.mark.parametrize("sub, config, seed", [
+        ("simulate", "equilibrium.cfg", "abc"),
+        ("grad-check", "gradcheck.cfg", "-1"),
+        ("grad-check", "gradcheck.cfg", str(2 ** 54)),
+    ])
+    def test_bad_run_seed(self, sub, config, seed, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("RUN_SEED", seed)
+        code, _, err = run([sub, cfg(config), f"io.outdir={tmp_path}"], capsys)
+        assert code == 2
+        assert err.startswith("error=config") and "RUN_SEED" in err
+
+    def test_largest_run_seed_derives_valid_seeds(self, monkeypatch):
+        monkeypatch.setenv("RUN_SEED", str(2 ** 54 - 1))
+        seed = cli._run_seed()
+        grid = Grid.line(8, 1.0)
+        for derived in (seed, seed * 997 + 316, seed * 1009 + 2 ** 20):
+            preset_field("filtered_noise", grid, seed=derived)
 
 
 class TestSimulate:

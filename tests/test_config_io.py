@@ -150,7 +150,8 @@ class TestBuilders:
         assert params.stabilization == 3.0
         assert params.phi0 is not None and params.phi0.grid == grid
         u0 = build_initial_control(cfg, grid, params)
-        assert len(u0) == params.n_steps and u0.has_bounds()
+        assert len(u0) == params.n_steps
+        assert (params.u_min, params.u_max) == (-1.0, 1.0)  # the box lives on params
 
     def test_initial_control_shares_one_row(self):
         cfg = apply_overrides(parse_config(MINIMAL), ["opt.u0=filtered_noise seed=3 amplitude=0.5"])

@@ -96,12 +96,6 @@ class TestField:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
-    def test_arithmetic_grid_check(self):
-        f = Field(line16(), np.zeros(16))
-        g = Field(Grid.line(16, 5.0), np.zeros(16))
-        with pytest.raises(GridMismatchError):
-            _ = f + g
-
 
 class TestLaplacian:
     def test_hand_example(self):
@@ -188,7 +182,7 @@ class TestLaplacian:
             x = g.cell_centers()[0]
             f = Field(g, np.cos(np.pi * x / length))
             lam = (np.pi / length) ** 2
-            errors.append(norm_h(neumann_laplacian(f) + lam * f))
+            errors.append(norm_h(Field(g, neumann_laplacian(f).values + lam * f.values)))
         for order in (math.log2(errors[0] / errors[1]), math.log2(errors[1] / errors[2])):
             assert 1.9 <= order <= 2.1
 
@@ -265,7 +259,7 @@ class TestIntegrals:
     def test_grad_sq_quadratic_scaling(self, alpha, vals):
         g = line16()
         f = Field(g, vals)
-        scaled = grad_sq_integral(alpha * f)
+        scaled = grad_sq_integral(Field(g, alpha * f.values))
         assert scaled == pytest.approx(alpha * alpha * grad_sq_integral(f),
                                        rel=1e-12, abs=1e-30)
 
@@ -331,7 +325,7 @@ class TestCg:
             return v - 0.05 * laplacian_values(g, v)
 
         x = cg_solve(op, rhs.values, g, tol=1e-13, x0=np.zeros(g.shape))
-        assert norm_h(Field(g, op(x)) - rhs) <= 1e-13 * norm_h(rhs)
+        assert norm_h(Field(g, op(x) - rhs.values)) <= 1e-13 * norm_h(rhs)
 
     def test_exact_preconditioner_takes_one_iteration(self):
         g = line16()
@@ -341,7 +335,7 @@ class TestCg:
             cg_solve(lambda v: d * v, rhs.values, g, tol=1e-13, max_iter=1)
         x = cg_solve(lambda v: d * v, rhs.values, g, tol=1e-13, max_iter=1,
                      precond=lambda v: v / d)
-        assert norm_h(Field(g, d * x) - rhs) <= 1e-13 * norm_h(rhs)
+        assert norm_h(Field(g, d * x - rhs.values)) <= 1e-13 * norm_h(rhs)
 
     def test_jacobi_preconditioned_solve_matches_dense_solve(self):
         g = Grid.box(6, 5, 3.0, 2.0)
@@ -353,7 +347,7 @@ class TestCg:
         diag = np.diag(assemble_operator(op, g)).reshape(g.shape)
         rhs = Field(g, np.random.default_rng(12).uniform(-1, 1, g.shape))
         x = cg_solve(op, rhs.values, g, tol=1e-13, precond=lambda v: v / diag)
-        assert norm_h(Field(g, op(x)) - rhs) <= 1e-13 * norm_h(rhs)
+        assert norm_h(Field(g, op(x) - rhs.values)) <= 1e-13 * norm_h(rhs)
         ref = np.linalg.solve(assemble_operator(op, g), rhs.values.ravel())
         assert np.max(np.abs(x.ravel() - ref)) <= 1e-10
 

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from chcontrol import (ControlSchedule, Field, Grid, ModelParams, OptimOptions,
-                       cost_taylor_sweep, directional_derivative_check, kkt_report,
-                       l2q_norm, project, projected_gradient, reduced_cost, reduced_gradient,
-                       simulate, solve_adjoint)
+from chcontrol import (ControlSchedule, Field, Grid, GridMismatchError, ModelParams,
+                       OptimOptions, cost_taylor_sweep, directional_derivative_check,
+                       kkt_report, l2q_norm, project, projected_gradient, reduced_cost,
+                       reduced_gradient, simulate, solve_adjoint)
 from chcontrol.optimize import _tracking_cost
 from helpers import (kkt_report_by_level, load_instance, smooth_field, smooth_schedule,
                      tracking_cost_by_level)
@@ -71,8 +73,8 @@ class TestReducedCost:
     def test_admissibility_not_required(self):
         g = Grid.line(16, 4.0)
         params = control_only_params(g)
-        u = ControlSchedule.constant(g, params.n_steps, 5.0, u_min=-1.0, u_max=1.0)
-        assert not u.is_admissible()
+        u = ControlSchedule.constant(g, params.n_steps, 5.0)
+        assert not np.array_equal(project(params, u).values, u.values)
         assert reduced_cost(params, u) > 0.0
 
 
@@ -117,57 +119,68 @@ class TestReducedCostMatchesLevelLoop:
 class TestProject:
     def test_inside_unchanged(self):
         g = Grid.line(8, 2.0)
-        u = ControlSchedule.constant(g, 3, 0.5, u_min=-1.0, u_max=1.0)
-        v = project(u)
+        u = ControlSchedule.constant(g, 3, 0.5)
+        v = project(control_only_params(g), u)
         for n in range(3):
             assert np.array_equal(v[n].values, u[n].values)
 
     def test_clamps(self):
         g = Grid.line(8, 2.0)
-        u = ControlSchedule.constant(g, 2, 2.0, u_min=0.0, u_max=1.0)
-        v = project(u)
+        u = ControlSchedule.constant(g, 2, 2.0)
+        v = project(control_only_params(g, u_min=0.0, u_max=1.0), u)
         assert np.all(v[0].values == 1.0)
 
     def test_idempotent_bitwise(self):
         g = Grid.line(16, 4.0)
-        u = smooth_schedule(g, 4, seed=3, amplitude=2.0, u_min=-0.4, u_max=0.7)
-        once = project(u)
-        twice = project(once)
+        params = control_only_params(g, u_min=-0.4, u_max=0.7)
+        u = smooth_schedule(g, 4, seed=3, amplitude=2.0)
+        once = project(params, u)
+        twice = project(params, once)
         for n in range(4):
             assert np.array_equal(once[n].values, twice[n].values)
 
-    def test_requires_bounds(self):
+    def test_rejects_bound_on_another_grid(self):
         g = Grid.line(8, 2.0)
-        with pytest.raises(ValueError):
-            project(ControlSchedule.constant(g, 2, 0.0))
+        params = control_only_params(g, u_max=Field.full(Grid.line(8, 4.0), 1.0))
+        with pytest.raises(GridMismatchError):
+            project(params, ControlSchedule.constant(g, 3, 0.0))
 
 
 class TestProjectedGradientAnalytic:
     def test_reaches_zero_minimizer(self):
         g = Grid.line(16, 4.0)
         params = control_only_params(g)
-        u0 = smooth_schedule(g, params.n_steps, seed=1, amplitude=0.8,
-                             u_min=-1.0, u_max=1.0)
+        u0 = smooth_schedule(g, params.n_steps, seed=1, amplitude=0.8)
         result = projected_gradient(params, u0, OptimOptions(tol=1e-8, max_iters=50))
         assert result.termination_reason == "tolerance_met"
         assert result.iterations <= 50
         assert l2q_norm(params.tau, result.control) <= 1e-8
         assert all(b <= a for a, b in zip(result.cost_history, result.cost_history[1:]))
-        assert result.control.is_admissible()
+        assert np.array_equal(project(params, result.control).values, result.control.values)
 
     def test_reaches_clamped_minimizer(self):
         g = Grid.line(16, 4.0)
-        params = control_only_params(g)
-        u0 = ControlSchedule.constant(g, params.n_steps, 0.9, u_min=0.5, u_max=1.0)
+        params = control_only_params(g, u_min=0.5, u_max=1.0)
+        u0 = ControlSchedule.constant(g, params.n_steps, 0.9)
         result = projected_gradient(params, u0, OptimOptions(tol=1e-8, max_iters=50))
         assert result.termination_reason == "tolerance_met"
         for n in range(len(result.control)):
             assert np.all(result.control[n].values == 0.5)
 
+    def test_honours_the_box_of_params(self):
+        # The start leaves the box [0.2, 0.3] on both sides; the minimizer of
+        # |u|^2 over it is the lower bound in every cell.
+        g = Grid.line(16, 4.0)
+        params = control_only_params(g, u_min=0.2, u_max=0.3)
+        u0 = ControlSchedule(g, [np.full(g.shape, (-1.0) ** n) for n in range(params.n_steps)])
+        result = projected_gradient(params, u0, OptimOptions(tol=1e-8, max_iters=50))
+        assert result.termination_reason == "tolerance_met"
+        assert np.all(result.control.values == 0.2)
+
     def test_gradient_history_recorded(self):
         g = Grid.line(16, 4.0)
         params = control_only_params(g)
-        u0 = ControlSchedule.constant(g, params.n_steps, 0.9, u_min=-1.0, u_max=1.0)
+        u0 = ControlSchedule.constant(g, params.n_steps, 0.9)
         result = projected_gradient(params, u0, OptimOptions(tol=1e-8, max_iters=50))
         assert len(result.gradient_norm_history) >= 1
         assert result.kkt_residual <= 1e-8
@@ -228,7 +241,7 @@ class TestTrackingRun:
         # poke one strictly interior cell by 10*tol (beta_u absorbs the scale)
         values = result.control.values.copy()
         vals = values[2]
-        lo, hi = result.control.bound_arrays()
+        lo, hi = params.u_min, params.u_max
         interior = np.flatnonzero((vals > lo + 0.1) & (vals < hi - 0.1))
         idx = interior[0]
         vals[idx] += 10 * tol * (1.0 / params.beta_u)
@@ -245,7 +258,7 @@ class TestKktReportEdgeCases:
                              t_final=0.02, tau=2e-3,
                              phi_q=Field.zeros(g),
                              phi0=Field.full(g, 0.2), sigma0=Field.zeros(g))
-        u = ControlSchedule.constant(g, params.n_steps, 0.0, u_min=-1.0, u_max=1.0)
+        u = ControlSchedule.constant(g, params.n_steps, 0.0)
         traj = simulate(params, u)
         adjoint = solve_adjoint(params, traj)
         report = kkt_report(params, u, adjoint, tol=1e-5)
@@ -255,7 +268,7 @@ class TestKktReportEdgeCases:
     def test_zero_problem_has_no_violations(self):
         g = Grid.line(16, 4.0)
         params = control_only_params(g)
-        u = ControlSchedule.constant(g, params.n_steps, 0.0, u_min=-1.0, u_max=1.0)
+        u = ControlSchedule.constant(g, params.n_steps, 0.0)
         traj = simulate(params, u)
         adjoint = solve_adjoint(params, traj)
         report = kkt_report(params, u, adjoint, tol=1e-12)
@@ -285,13 +298,14 @@ class TestKktReportMatchesLevelLoop:
                 u_max = Field(g, rng.uniform(0.3, 1.0, g.shape))
                 lo, hi = u_min.values, u_max.values
             raw = rng.uniform(-1.6, 1.6, (params.n_steps,) + g.shape)
-            u = ControlSchedule(g, np.clip(raw, lo, hi), u_min=u_min, u_max=u_max)
+            u = ControlSchedule(g, np.clip(raw, lo, hi))
             assert np.any(u.values == lo) and np.any(u.values == hi)
             assert np.any((u.values > lo) & (u.values < hi))
             adjoint = solve_adjoint(params, simulate(params, u))
+            boxed = dataclasses.replace(params, u_min=u_min, u_max=u_max)
             for tol in (1e-5, 0.5):
-                assert kkt_report(params, u, adjoint, tol=tol) \
-                    == kkt_report_by_level(params, u, adjoint, tol)
+                assert kkt_report(boxed, u, adjoint, tol=tol) \
+                    == kkt_report_by_level(boxed, u, adjoint, tol)
 
 
 class TestTaylorDiagnostics:

@@ -6,7 +6,7 @@ from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
                        frechet_remainder_sweep, inner_product, norm_h, preset_field,
                        simulate, solve_adjoint, solve_linearized, step)
 from chcontrol.sensitivity import adjoint_step, level_coefficients, linearized_step
-from helpers import smooth_field, smooth_schedule
+from helpers import frechet_rows_by_level, smooth_field, smooth_schedule
 
 
 def tight_params(**kw):
@@ -25,7 +25,7 @@ def coupled_instance(grid):
                          beta_q=1.0, beta_omega=0.5, beta_u=0.1,
                          t_final=0.2, tau=5e-3, phi_q=target, phi_omega=target,
                          phi0=phi0, sigma0=sigma0, numerics=Numerics(cg_tol=1e-13))
-    u = ControlSchedule.constant(grid, params.n_steps, 0.0, u_min=-2.0, u_max=2.0)
+    u = ControlSchedule.constant(grid, params.n_steps, 0.0)
     h = smooth_schedule(grid, params.n_steps, seed=7, amplitude=2.0)
     return params, u, h
 
@@ -105,6 +105,16 @@ class TestSolveLinearized:
         rows = frechet_remainder_sweep(params, u, h)
         slope = fit_loglog_slope(rows)
         assert 1.9 <= slope <= 2.1
+
+    @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(5, 7, 4.0, 1.5)])
+    def test_remainder_rows_equal_field_level_reference(self, g):
+        params = tight_params(phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
+        u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
+        h = smooth_schedule(g, params.n_steps, seed=4, amplitude=1.0)
+        eps_values = (1e-1, 1e-2)
+        rows = frechet_remainder_sweep(params, u, h, eps_values=eps_values)
+        assert rows == frechet_rows_by_level(params, u, h, eps_values)
+        assert all(rem > 0.0 for _, rem in rows)
 
     def test_derived_potential_direction(self):
         from chcontrol import f_deriv, neumann_laplacian
