@@ -51,6 +51,7 @@ for them.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -77,6 +78,9 @@ __all__ = [
     "phase_preconditioner",
     "diffusion_operator",
 ]
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class DivergenceError(RuntimeError):
@@ -223,23 +227,31 @@ def _diffusion_solve(params: ModelParams, grid: Grid, rhs: np.ndarray,
 
 
 def _require_grid_shape(grid: Grid, *arrays: np.ndarray) -> None:
-    if any(a.shape != grid.shape for a in arrays):
-        raise GridMismatchError(f"step inputs must have the grid's shape {grid.shape}")
+    shape = grid.shape
+    for a in arrays:
+        if a.shape != shape:
+            raise GridMismatchError(f"step inputs must have the grid's shape {grid.shape}")
 
 
 def _check_outputs(a: np.ndarray, b: np.ndarray, guard: float, step_index,
                    name: str = "step") -> None:
     """Raise DivergenceError unless both outputs of a step are finite and at
-    most ``guard`` in magnitude; the message names the step."""
-    worst = float(np.maximum(abs(a).max(), abs(b).max()))  # a NaN propagates
-    if not worst <= guard:
-        where = f"unknown {name}" if step_index is None else f"{name} {step_index}"
-        if math.isfinite(worst):
-            message = (f"solution magnitude {worst:.3e} exceeded the overflow guard "
-                       f"{guard:.3e} at {where}")
-        else:
-            message = f"non-finite solution at {where}"
-        raise DivergenceError(message, step_index=step_index)
+    most ``guard`` in magnitude (``guard=math.inf`` checks finiteness only);
+    the message names the step."""
+    # A NaN fails every comparison, and the clamp makes an inf fail too.
+    limit = guard if guard < math.inf else _FLOAT_MAX
+    worst_a = abs(a).max()
+    worst_b = abs(b).max()
+    if worst_a <= limit and worst_b <= limit:
+        return
+    worst = float(np.maximum(worst_a, worst_b))  # a NaN propagates
+    where = f"unknown {name}" if step_index is None else f"{name} {step_index}"
+    if math.isfinite(worst):
+        message = (f"solution magnitude {worst:.3e} exceeded the overflow guard "
+                   f"{guard:.3e} at {where}")
+    else:
+        message = f"non-finite solution at {where}"
+    raise DivergenceError(message, step_index=step_index)
 
 
 def step(params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,

@@ -13,11 +13,15 @@ to roundoff and are relied on downstream:
   with ``inner_product(neumann_laplacian(f), f) == -grad_sq_integral(f)``.
 
 ``integrate``, ``inner_product`` and ``level_inner_products`` sum exactly
-(Python's ``fsum``), whatever the order of the terms.  The other reductions
-go through BLAS, whose summation order follows the CPU kernel and the thread
-count: the dots of ``cg_solve`` and ``grad_sq_integral`` and the matrix
-products of ``spectral_inverse`` and the dense operators.  So results are
-bitwise reproducible for one numpy/BLAS build, CPU kernel and thread count.
+(Python's ``fsum``), whatever the order of the terms.  ``level_inner_products``
+reduces its rows in blocks of at most ``LEVEL_BLOCK_CELLS`` cells (one
+multiply and one ``tolist`` per block, one ``fsum`` per row), so no
+temporary outgrows the larger of one level and the budget.  The other
+reductions go through BLAS, whose summation order follows the CPU kernel and
+the thread count: the dots of ``cg_solve`` and ``grad_sq_integral`` and the
+matrix products of ``spectral_inverse`` and the dense operators.  So results
+are bitwise reproducible for one numpy/BLAS build, CPU kernel and thread
+count.
 
 ``cg_solve`` works on arrays only: its operator is an array map (ndarray in,
 new ndarray out, argument left unmodified), and its right-hand side, initial
@@ -35,6 +39,14 @@ with its transpose so it is exactly symmetric) and applied as
 shifting by ``v[0]`` makes a constant field map to itself exactly.  Above the
 threshold a matrix-vector product costs more than the stencil, which is then
 called directly.
+
+Both builders choose their array map once, at build time, by grid rank.  A
+1D array is its own flat vector, so the 1D maps apply their formulas as
+written, ``v + K @ (v - v[0])`` and ``Cx^T ((Cx (b - b[0])) / Lambda) +
+b[0] / Lambda[0]`` with ``Cx^T`` taken once, and make no ``reshape`` and no
+``.flat`` iterator per call; on the small control grids that per-call
+overhead is most of an apply.  The 2D maps flatten or take the two-sided
+product.  Both forms do the same float operations in the same order.
 
 ``spectral_inverse`` builds the exact inverse of an operator that is a
 function of the laplacian.  The orthonormal DCT-II ``C`` diagonalizes the
@@ -285,9 +297,13 @@ def implicit_operator(grid: Grid, key: Hashable,
     ``increment`` is a linear stencil map that sends constants to zero and
     accepts trailing batch axes; ``key`` names it completely on ``grid``
     (equal keys must mean equal maps).  Grids of at most ``DENSE_MAX_CELLS``
-    cells apply the increment as one dense matrix, assembled once per key
-    and kept on the grid; larger grids call the stencil.  Every call returns
-    a new function object, so callers may set attributes on it.
+    cells apply the increment as one dense matrix ``K``, assembled once per
+    key and kept on the grid, as ``v + K @ (v - v[0])``; larger grids call
+    the stencil.  The dense map is chosen here, once, by grid rank: a 1D
+    array is its own flat vector, so the 1D map applies that formula as
+    written, and the 2D map flattens and reshapes around the product.  Both
+    do the same float operations in the same order.  Every call returns a
+    new function object, so callers may set attributes on it.
     """
     if grid.n_cells > DENSE_MAX_CELLS:
         def apply(v: np.ndarray) -> np.ndarray:
@@ -295,9 +311,13 @@ def implicit_operator(grid: Grid, key: Hashable,
         return apply
 
     mat = _dense_increment(grid, key, increment)
+    # Shifting by v[0] keeps a constant field exactly constant.
+    if grid.dim == 1:
+        def apply_dense_1d(v: np.ndarray) -> np.ndarray:
+            return v + mat @ (v - v[0])
+        return apply_dense_1d
 
     def apply_dense(v: np.ndarray) -> np.ndarray:
-        # Shifting by v[0] keeps a constant field exactly constant.
         return v + (mat @ (v.reshape(-1) - v.flat[0])).reshape(v.shape)
 
     return apply_dense
@@ -335,7 +355,11 @@ def spectral_inverse(grid: Grid, key: Hashable,
     square box has one).  Each axis of ``n`` cells costs an ``n x n`` matrix,
     so a 1D grid's memory and time per call grow as ``nx^2``.  The constant
     mode is applied separately, so a constant ``b`` maps exactly to a
-    constant (to ``b`` itself when ``symbol(0) == 1``).
+    constant (to ``b`` itself when ``symbol(0) == 1``).  The map is chosen
+    here, once, by grid rank: the 1D map is ``Cx^T ((Cx (b - b[0])) / Lambda)
+    + b[0] / Lambda[0]`` with ``Cx^T`` taken at build time, and the 2D map is
+    the two-sided product; a 1D map makes no reshape and no ``.flat``
+    iterator per call.  Every call returns a new function object.
     """
     def build():
         mats = tuple(_cached(grid, ("dct", n), lambda n=n: _dct_matrix(n)) for n in grid.shape)
@@ -352,15 +376,25 @@ def spectral_inverse(grid: Grid, key: Hashable,
 
     mats, inv = _cached(grid, ("inverse", key), build)
     inv0 = inv.flat[0]
-    cx, cy = mats[0], mats[-1]
+    # The constant mode is applied separately: shift by b's first value.
+    if grid.dim == 1:
+        cx = mats[0]
+        cxT = cx.T
+
+        def apply_1d(b: np.ndarray) -> np.ndarray:
+            shift = b[0]
+            out = cxT @ ((cx @ (b - shift)) * inv)
+            out += shift * inv0
+            return out
+
+        return apply_1d
+
+    cx, cy = mats
 
     def apply(b: np.ndarray) -> np.ndarray:
         shift = b.flat[0]
         w = b - shift
-        if grid.dim == 1:
-            out = cx.T @ ((cx @ w) * inv)
-        else:
-            out = cx.T @ (((cx @ w @ cy.T) * inv) @ cy)
+        out = cx.T @ (((cx @ w @ cy.T) * inv) @ cy)
         out += shift * inv0
         return out
 
@@ -398,24 +432,43 @@ def _volume_sum(grid: Grid, values: np.ndarray) -> float:
 
 
 def inner_product(f: Field, g: Field) -> float:
-    """Cell-volume weighted inner product, exactly summed in a fixed order."""
+    """Cell-volume weighted inner product, exactly summed."""
     if f.grid != g.grid:
         raise GridMismatchError("fields live on different grids")
     return _volume_sum(f.grid, f.values * g.values)
+
+
+LEVEL_BLOCK_CELLS = 8192  # cells per block of levels reduced or built together
+
+
+def _level_blocks(n_levels: int, n_cells: int) -> list[slice]:
+    """Consecutive slices covering ``range(n_levels)``, each of as many levels
+    as fit in ``LEVEL_BLOCK_CELLS`` cells (at least one): the block rule of
+    the level-stack code, so that no temporary outgrows the larger of one
+    level and the budget, while small grids still pay few per-call costs."""
+    rows = max(1, LEVEL_BLOCK_CELLS // n_cells)
+    return [slice(i, min(i + rows, n_levels)) for i in range(0, n_levels, rows)]
 
 
 def level_inner_products(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[float]:
     """``inner_product`` of row n of ``a`` with row n of ``b`` for every n.
 
     ``a`` and ``b`` are ``(levels, *grid.shape)`` arrays (``GridMismatchError``
-    otherwise); each row is summed exactly like ``inner_product``, so entry n
-    is bitwise the ``inner_product`` of the two level-n Fields.  The rows are
-    reduced one at a time, so no temporary outgrows one level.
+    otherwise), of any strides (a constant schedule's rows are one stride-0
+    row).  Each row is summed exactly like ``inner_product``, so entry n is
+    bitwise the ``inner_product`` of the two level-n Fields.  The rows are
+    reduced in ``_level_blocks``: one multiply and one ``tolist`` per block,
+    then one exact sum per row.
     """
     if a.shape != b.shape or a.shape[1:] != grid.shape:
         raise GridMismatchError(f"level arrays of shapes {a.shape} and {b.shape} "
                                 f"on a {grid.shape} grid")
-    return [_volume_sum(grid, a[n] * b[n]) for n in range(len(a))]
+    vol = grid.cell_volume
+    out = []
+    for blk in _level_blocks(len(a), grid.n_cells):
+        rows = np.multiply(a[blk], b[blk]).reshape(-1, grid.n_cells).tolist()
+        out.extend(vol * math.fsum(row) for row in rows)
+    return out
 
 
 def integrate(f: Field) -> float:
@@ -453,8 +506,10 @@ def cg_solve(
     genuinely satisfies ``norm_h(apply_op(x) - rhs) <= tol * norm_h(rhs)``.
     The starting residual ``rhs - apply_op(x0)`` is already the true one: when
     it meets the tolerance the solve returns (a copy of) ``x0`` at iteration
-    0, after one operator application and no preconditioner apply.  All
-    reductions use a fixed summation order.
+    0, after one operator application and no preconditioner apply.  The dot
+    products are BLAS ``vdot``s, whose summation order follows the CPU
+    kernel and the thread count, so the iterates are bitwise reproducible
+    only for one numpy/BLAS build, CPU kernel and thread count.
 
     ``precond``, an array map approximating the inverse of ``apply_op`` (for
     example a ``spectral_inverse``), turns the iteration into preconditioned

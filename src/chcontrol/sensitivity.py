@@ -51,8 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (Field, Grid, GridMismatchError, _volume_sum, inner_product,
-                   laplacian_values)
+from .grid import (Field, Grid, GridMismatchError, _level_blocks, _volume_sum,
+                   inner_product, laplacian_values)
 from .forward import (ControlSchedule, StateTrajectory, _check_outputs, _diffusion_solve,
                       _phase_solve, _require_grid_shape, l2q_inner, simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
@@ -74,6 +74,12 @@ __all__ = [
 
 Coefficients = tuple[np.ndarray, np.ndarray, np.ndarray]  # (curvature, rate, rate_slope)
 
+# Grids of at most this many cells take a block of base levels through one
+# batched laplacian call (a block then holds at least 8 levels); on larger
+# grids the moves to and from the batch axis cost more than the per-call
+# overhead they save (timeit on 2D boxes from 32x32 to 64x64).
+_BATCH_MAX_CELLS = 1024
+
 
 def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
                        sigma: np.ndarray) -> Coefficients:
@@ -83,9 +89,12 @@ def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
     levels (``(levels, *grid.shape)``), ``GridMismatchError`` otherwise.
     Returns (curvature, rate, rate_slope) of the same shape: F''(phi),
     P(phi), and P'(phi)*(sigma - mu) with mu the explicit potential of each
-    level.  All levels go through one laplacian call, on its trailing batch
-    axis; the arithmetic is cellwise, so every level is bitwise what a call on
-    that level alone gives.
+    level.  On grids of at most ``_BATCH_MAX_CELLS`` cells the laplacian
+    takes the levels on its trailing batch axis, one call per
+    ``grid._level_blocks`` block (a 1D control sweep or a 32x32 sweep of 8
+    levels is one block); on larger grids it is called level by level.  The
+    arithmetic is cellwise, so every level is bitwise what a call on that
+    level alone gives.
     """
     if phi.shape[phi.ndim - grid.dim:] != grid.shape or phi.ndim > grid.dim + 1 \
             or sigma.shape != phi.shape:
@@ -95,10 +104,15 @@ def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
     # mu = -lap(phi) + F'(phi) is formed as F'(phi) - lap(phi), bit for bit the
     # same, in one buffer that then holds sigma - mu and the rate slope, so a
     # stack of levels makes few temporaries.
-    lap = np.moveaxis(laplacian_values(grid, np.moveaxis(stack, 0, -1)), -1, 0)
     mu = np.asarray(f_deriv(params.potential, 1, phi), dtype=float)
-    mu -= lap.reshape(phi.shape)
-    del lap
+    mu_stack = mu.reshape(stack.shape)  # a view: mu is fresh and of phi's shape
+    if grid.n_cells <= _BATCH_MAX_CELLS:
+        for blk in _level_blocks(len(stack), grid.n_cells):
+            mu_stack[blk] -= np.moveaxis(
+                laplacian_values(grid, np.moveaxis(stack[blk], 0, -1)), -1, 0)
+    else:
+        for n in range(len(stack)):
+            mu_stack[n] -= laplacian_values(grid, stack[n])
     rate_slope = np.subtract(sigma, mu, out=mu)
     np.multiply(p_deriv(params.proliferation, 1, phi), rate_slope, out=rate_slope)
     curvature = np.asarray(f_deriv(params.potential, 2, phi), dtype=float)

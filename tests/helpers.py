@@ -190,7 +190,8 @@ def field_cg_solve(
     residual passes the tolerance the true residual is re-checked (and the
     iteration restarted from it if it drifted), so the returned ``x``
     genuinely satisfies ``norm_h(apply_op(x) - rhs) <= tol * norm_h(rhs)``.
-    All reductions use a fixed summation order.
+    The dot products are BLAS ``vdot``s, whose summation order follows the
+    CPU kernel and the thread count.
 
     ``precond``, an array map approximating the inverse of ``apply_op`` (for
     example a ``spectral_inverse``), turns the iteration into preconditioned
