@@ -24,7 +24,8 @@ from .sensitivity import (AdjointTrajectory, LinearizedTrajectory, adjoint_step,
 from .optimize import (KktReport, OptimOptions, OptimResult, cost_taylor_sweep,
                        directional_derivative_check, kkt_report, project,
                        projected_gradient, reduced_cost)
-from .snapshots import SnapshotError, read_snapshot, read_snapshot_header, write_snapshot
+from .snapshots import (SnapshotError, read_snapshot, read_snapshot_header, write_snapshot,
+                        write_snapshots)
 from .config import (ConfigError, FieldExpr, RunConfig, apply_overrides, build_grid,
                      build_initial_control, build_params, echo_text, parse_config)
 

@@ -5,10 +5,12 @@ Usage:
 
 Subcommands: simulate, optimize, grad-check, taylor, oracle,
 check-hypotheses.  Exit codes: 0 pass, 1 criteria failure, 2 usage or
-config error, 3 numerical divergence.  The environment variable RUN_SEED,
-when set, overrides every seed in the configuration and the built-in seed
-lists; it must be an integer in [0, 2^54) (exit 2 otherwise).  Run logs
-contain no timestamps (those go to a .meta sidecar), so identical
+config error, 3 numerical divergence or linear-solver failure
+(``error=divergence`` or ``error=solver`` on stderr).  The environment
+variable RUN_SEED, when set, overrides every seed in the configuration and
+the built-in seed lists; it must be an integer in [0, 2^54) (exit 2
+otherwise).  Run logs contain no timestamps (those go to a .meta sidecar,
+with the snapshot writer's process count and time), so identical
 configurations produce bitwise-identical artifacts for one numpy/BLAS build,
 CPU kernel and BLAS thread count (see the ``grid`` module).
 """
@@ -32,7 +34,7 @@ from .model import check_hypotheses, f_deriv, p_deriv, preset_field
 from .optimize import (OptimOptions, cost_taylor_sweep, directional_derivative_check,
                        kkt_report, projected_gradient)
 from .sensitivity import dot_product_test, fit_loglog_slope, frechet_remainder_sweep
-from .snapshots import write_snapshot
+from .snapshots import write_snapshots
 
 USAGE = """usage: chcontrol <subcommand> <config_path> [section.key=value ...]
 subcommands:
@@ -58,7 +60,8 @@ def _kv_line(**pairs) -> str:
 
 
 class RunWriter:
-    """Per-run output directory ``outdir``: writes the echoed config and the log."""
+    """Per-run output directory ``outdir``: writes the echoed config, the log,
+    the snapshots and the ``run.meta`` sidecar (wall clock and timings)."""
 
     def __init__(self, cfg: RunConfig):
         self.outdir = Path(cfg["io.outdir"])
@@ -70,6 +73,14 @@ class RunWriter:
 
     def log(self, **pairs) -> None:
         self._log_lines.append(_kv_line(**pairs))
+
+    def snapshots(self, grid, items) -> None:
+        """``write_snapshots`` with its process count and wall time in run.meta."""
+        start = time.perf_counter()
+        processes = write_snapshots(grid, items)
+        with open(self.outdir / "run.meta", "a", encoding="utf-8") as fh:
+            fh.write(_kv_line(snapshot_processes=processes,
+                              snapshot_s=time.perf_counter() - start) + "\n")
 
     def flush(self) -> None:
         (self.outdir / "run.log").write_text(
@@ -116,15 +127,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     every = cfg["io.snapshot_every"]
     traj = simulate(params, u)
     n_final = traj.n_steps
+    items = []
     for n in range(n_final + 1):
         if n % every == 0 or n == n_final:
-            phi_text = write_snapshot(Field._wrap(grid, traj.phi[n]), traj.time(n),
-                                      writer.outdir / f"phi_{n:06d}.csv")
-            sigma_text = write_snapshot(Field._wrap(grid, traj.sigma[n]), traj.time(n),
-                                        writer.outdir / f"sigma_{n:06d}.csv")
-    # The loop always ends on the final level: write its text again.
-    (writer.outdir / "phi_final.csv").write_text(phi_text, encoding="utf-8")
-    (writer.outdir / "sigma_final.csv").write_text(sigma_text, encoding="utf-8")
+            for name, levels in (("phi", traj.phi), ("sigma", traj.sigma)):
+                paths = [writer.outdir / f"{name}_{n:06d}.csv"]
+                if n == n_final:
+                    paths.append(writer.outdir / f"{name}_final.csv")
+                items.append((levels[n], traj.time(n), paths))
+    writer.snapshots(grid, items)
     masses, mass_residuals, energies = traj.masses, traj.mass_residuals, traj.energies
     for n in range(n_final):
         writer.log(step=n, t=traj.time(n + 1),
@@ -155,8 +166,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
     report = kkt_report(params, result.control, result.adjoint, tol=1e-5)
     control_dir = writer.outdir / "control_final"
     control_dir.mkdir(exist_ok=True)
-    for n in range(len(result.control)):
-        write_snapshot(result.control[n], n * params.tau, control_dir / f"u_{n:06d}.csv")
+    writer.snapshots(grid, [(row, n * params.tau, [control_dir / f"u_{n:06d}.csv"])
+                            for n, row in enumerate(result.control.values)])
     writer.log(termination=result.termination_reason, iterations=result.iterations,
                final_cost=result.cost_history[-1], kkt_residual=result.kkt_residual,
                kkt_violations=report.violations, worst_violation=report.worst_violation)

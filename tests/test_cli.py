@@ -10,6 +10,7 @@ from chcontrol.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 # The three benchmark commands: the 1D soft tracking run from a rough initial
 # control, the 64x64 filtered-noise relaxation, and the 32x32 transpose check.
@@ -153,6 +154,15 @@ class TestSimulate:
         assert "unix" not in log
         assert "started_unix" in (tmp_path / "run.meta").read_text()
 
+    def test_meta_records_snapshot_processes_and_time(self, capsys, tmp_path):
+        code, _, _ = run(["simulate", cfg("equilibrium.cfg"), f"io.outdir={tmp_path}"], capsys)
+        assert code == 0
+        started, snapshot = (tmp_path / "run.meta").read_text().splitlines()
+        assert started.startswith("started_unix=")
+        pairs = dict(tok.split("=") for tok in snapshot.split())
+        assert sorted(pairs) == ["snapshot_processes", "snapshot_s"]
+        assert pairs["snapshot_processes"] == "1" and float(pairs["snapshot_s"]) > 0
+        assert "snapshot" not in (tmp_path / "run.log").read_text()
 
     def test_final_snapshots_repeat_the_last_level(self, capsys, tmp_path):
         # 20 steps written every 7th: the last level is written by the n == N rule.
@@ -174,6 +184,36 @@ class TestDeterminism:
         # config.echo differs only in the io.outdir override itself
         for name in ("phi_final.csv", "sigma_final.csv", "run.log"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.skipif(CPUS < 2, reason="needs at least 2 CPUs")
+    def test_snapshot_bytes_do_not_depend_on_cpu_affinity(self, tmp_path):
+        # The same benchmark command pinned to one CPU (one writer process)
+        # and at default affinity (forked writers), at one BLAS thread each.
+        code = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from chcontrol.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR), RUN_SEED="5")
+        env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                         "MKL_NUM_THREADS")})
+        runs = {}
+        for affinity in ("one", "all"):
+            outdir = tmp_path / affinity
+            argv = benchmark_argv("simulate_2d", outdir, ("io.snapshot_every=1",))
+            proc = subprocess.run([sys.executable, "-c", code, affinity, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            files = {p.name: p.read_bytes() for p in outdir.iterdir()
+                     if p.name not in ("run.meta", "config.echo")}
+            meta = (outdir / "run.meta").read_text()
+            runs[affinity] = (proc.stdout, proc.stderr, files)
+            processes = 1 if affinity == "one" else min(42, CPUS)
+            assert f"snapshot_processes={processes} " in meta
+        assert len(runs["one"][2]) == 2 * 21 + 3  # 21 levels, two finals and run.log
+        assert runs["one"] == runs["all"]
 
 
 class TestVerificationSubcommands:
@@ -227,6 +267,18 @@ class TestOptimize:
         assert "termination=tolerance_met" in out
         assert "kkt_violations=0" in out
         assert (tmp_path / "control_final" / "u_000000.csv").exists()
+
+    def test_control_snapshots_are_written_in_process(self, capsys, tmp_path, monkeypatch):
+        # 50 levels of 32 cells are below the fork threshold of the writer.
+        def raising_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", raising_fork)
+        code, _, _ = run(["optimize", cfg("tracking_soft.cfg"), f"io.outdir={tmp_path}"],
+                         capsys)
+        assert code == 0
+        assert len(list((tmp_path / "control_final").glob("u_*.csv"))) == 50
+        assert "snapshot_processes=1 " in (tmp_path / "run.meta").read_text()
 
     def test_final_control_is_not_simulated_again(self, capsys, tmp_path, monkeypatch):
         # Every simulate is a cost evaluation: the final KKT audit reuses the

@@ -1,10 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
-from chcontrol import Field, Grid, preset_field
+from chcontrol import Field, Grid, preset_field, snapshots
 from chcontrol.config import (ConfigError, FieldExpr, apply_overrides, build_grid,
                               build_initial_control, build_params, echo_text, parse_config)
-from chcontrol.snapshots import SnapshotError, read_snapshot, read_snapshot_header, write_snapshot
+from chcontrol.snapshots import (SnapshotError, read_snapshot, read_snapshot_header,
+                                 write_snapshot, write_snapshots)
 from helpers import snapshot_text_by_column
 
 MINIMAL = """
@@ -232,3 +235,102 @@ class TestSnapshots:
         back = read_snapshot(path)
         assert back.grid.counts == (8, 1)
         assert np.array_equal(back.values, f.values)
+
+
+def snapshot_items(grid, tmp_path, n_items=5):
+    """Items of distinct rough fields; the last one also goes to a second path."""
+    items = []
+    for i in range(n_items):
+        values = preset_field("filtered_noise", grid, seed=i, amplitude=0.6).values
+        items.append((values, 0.1 * i, [tmp_path / f"f_{i}.csv"]))
+    items[-1][2].append(tmp_path / "f_final.csv")
+    return items
+
+
+def raising_fork():
+    raise AssertionError("os.fork called")
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="needs at least 2 CPUs")
+
+
+class TestWriteSnapshots:
+    @pytest.mark.parametrize("grid", [Grid.line(8, 2.0), Grid.box(7, 4, 3.5, 1.0)])
+    @pytest.mark.parametrize("per_process", [1, 10 ** 9])
+    def test_bytes_match_per_column_formatter(self, tmp_path, monkeypatch, grid, per_process):
+        monkeypatch.setattr(snapshots, "VALUES_PER_PROCESS", per_process)
+        items = snapshot_items(grid, tmp_path)
+        processes = write_snapshots(grid, items)
+        assert processes == (min(len(items), CPUS) if per_process == 1 else 1)
+        for values, t, paths in items:
+            want = snapshot_text_by_column(Field(grid, values), t).encode()
+            assert [path.read_bytes() for path in paths] == [want] * len(paths)
+        assert_no_children_left()
+
+    @needs_two_cpus
+    def test_failed_child_share_raises_in_parent(self, tmp_path, monkeypatch):
+        grid = Grid.box(7, 4, 3.5, 1.0)
+        monkeypatch.setattr(snapshots, "VALUES_PER_PROCESS", 1)
+        items = snapshot_items(grid, tmp_path, n_items=4)
+        items[-1][2][0].mkdir()  # the last item is in the child's share
+        with pytest.raises(OSError, match="f_3.csv") as err:
+            write_snapshots(grid, items)
+        assert "f_0.csv" not in str(err.value)
+        assert (tmp_path / "f_0.csv").is_file() and (tmp_path / "f_1.csv").is_file()
+        assert_no_children_left()
+
+    @needs_two_cpus
+    def test_failed_own_share_raises_after_reaping(self, tmp_path, monkeypatch):
+        grid = Grid.box(7, 4, 3.5, 1.0)
+        monkeypatch.setattr(snapshots, "VALUES_PER_PROCESS", 1)
+        items = snapshot_items(grid, tmp_path, n_items=4)
+        items[0][2][0].mkdir()  # the first item is in the calling process's share
+        with pytest.raises(OSError):
+            write_snapshots(grid, items)
+        # The child wrote its whole share before the parent raised.
+        assert all(path.is_file() for _, _, paths in items[2:] for path in paths)
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("case", ["one_cpu", "below_threshold", "no_fork"])
+    def test_single_process_never_forks(self, tmp_path, monkeypatch, case):
+        grid = Grid.box(7, 4, 3.5, 1.0)
+        items = snapshot_items(grid, tmp_path)
+        if case == "one_cpu":
+            monkeypatch.setattr(snapshots, "VALUES_PER_PROCESS", 1)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if case == "no_fork":
+            monkeypatch.setattr(snapshots, "VALUES_PER_PROCESS", 1)
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", raising_fork)
+        assert write_snapshots(grid, items) == 1
+        assert all(path.is_file() for _, _, paths in items for path in paths)
+
+    @pytest.mark.parametrize("per_process", [1, 10 ** 9])
+    def test_every_path_written_once(self, tmp_path, monkeypatch, per_process):
+        log = tmp_path / "writes.log"
+
+        class CountingPath(type(tmp_path)):
+            def write_text(self, *args, **kwargs):
+                # One O_APPEND write per line, so forked writers do not interleave.
+                fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+                try:
+                    os.write(fd, f"{self}\n".encode())
+                finally:
+                    os.close(fd)
+                return super().write_text(*args, **kwargs)
+
+        monkeypatch.setattr(snapshots, "Path", CountingPath)
+        monkeypatch.setattr(snapshots, "VALUES_PER_PROCESS", per_process)
+        grid = Grid.line(8, 2.0)
+        items = snapshot_items(grid, tmp_path / "out", n_items=7)
+        (tmp_path / "out").mkdir()
+        write_snapshots(grid, items)
+        written = log.read_text().splitlines()
+        assert sorted(written) == sorted(str(path) for _, _, paths in items for path in paths)
