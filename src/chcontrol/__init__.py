@@ -16,7 +16,7 @@ from .model import (HypothesisReport, ModelParams, Numerics, QuadraticProliferat
                     QuarticDoubleWell, SigmoidProliferation, check_hypotheses,
                     default_stabilization, f_deriv, p_deriv, preset_field)
 from .forward import (ControlSchedule, DivergenceError, StabilityReport, StateTrajectory,
-                      energy, l2q_inner, l2q_norm, lipschitz_probe, simulate, step)
+                      StepPlan, energy, l2q_inner, l2q_norm, lipschitz_probe, simulate, step)
 from .sensitivity import (AdjointTrajectory, LinearizedTrajectory, adjoint_step,
                           dot_product_test, fit_loglog_slope, frechet_remainder_sweep,
                           level_coefficients, linearized_step, reduced_gradient,

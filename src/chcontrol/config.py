@@ -15,6 +15,7 @@ echo and echoing again is byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .grid import Field, Grid
@@ -171,11 +172,19 @@ def _parse_value(kind: str, raw: str):
             return int(raw)
         except ValueError as exc:
             raise ValueError(f"expected an integer, got {raw!r}") from exc
-    if kind == "float":
+    if kind in ("float", "float_or_expr", "auto_or_float"):
+        if kind == "auto_or_float" and raw == "auto":
+            return None
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
-            raise ValueError(f"expected a number, got {raw!r}") from exc
+            if kind == "float_or_expr":
+                return FieldExpr.parse(raw)
+            expected = "a number" if kind == "float" else "'auto' or a number"
+            raise ValueError(f"expected {expected}, got {raw!r}") from exc
+        if not math.isfinite(value):  # float() accepts nan and inf; no run can use them
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     if kind.startswith("choice:"):
         options = kind.split(":", 1)[1].split("|")
         if raw not in options:
@@ -183,18 +192,6 @@ def _parse_value(kind: str, raw: str):
         return raw
     if kind == "expr":
         return FieldExpr.parse(raw)
-    if kind == "float_or_expr":
-        try:
-            return float(raw)
-        except ValueError:
-            return FieldExpr.parse(raw)
-    if kind == "auto_or_float":
-        if raw == "auto":
-            return None
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ValueError(f"expected 'auto' or a number, got {raw!r}") from exc
     if kind == "str":
         return raw
     raise AssertionError(f"unhandled schema type {kind}")

@@ -6,8 +6,9 @@ The phase solve (``_phase_solve``) starts at its exact spectral inverse
 applied to the right-hand side, also its preconditioner, so it usually ends
 after one check of the true residual (on 2D grids the start's roundoff can
 miss the tolerance, and one PCG iteration follows); the nutrient solve
-(``_diffusion_solve``) is plain CG started at the old level.  Both read the
-solver tolerance and iteration budget from ``params.numerics``.
+(``_diffusion_solve``) is plain CG started at the old level.  Both read
+their operators, the solver tolerance and the iteration budget from a
+``StepPlan``.
 The chemical potential is evaluated explicitly at the old level,
 ``mu_t = -lap(phi) + F'(phi)``, and the exchange term
 ``R = P(phi) * (sigma - mu_t)`` is frozen over the step.  The phase update
@@ -38,9 +39,13 @@ norm_h(sigma)^2/2`` decreases along unforced runs when S dominates the well
 curvature over the range the trajectory visits; the default S covers
 |phi| <= 1.5 and ``simulate`` warns when a run leaves that range.
 
-The stepping core works on arrays.  ``step`` takes the grid and arrays of its
-shape and returns new arrays, checking its two outputs once (finite and
-within the overflow guard).  ``simulate`` validates only what its caller
+Each sweep (``simulate`` here, ``solve_linearized`` and ``solve_adjoint`` in
+the sensitivity module) builds one ``StepPlan``, which holds the operators
+every step reads, so each operator is built once per sweep.
+
+The stepping core works on arrays.  ``step`` takes a plan and arrays of its
+grid's shape and returns new arrays, checking its two outputs once (finite
+and within the overflow guard).  ``simulate`` validates only what its caller
 hands in (the grids of the ``phi0``/``sigma0`` Fields and the schedule) and
 fills one ``(n_steps + 1, *grid.shape)`` level array per field, row by row.
 The level masses, mass defects and energies are computed from those rows on
@@ -68,6 +73,7 @@ __all__ = [
     "StateTrajectory",
     "StabilityReport",
     "ProbeRow",
+    "StepPlan",
     "step",
     "simulate",
     "energy",
@@ -173,8 +179,8 @@ def l2q_norm(tau: float, a: ControlSchedule) -> float:
     return math.sqrt(max(l2q_inner(tau, a, a), 0.0))
 
 
-def phase_operator(params: ModelParams, grid: Grid):
-    """Array map v -> v + tau*(lap(lap v) - S*lap v); symmetric positive definite."""
+def _phase_increment(params: ModelParams, grid: Grid):
+    """The stencil map v -> tau*(lap(lap v) - S*lap v)."""
     tau = params.tau
     s_const = params.stabilization
 
@@ -187,7 +193,18 @@ def phase_operator(params: ModelParams, grid: Grid):
         out *= tau
         return out
 
-    return implicit_operator(grid, ("phase", tau, s_const), increment)
+    return increment
+
+
+def _diffusion_increment(params: ModelParams, grid: Grid):
+    """The stencil map v -> -tau*lap v."""
+    tau = params.tau
+    return lambda v: -tau * laplacian_values(grid, v)
+
+
+def phase_operator(params: ModelParams, grid: Grid):
+    """Array map v -> v + tau*(lap(lap v) - S*lap v); symmetric positive definite."""
+    return implicit_operator(grid, _phase_increment(params, grid))
 
 
 def phase_preconditioner(params: ModelParams, grid: Grid):
@@ -195,35 +212,46 @@ def phase_preconditioner(params: ModelParams, grid: Grid):
     1 + tau*(mu^2 + S*mu) in the laplacian's eigenvalue magnitudes mu."""
     tau = params.tau
     s_const = params.stabilization
-    return spectral_inverse(grid, ("phase", tau, s_const),
-                            lambda mu: 1.0 + tau * (mu * mu + s_const * mu))
+    return spectral_inverse(grid, lambda mu: 1.0 + tau * (mu * mu + s_const * mu))
 
 
 def diffusion_operator(params: ModelParams, grid: Grid):
     """Array map v -> v - tau*lap v; symmetric positive definite."""
-    tau = params.tau
-    return implicit_operator(grid, ("diffusion", tau),
-                             lambda v: -tau * laplacian_values(grid, v))
+    return implicit_operator(grid, _diffusion_increment(params, grid))
 
 
-def _phase_solve(params: ModelParams, grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``phase_operator(x) = rhs``, starting at ``M(rhs)`` with the exact
-    inverse ``M = phase_preconditioner`` also as the preconditioner; the phase
-    solve of ``step``, ``linearized_step`` and ``adjoint_step``."""
-    num = params.numerics
-    precond = phase_preconditioner(params, grid)
-    return cg_solve(phase_operator(params, grid), rhs, grid, tol=num.cg_tol,
-                    max_iter=num.cg_max_iter, x0=precond(rhs), precond=precond)
+class StepPlan:
+    """What every step of one sweep on one grid reads: the implicit operators
+    ``phase`` and ``diffusion``, ``phase_inverse`` (``phase_preconditioner``),
+    and ``tau``, ``s_const`` (S), the CG settings and the overflow ``guard``."""
+
+    __slots__ = ("params", "grid", "tau", "s_const", "phase", "phase_inverse", "diffusion",
+                 "cg_tol", "cg_max_iter", "guard")
+
+    def __init__(self, params: ModelParams, grid: Grid):
+        num = params.numerics
+        self.params, self.grid = params, grid
+        self.tau, self.s_const = params.tau, params.stabilization
+        self.phase = phase_operator(params, grid)
+        self.phase_inverse = phase_preconditioner(params, grid)
+        self.diffusion = diffusion_operator(params, grid)
+        self.cg_tol, self.cg_max_iter = num.cg_tol, num.cg_max_iter
+        self.guard = num.overflow_guard
 
 
-def _diffusion_solve(params: ModelParams, grid: Grid, rhs: np.ndarray,
-                     x0: np.ndarray) -> np.ndarray:
-    """Solve ``diffusion_operator(x) = rhs`` by plain CG started at ``x0``
-    (the old level); the nutrient solve of ``step``, ``linearized_step`` and
-    ``adjoint_step``."""
-    num = params.numerics
-    return cg_solve(diffusion_operator(params, grid), rhs, grid, tol=num.cg_tol,
-                    max_iter=num.cg_max_iter, x0=x0)
+def _phase_solve(plan: StepPlan, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``plan.phase(x) = rhs`` from ``M(rhs)``, with ``M =
+    plan.phase_inverse`` as the preconditioner; the phase solve of all steps."""
+    precond = plan.phase_inverse
+    return cg_solve(plan.phase, rhs, plan.grid, tol=plan.cg_tol, max_iter=plan.cg_max_iter,
+                    x0=precond(rhs), precond=precond)
+
+
+def _diffusion_solve(plan: StepPlan, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Solve ``plan.diffusion(x) = rhs`` by plain CG from ``x0`` (the old
+    level); the nutrient solve of all steps."""
+    return cg_solve(plan.diffusion, rhs, plan.grid, tol=plan.cg_tol,
+                    max_iter=plan.cg_max_iter, x0=x0)
 
 
 def _require_grid_shape(grid: Grid, *arrays: np.ndarray) -> None:
@@ -254,31 +282,32 @@ def _check_outputs(a: np.ndarray, b: np.ndarray, guard: float, step_index,
     raise DivergenceError(message, step_index=step_index)
 
 
-def step(params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,
-         u: np.ndarray, step_index=None) -> tuple[np.ndarray, np.ndarray]:
-    """One stabilized implicit-explicit step on arrays of the grid's shape;
-    returns new arrays (phi_next, sigma_next).
+def step(plan: StepPlan, phi: np.ndarray, sigma: np.ndarray, u: np.ndarray,
+         step_index=None) -> tuple[np.ndarray, np.ndarray]:
+    """One stabilized implicit-explicit step on arrays of the plan's grid's
+    shape; returns new arrays (phi_next, sigma_next).
 
     The inputs are checked for their shape only (``GridMismatchError``) and
     are not modified.  The two outputs are checked once: a non-finite value,
     or one above the overflow guard, raises DivergenceError naming the step.
     CG non-convergence propagates.
     """
+    grid = plan.grid
     _require_grid_shape(grid, phi, sigma, u)
-    tau = params.tau
-    s_const = params.stabilization
+    params = plan.params
+    tau = plan.tau
 
     fp = f_deriv(params.potential, 1, phi)
     mu_t = -laplacian_values(grid, phi) + fp
     react = p_deriv(params.proliferation, 0, phi) * (sigma - mu_t)
 
-    rhs_a = phi + tau * laplacian_values(grid, fp - s_const * phi) + tau * react
-    phi_next = _phase_solve(params, grid, rhs_a)
+    rhs_a = phi + tau * laplacian_values(grid, fp - plan.s_const * phi) + tau * react
+    phi_next = _phase_solve(plan, rhs_a)
 
     rhs_b = sigma + tau * (u - react)
-    sigma_next = _diffusion_solve(params, grid, rhs_b, sigma)
+    sigma_next = _diffusion_solve(plan, rhs_b, sigma)
 
-    _check_outputs(phi_next, sigma_next, params.numerics.overflow_guard, step_index)
+    _check_outputs(phi_next, sigma_next, plan.guard, step_index)
     return phi_next, sigma_next
 
 
@@ -383,9 +412,9 @@ def simulate(params: ModelParams, u: ControlSchedule,
     sigma = np.empty((n_steps + 1,) + grid.shape)
     phi[0] = phi0.values
     sigma[0] = sigma0.values
+    plan = StepPlan(params, grid)
     for n in range(n_steps):
-        phi[n + 1], sigma[n + 1] = step(params, grid, phi[n], sigma[n], u.values[n],
-                                        step_index=n)
+        phi[n + 1], sigma[n + 1] = step(plan, phi[n], sigma[n], u.values[n], step_index=n)
 
     traj = StateTrajectory(params, grid, phi, sigma, u)
     peak = traj.max_abs_phi()

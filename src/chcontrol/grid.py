@@ -30,46 +30,33 @@ guess and solution are arrays of the grid's shape.  It validates no values;
 steps check their own outputs.
 
 ``implicit_operator`` builds such a map, ``v -> v + increment(v)``, for the
-implicit steps, from a stencil increment that sends constants to zero.  On
-grids of at most ``DENSE_MAX_CELLS`` (256) cells the per-call overhead of the
-stencil dominates, so the increment is assembled once per ``(grid, key)`` as a
-dense matrix ``K`` (one batched stencil call on the identity, then averaged
-with its transpose so it is exactly symmetric) and applied as
-``v + K @ (v - v[0])``.  ``K`` sends constants to zero only up to roundoff;
-shifting by ``v[0]`` makes a constant field map to itself exactly.  Above the
-threshold a matrix-vector product costs more than the stencil, which is then
-called directly.
+implicit steps: on grids of at most ``DENSE_MAX_CELLS`` (256) cells, where the
+stencil's per-call overhead dominates, as one dense matrix ``K`` applied as
+``v + K @ (v - v[0])``; above it, as the stencil.  ``spectral_inverse`` builds
+the exact inverse of an operator that is a function of the laplacian: the
+orthonormal DCT-II ``C`` diagonalizes the mirror-ghost laplacian, with
+per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``, so the inverse is
+``C^T diag(1/lambda) C``, applied as products with the per-axis DCT matrices.
+The phase solves start ``cg_solve`` at that inverse applied to their
+right-hand side and use it as their preconditioner; where the roundoff of
+the products misses the tolerance (2D grids) the solve goes on as PCG, so
+the tolerance and the iteration budget keep their meaning.  The
+``filtered_noise`` preset applies it directly, as its smoother
+``(I - kappa*lap)^{-1}``.  Both builders choose their map once, by grid
+rank, and the 1D and 2D maps do the same float operations in the same order.
 
-Both builders choose their array map once, at build time, by grid rank.  A
-1D array is its own flat vector, so the 1D maps apply their formulas as
-written, ``v + K @ (v - v[0])`` and ``Cx^T ((Cx (b - b[0])) / Lambda) +
-b[0] / Lambda[0]`` with ``Cx^T`` taken once, and make no ``reshape`` and no
-``.flat`` iterator per call; on the small control grids that per-call
-overhead is most of an apply.  The 2D maps flatten or take the two-sided
-product.  Both forms do the same float operations in the same order.
-
-``spectral_inverse`` builds the exact inverse of an operator that is a
-function of the laplacian.  The orthonormal DCT-II ``C`` diagonalizes the
-mirror-ghost laplacian, with per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``,
-so such an operator is ``C^T diag(lambda) C``; its inverse is applied as matrix
-products with the per-axis DCT matrices, on every grid size.  It has two
-users.  The phase solves start ``cg_solve`` at the inverse applied to their
-right-hand side and pass it as their preconditioner too.  Where that start
-meets the tolerance (the 1D control grids) a solve is one spectral apply plus
-one check of the true residual; where the roundoff of the matrix products
-misses it (2D grids, tight tolerances) the solve goes on as PCG.  The solves
-stay iterative, so the tolerance and the iteration budget of ``cg_solve``
-keep their meaning.  The ``filtered_noise`` preset applies it directly, as
-its smoother ``(I - kappa*lap)^{-1}``.  The dense increments, the
-inverses and the DCT matrices (one per axis length, shared by every inverse)
-live in one per-grid cache of at most ``DENSE_CACHE_SIZE`` entries, dropping
-the least recently used first.
+The builders keep nothing: each call assembles its ``K`` or ``1/lambda``
+afresh, and a time sweep builds its operators once (``forward.StepPlan``).
+A grid keeps only its spectral basis, the geometry every inverse on it
+shares: the per-axis DCT matrices (one per distinct axis length) and the
+laplacian's eigenvalue magnitudes ``mu``, built on first use and never
+dropped.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -113,12 +100,11 @@ class Grid:
     ``counts`` is always ``(nx, ny)`` with ``ny == 1`` in 1D; every active
     axis needs at least 4 cells.  ``cell_volume`` is the product of the
     spacings, so a 1D grid keeps its length measure when ``ly == 1``.
-    ``implicit_operator`` and ``spectral_inverse`` keep their matrices on the
-    grid.
+    The grid keeps its spectral basis (``_spectral_basis``) once built.
     """
 
     __slots__ = ("dim", "counts", "lengths", "spacing", "cell_volume", "shape", "n_cells",
-                 "_operator_cache")
+                 "_spectral")
 
     def __init__(self, dim: int, counts: Sequence[int], lengths: Sequence[float]):
         if dim not in (1, 2):
@@ -143,7 +129,7 @@ class Grid:
         self.cell_volume = self.spacing[0] * self.spacing[1]
         self.shape = (nx,) if dim == 1 else (nx, ny)
         self.n_cells = nx * ny
-        self._operator_cache = {}  # key -> read-only matrices, least recently used first
+        self._spectral = None  # (per-axis DCT matrices, mu), built on first use
 
     @classmethod
     def line(cls, nx: int, length: float) -> "Grid":
@@ -262,47 +248,30 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 DENSE_MAX_CELLS = 256
-DENSE_CACHE_SIZE = 8  # cached operators per grid
 
 
-def _cached(grid: Grid, key: Hashable, build: Callable[[], object]):
-    cache = grid._operator_cache
-    entry = cache.pop(key, None)  # re-inserted below: the dict stays in use order
-    if entry is None:
-        entry = build()
-    cache[key] = entry
-    if len(cache) > DENSE_CACHE_SIZE:
-        del cache[next(iter(cache))]
-    return entry
+def _dense_increment(grid: Grid, increment) -> np.ndarray:
+    """The matrix of ``increment`` on ``grid``, made exactly symmetric."""
+    n = grid.n_cells
+    # One batched stencil call: column j is the increment of unit vector j.
+    mat = increment(np.eye(n).reshape(grid.shape + (n,))).reshape(n, n)
+    # Mirrored entries can differ in the last bit on 2D boxes with unequal
+    # spacings; averaging makes the matrix exactly symmetric, and leaves it
+    # unchanged wherever it already was.
+    mat = 0.5 * (mat + mat.T)
+    mat.setflags(write=False)
+    return mat
 
 
-def _dense_increment(grid: Grid, key: Hashable, increment) -> np.ndarray:
-    def build():
-        n = grid.n_cells
-        # One batched stencil call: column j is the increment of unit vector j.
-        mat = increment(np.eye(n).reshape(grid.shape + (n,))).reshape(n, n)
-        # Mirrored entries can differ in the last bit on 2D boxes with unequal
-        # spacings; averaging makes the matrix exactly symmetric, and leaves
-        # it unchanged wherever it already was.
-        mat = 0.5 * (mat + mat.T)
-        mat.setflags(write=False)
-        return mat
-    return _cached(grid, key, build)
-
-
-def implicit_operator(grid: Grid, key: Hashable,
-                      increment: Callable[[np.ndarray], np.ndarray]):
+def implicit_operator(grid: Grid, increment: Callable[[np.ndarray], np.ndarray]):
     """Array map v -> v + increment(v) for an implicit-step operator.
 
     ``increment`` is a linear stencil map that sends constants to zero and
-    accepts trailing batch axes; ``key`` names it completely on ``grid``
-    (equal keys must mean equal maps).  Grids of at most ``DENSE_MAX_CELLS``
-    cells apply the increment as one dense matrix ``K``, assembled once per
-    key and kept on the grid, as ``v + K @ (v - v[0])``; larger grids call
-    the stencil.  The dense map is chosen here, once, by grid rank: a 1D
-    array is its own flat vector, so the 1D map applies that formula as
-    written, and the 2D map flattens and reshapes around the product.  Both
-    do the same float operations in the same order.  Every call returns a
+    accepts trailing batch axes.  Grids of at most ``DENSE_MAX_CELLS`` cells
+    apply it as the matrix ``K = _dense_increment(grid, increment)``, as
+    ``v + K @ (v - v[0])``; larger grids call the stencil.  A 1D array is its
+    own flat vector, so the 1D dense map applies that formula as written; the
+    2D map flattens and reshapes around the product.  Every call returns a
     new function object, so callers may set attributes on it.
     """
     if grid.n_cells > DENSE_MAX_CELLS:
@@ -310,7 +279,7 @@ def implicit_operator(grid: Grid, key: Hashable,
             return v + increment(v)
         return apply
 
-    mat = _dense_increment(grid, key, increment)
+    mat = _dense_increment(grid, increment)
     # Shifting by v[0] keeps a constant field exactly constant.
     if grid.dim == 1:
         def apply_dense_1d(v: np.ndarray) -> np.ndarray:
@@ -341,40 +310,42 @@ def _laplacian_modes(n: int, h: float) -> np.ndarray:
     return (4.0 / (h * h)) * np.sin(np.arange(n) * (np.pi / (2 * n))) ** 2
 
 
-def spectral_inverse(grid: Grid, key: Hashable,
-                     symbol: Callable[[np.ndarray], np.ndarray]):
-    """Array map b -> A^{-1} b for ``A = symbol(-lap)``, the zero-flux laplacian.
-
-    ``symbol`` maps the laplacian's eigenvalue magnitudes ``mu`` (the sum of
-    the per-axis ones, an array of the grid's shape) to the eigenvalues of
-    ``A``, which must be positive; ``key`` names it completely on ``grid``,
-    as for ``implicit_operator``.  The map is ``Cx^T ((Cx V Cy^T) / Lambda) Cy``
-    with the per-axis orthonormal DCT-II matrices ``Cx``, ``Cy`` (``Cx^T
-    ((Cx v) / Lambda)`` in 1D).  ``Lambda`` is built once per key and kept on
-    the grid; the DCT matrices once per axis length, shared by every key (a
-    square box has one).  Each axis of ``n`` cells costs an ``n x n`` matrix,
-    so a 1D grid's memory and time per call grow as ``nx^2``.  The constant
-    mode is applied separately, so a constant ``b`` maps exactly to a
-    constant (to ``b`` itself when ``symbol(0) == 1``).  The map is chosen
-    here, once, by grid rank: the 1D map is ``Cx^T ((Cx (b - b[0])) / Lambda)
-    + b[0] / Lambda[0]`` with ``Cx^T`` taken at build time, and the 2D map is
-    the two-sided product; a 1D map makes no reshape and no ``.flat``
-    iterator per call.  Every call returns a new function object.
-    """
-    def build():
-        mats = tuple(_cached(grid, ("dct", n), lambda n=n: _dct_matrix(n)) for n in grid.shape)
+def _spectral_basis(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The grid's per-axis DCT matrices (one per distinct axis length, so a
+    square box has one) and the laplacian's eigenvalue magnitudes ``mu``, the
+    sum of the per-axis ones, of the grid's shape; built on first use and
+    kept on the grid."""
+    basis = grid._spectral
+    if basis is None:
+        dct = {n: _dct_matrix(n) for n in dict.fromkeys(grid.shape)}
         mu = _laplacian_modes(grid.shape[0], grid.spacing[0])
         if grid.dim == 2:
             mu = mu[:, np.newaxis] + _laplacian_modes(grid.shape[1], grid.spacing[1])
-        lam = np.asarray(symbol(mu), dtype=float)
-        if lam.shape != grid.shape or not np.all(lam > 0.0) or not np.isfinite(lam).all():
-            raise ValueError(f"spectral_inverse: symbol must be finite and positive on "
-                             f"the {grid.shape} modes")
-        inv = 1.0 / lam
-        inv.setflags(write=False)
-        return mats, inv
+        mu.setflags(write=False)
+        basis = grid._spectral = (tuple(dct[n] for n in grid.shape), mu)
+    return basis
 
-    mats, inv = _cached(grid, ("inverse", key), build)
+
+def spectral_inverse(grid: Grid, symbol: Callable[[np.ndarray], np.ndarray]):
+    """Array map b -> A^{-1} b for ``A = symbol(-lap)``, the zero-flux laplacian.
+
+    ``symbol`` maps the laplacian's eigenvalue magnitudes ``mu`` (an array of
+    the grid's shape, from ``_spectral_basis``) to the eigenvalues ``Lambda``
+    of ``A``, which must be finite and positive.  The map is ``Cx^T ((Cx V
+    Cy^T) / Lambda) Cy`` with the per-axis orthonormal DCT-II matrices; each
+    axis of ``n`` cells costs an ``n x n`` matrix, so a 1D grid's memory and
+    time per call grow as ``nx^2``.  The constant mode is applied separately,
+    so a constant ``b`` maps exactly to a constant.  The 1D map is ``Cx^T
+    ((Cx (b - b[0])) / Lambda) + b[0] / Lambda[0]`` with ``Cx^T`` taken here,
+    and makes no reshape and no ``.flat`` iterator per call.  Every call
+    returns a new function object.
+    """
+    mats, mu = _spectral_basis(grid)
+    lam = np.asarray(symbol(mu), dtype=float)
+    if lam.shape != grid.shape or not np.all(lam > 0.0) or not np.isfinite(lam).all():
+        raise ValueError(f"spectral_inverse: symbol must be finite and positive on "
+                         f"the {grid.shape} modes")
+    inv = 1.0 / lam
     inv0 = inv.flat[0]
     # The constant mode is applied separately: shift by b's first value.
     if grid.dim == 1:
@@ -507,9 +478,7 @@ def cg_solve(
     The starting residual ``rhs - apply_op(x0)`` is already the true one: when
     it meets the tolerance the solve returns (a copy of) ``x0`` at iteration
     0, after one operator application and no preconditioner apply.  The dot
-    products are BLAS ``vdot``s, whose summation order follows the CPU
-    kernel and the thread count, so the iterates are bitwise reproducible
-    only for one numpy/BLAS build, CPU kernel and thread count.
+    products are BLAS ``vdot``s (see the module docstring on reproducibility).
 
     ``precond``, an array map approximating the inverse of ``apply_op`` (for
     example a ``spectral_inverse``), turns the iteration into preconditioned

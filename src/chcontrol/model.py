@@ -395,7 +395,7 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
         if kappa <= 0 or passes < 1:
             raise ValueError("kappa must be positive and passes >= 1")
         values = amplitude * _splitmix64_uniform(seed, grid.shape)
-        smoother = spectral_inverse(grid, ("diffusion", kappa), lambda mu: 1.0 + kappa * mu)
+        smoother = spectral_inverse(grid, lambda mu: 1.0 + kappa * mu)
         for _ in range(passes):
             values = smoother(values)
     else:

@@ -28,20 +28,18 @@ the tau-weighted L2 pairing over space-time is
 where ``lift_n`` is computed anyway during the backward step n+1 -> n and
 is recorded on the adjoint trajectory.
 
-Like ``forward.step``, both steps take the grid plus arrays of its shape and
-return new arrays; being linear in their direction, they check their outputs
-for finiteness only.  They take the Jacobian's frozen cellwise coefficients
-of their base level, ``level_coefficients``, in place of the base state:
-``solve_linearized`` and ``solve_adjoint`` compute them once per sweep, for
-all levels at once (three ``(n_steps, *grid.shape)`` arrays held for the
-sweep), and fill one ``(n_steps + 1, *grid.shape)`` level array per channel,
-row by row.  Both implicit solves are the forward step's own, written
-once in the forward module: ``_phase_solve`` (started at the exact spectral
-solution) and ``_diffusion_solve``, the nutrient solve (plain CG started at
-the incoming level).  The tracking misfits are computed once, by
-``_tracking_misfits``, for the adjoint's default data and for the reduced
-cost in ``optimize``.  Only the Fields a caller hands ``solve_adjoint`` are
-validated.
+Like ``forward.step``, both steps take a ``StepPlan`` plus arrays of its
+grid's shape and return new arrays, checking their outputs for finiteness
+only (they are linear in their direction).  In place of the base state they
+take the Jacobian's frozen cellwise coefficients of their base level,
+``level_coefficients``.  ``solve_linearized`` and ``solve_adjoint`` build one
+plan and the coefficients of all levels (three ``(n_steps, *grid.shape)``
+arrays) once per sweep, and fill one ``(n_steps + 1, *grid.shape)`` level
+array per channel, row by row.  The two implicit solves are the forward
+step's own, ``_phase_solve`` and ``_diffusion_solve``.  The tracking
+misfits are computed once, by ``_tracking_misfits``, for the adjoint's
+default data and for the reduced cost in ``optimize``.  Only the Fields a
+caller hands ``solve_adjoint`` are validated.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ import numpy as np
 
 from .grid import (Field, Grid, GridMismatchError, _level_blocks, _volume_sum,
                    inner_product, laplacian_values)
-from .forward import (ControlSchedule, StateTrajectory, _check_outputs, _diffusion_solve,
-                      _phase_solve, _require_grid_shape, l2q_inner, simulate)
+from .forward import (ControlSchedule, StateTrajectory, StepPlan, _check_outputs,
+                      _diffusion_solve, _phase_solve, _require_grid_shape, l2q_inner, simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
 
 __all__ = [
@@ -120,35 +118,36 @@ def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
     return curvature, rate, rate_slope
 
 
-def linearized_step(params: ModelParams, grid: Grid, coefficients: Coefficients,
-                    xi: np.ndarray, rho: np.ndarray, h: np.ndarray,
+def linearized_step(plan: StepPlan, coefficients: Coefficients, xi: np.ndarray,
+                    rho: np.ndarray, h: np.ndarray,
                     step_index=None) -> tuple[np.ndarray, np.ndarray]:
     """Apply the exact Jacobian of one forward step to (xi, rho, h).
 
     ``coefficients`` is ``level_coefficients`` of the step's base level.
-    Arrays of the grid's shape in (``GridMismatchError`` otherwise), new
-    arrays out; a non-finite output raises DivergenceError naming the step.
+    Arrays of the plan's grid's shape in (``GridMismatchError`` otherwise),
+    new arrays out; a non-finite output raises DivergenceError naming the
+    step.
     """
+    grid = plan.grid
     curvature, rate, rate_slope = coefficients
     _require_grid_shape(grid, curvature, rate, rate_slope, xi, rho, h)
-    tau = params.tau
-    s_const = params.stabilization
+    tau = plan.tau
 
     eta = -laplacian_values(grid, xi) + curvature * xi
     d_react = rate_slope * xi + rate * (rho - eta)
 
-    rhs_a = xi + tau * laplacian_values(grid, (curvature - s_const) * xi) + tau * d_react
-    xi_next = _phase_solve(params, grid, rhs_a)
+    rhs_a = xi + tau * laplacian_values(grid, (curvature - plan.s_const) * xi) + tau * d_react
+    xi_next = _phase_solve(plan, rhs_a)
 
     rhs_b = rho + tau * (h - d_react)
-    rho_next = _diffusion_solve(params, grid, rhs_b, rho)
+    rho_next = _diffusion_solve(plan, rhs_b, rho)
     # Linear in the direction, so only finiteness is checked, not the guard.
     _check_outputs(xi_next, rho_next, math.inf, step_index, "linearized step")
     return xi_next, rho_next
 
 
-def adjoint_step(params: ModelParams, grid: Grid, coefficients: Coefficients,
-                 p_next: np.ndarray, r_next: np.ndarray, source: np.ndarray | None = None,
+def adjoint_step(plan: StepPlan, coefficients: Coefficients, p_next: np.ndarray,
+                 r_next: np.ndarray, source: np.ndarray | None = None,
                  step_index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the transpose of one step's Jacobian to the incoming co-state.
 
@@ -161,16 +160,17 @@ def adjoint_step(params: ModelParams, grid: Grid, coefficients: Coefficients,
     checked for their shape only; a non-finite ``p_n`` or ``r_n`` raises
     DivergenceError naming the step.
     """
+    grid = plan.grid
     curvature, rate, rate_slope = coefficients
     _require_grid_shape(grid, curvature, rate, rate_slope, p_next, r_next)
     if source is not None:
         _require_grid_shape(grid, source)
-    tau = params.tau
-    s_const = params.stabilization
+    tau = plan.tau
+    s_const = plan.s_const
 
     p_hat = p_next if source is None else p_next + source
-    p1 = _phase_solve(params, grid, p_hat)
-    r1 = _diffusion_solve(params, grid, r_next, r_next)
+    p1 = _phase_solve(plan, p_hat)
+    r1 = _diffusion_solve(plan, r_next, r_next)
 
     diff = p1 - r1
     rate_diff = rate * diff
@@ -260,9 +260,9 @@ def solve_linearized(params: ModelParams, base: StateTrajectory,
     rho[0] = 0.0
     curvature, rate, rate_slope = level_coefficients(params, grid, base.phi[:-1],
                                                      base.sigma[:-1])
+    plan = StepPlan(params, grid)
     for n in range(n_steps):
-        xi[n + 1], rho[n + 1] = linearized_step(params, grid,
-                                                (curvature[n], rate[n], rate_slope[n]),
+        xi[n + 1], rho[n + 1] = linearized_step(plan, (curvature[n], rate[n], rate_slope[n]),
                                                 xi[n], rho[n], h.values[n], step_index=n)
     return LinearizedTrajectory(base, xi, rho)
 
@@ -342,8 +342,9 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
     r[n_steps] = 0.0
     curvature, rate, rate_slope = level_coefficients(params, grid, base.phi[:-1],
                                                      base.sigma[:-1])
+    plan = StepPlan(params, grid)
     for n in range(n_steps - 1, -1, -1):
-        p[n], r[n], lift[n] = adjoint_step(params, grid, (curvature[n], rate[n], rate_slope[n]),
+        p[n], r[n], lift[n] = adjoint_step(plan, (curvature[n], rate[n], rate_slope[n]),
                                            p[n + 1], r[n + 1], source=src(n + 1),
                                            step_index=n)
     return AdjointTrajectory(base, p, r, lift)
@@ -424,10 +425,9 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
     xi0, rho0 = smooth(3, 1.0), smooth(4, 1.0)
     p_in, r_in = smooth(5, 1.0), smooth(6, 1.0)
     coefficients = level_coefficients(params, grid, phi0.values, sigma0.values)
-    xi1, rho1 = linearized_step(params, grid, coefficients, xi0.values, rho0.values,
-                                h.values[0])
-    p_out, r_out, lift = adjoint_step(params, grid, coefficients, p_in.values, r_in.values,
-                                      source=None)
+    plan = StepPlan(params, grid)
+    xi1, rho1 = linearized_step(plan, coefficients, xi0.values, rho0.values, h.values[0])
+    p_out, r_out, lift = adjoint_step(plan, coefficients, p_in.values, r_in.values)
     lhs = inner_product(field(xi1), p_in) + inner_product(field(rho1), r_in)
     rhs = inner_product(xi0, field(p_out)) + inner_product(rho0, field(r_out)) \
         + tau * inner_product(h[0], field(lift))

@@ -89,14 +89,14 @@ def padded_flux_laplacian(grid, vals):
 
 
 def reference_dense_increments(params, grid):
-    """The dense-path matrices of the phase and diffusion increments, keyed as
-    ``implicit_operator`` keys them, assembled with ``padded_flux_laplacian``."""
+    """The dense-path matrices of the phase and diffusion increments, by name,
+    assembled with ``padded_flux_laplacian``."""
     tau, s_const = params.tau, params.stabilization
     n = grid.n_cells
     eye = np.eye(n).reshape(grid.shape + (n,))
     lap = padded_flux_laplacian(grid, eye)
-    increments = {("phase", tau, s_const): tau * (padded_flux_laplacian(grid, lap) - s_const * lap),
-                  ("diffusion", tau): -tau * lap}
+    increments = {"phase": tau * (padded_flux_laplacian(grid, lap) - s_const * lap),
+                  "diffusion": -tau * lap}
     mats = {}
     for key, inc in increments.items():
         mat = inc.reshape(n, n)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
-                       OptimOptions, QuadraticProliferation, cg_solve, check_hypotheses,
-                       cost_taylor_sweep, directional_derivative_check, dot_product_test,
-                       fit_loglog_slope, frechet_remainder_sweep, inner_product,
+                       OptimOptions, QuadraticProliferation, StepPlan, cg_solve,
+                       check_hypotheses, cost_taylor_sweep, directional_derivative_check,
+                       dot_product_test, fit_loglog_slope, frechet_remainder_sweep, inner_product,
                        integrate, kkt_report, l2q_norm, lipschitz_probe,
                        neumann_laplacian, norm_h, preset_field, project, projected_gradient,
                        simulate, solve_adjoint, step)
@@ -164,10 +164,10 @@ def test_criterion_06_linearization_exactness():
         eps = 1e-5
         pb, sb = phi_b.values, sigma_b.values
         xv, rv, hv = xi.values, rho.values, h.values
-        plus = step(params, grid, pb + eps * xv, sb + eps * rv, eps * hv)
-        minus = step(params, grid, pb + (-eps) * xv, sb + (-eps) * rv, (-eps) * hv)
-        lin = linearized_step(params, grid, level_coefficients(params, grid, pb, sb),
-                              xv, rv, hv)
+        plan = StepPlan(params, grid)
+        plus = step(plan, pb + eps * xv, sb + eps * rv, eps * hv)
+        minus = step(plan, pb + (-eps) * xv, sb + (-eps) * rv, (-eps) * hv)
+        lin = linearized_step(plan, level_coefficients(params, grid, pb, sb), xv, rv, hv)
         for (fp, fm), exact in zip(zip(plus, minus), lin):
             fd = (fp - fm) / (2 * eps)
             worst = max(worst, float(np.linalg.norm(fd - exact) / np.linalg.norm(exact)))
@@ -194,18 +194,19 @@ def test_criterion_08_adjoint_exactness():
     g8 = Grid.line(8, 4.0)
     phi_b, sigma_b = smooth_field(g8, 1, 0.8), smooth_field(g8, 2, 0.5)
     coefficients = level_coefficients(params, g8, phi_b.values, sigma_b.values)
+    plan = StepPlan(params, g8)
     n = g8.n_cells
     jac = np.zeros((2 * n, 3 * n))
     for j in range(3 * n):
         e = np.zeros(3 * n)
         e[j] = 1.0
-        a, b = linearized_step(params, g8, coefficients, e[:n], e[n:2 * n], e[2 * n:])
+        a, b = linearized_step(plan, coefficients, e[:n], e[n:2 * n], e[2 * n:])
         jac[:, j] = np.concatenate([a.ravel(), b.ravel()])
     jac_t = np.zeros((3 * n, 2 * n))
     for j in range(2 * n):
         e = np.zeros(2 * n)
         e[j] = 1.0
-        p0, r0, lift = adjoint_step(params, g8, coefficients, e[:n], e[n:])
+        p0, r0, lift = adjoint_step(plan, coefficients, e[:n], e[n:])
         jac_t[:, j] = np.concatenate([p0.ravel(), r0.ravel(), params.tau * lift.ravel()])
     dense_gap = float(np.max(np.abs(jac.T - jac_t)) / max(1.0, np.max(np.abs(jac))))
     ok = worst <= 1e-10 and dense_gap <= 1e-9

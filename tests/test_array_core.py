@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismatchError,
                        ModelParams, Numerics, OptimOptions, QuadraticProliferation,
-                       SigmoidProliferation, energy, forward, integrate, projected_gradient,
-                       sensitivity, simulate, solve_adjoint, solve_linearized, step)
+                       SigmoidProliferation, StepPlan, energy, forward, integrate,
+                       projected_gradient, sensitivity, simulate, solve_adjoint,
+                       solve_linearized, step)
 from chcontrol.cli import main
 from chcontrol.grid import DENSE_MAX_CELLS, CgNonConvergenceError
 from chcontrol.sensitivity import adjoint_step, level_coefficients, linearized_step
@@ -59,16 +60,17 @@ def test_steps_match_field_steps(g, tau, seed):
         enumerate((0.8, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.1)))
     coefficients = level_coefficients(params, g, phi.values, sigma.values)
     field_coefficients = field_level_coefficients(params, phi, sigma)
+    plan = StepPlan(params, g)
     assert outcome(lambda: coefficients) == outcome(lambda: field_coefficients)
 
-    assert outcome(lambda: step(params, g, phi.values, sigma.values, u.values, step_index=4)) \
+    assert outcome(lambda: step(plan, phi.values, sigma.values, u.values, step_index=4)) \
         == outcome(lambda: field_step(params, phi, sigma, u, step_index=4))
-    assert outcome(lambda: linearized_step(params, g, coefficients, xi.values, rho.values,
+    assert outcome(lambda: linearized_step(plan, coefficients, xi.values, rho.values,
                                            h.values)) \
         == outcome(lambda: field_linearized_step(params, field_coefficients, xi, rho, h))
     for source in (None, src):
         values = None if source is None else source.values
-        assert outcome(lambda: adjoint_step(params, g, coefficients, p.values, r.values,
+        assert outcome(lambda: adjoint_step(plan, coefficients, p.values, r.values,
                                             values)) \
             == outcome(lambda: field_adjoint_step(params, field_coefficients, p, r, source))
 

@@ -30,6 +30,14 @@ def benchmark_argv(name, outdir, extra=()):
     return [sub, cfg(config), *overrides, *extra, f"io.outdir={outdir}"]
 
 
+def counting(counts, key, fn):
+    """``fn``, adding one to ``counts[key]`` per call."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -78,6 +86,18 @@ class TestUsageErrors:
                                              tmp_path):
         override = override.format(missing=tmp_path / "missing")
         code, _, err = run([sub, cfg(config), override, f"io.outdir={tmp_path}"], capsys)
+        assert code == 2
+        assert err.startswith("error=config") and f"key {key}" in err
+
+    @pytest.mark.parametrize("sub, config, overrides, key", [
+        ("simulate", "dissipation.cfg", ("time.t_final=inf",), "time.t_final"),
+        ("optimize", "tracking.cfg", ("model.beta_u=nan",), "model.beta_u"),
+        ("optimize", "tracking.cfg", ("model.proliferation=sigmoid", "model.k=nan"), "model.k"),
+        ("optimize", "tracking.cfg", ("model.proliferation=sigmoid", "model.p0=nan"), "model.p0"),
+    ])
+    def test_non_finite_number_names_its_key(self, sub, config, overrides, key, capsys,
+                                             tmp_path):
+        code, _, err = run([sub, cfg(config), *overrides, f"io.outdir={tmp_path}"], capsys)
         assert code == 2
         assert err.startswith("error=config") and f"key {key}" in err
 
@@ -284,18 +304,11 @@ class TestOptimize:
         # Every simulate is a cost evaluation: the final KKT audit reuses the
         # optimizer's own adjoint of the final control.
         counts = {"simulate": 0, "cost": 0}
-
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        counted_simulate = counting("simulate", forward.simulate)
+        counted_simulate = counting(counts, "simulate", forward.simulate)
         for module in (forward, optimize, cli):
             monkeypatch.setattr(module, "simulate", counted_simulate)
         monkeypatch.setattr(optimize, "_tracking_cost",
-                            counting("cost", optimize._tracking_cost))
+                            counting(counts, "cost", optimize._tracking_cost))
         code, _, _ = run(["optimize", cfg("tracking.cfg"), f"io.outdir={tmp_path}"], capsys)
         assert code == 0
         assert counts["cost"] > 1
@@ -308,18 +321,15 @@ class TestOptimize:
         # the Jacobian coefficients of all its levels in one call.
         counts = {"phase_solves": 0, "phase_applies": 0, "simulates": 0, "sweeps": 0}
         stacks = []
-
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
+        # The forward step reaches the phase solve through forward, the
+        # sensitivity steps through sensitivity.
+        counted_solve = counting(counts, "phase_solves", forward._phase_solve)
+        for module in (forward, sensitivity):
+            monkeypatch.setattr(module, "_phase_solve", counted_solve)
         real_phase_operator = forward.phase_operator
 
         def phase_operator(*args):
-            counts["phase_solves"] += 1  # one operator per phase solve
-            return counting("phase_applies", real_phase_operator(*args))
+            return counting(counts, "phase_applies", real_phase_operator(*args))
 
         real_coefficients = sensitivity.level_coefficients
 
@@ -329,15 +339,33 @@ class TestOptimize:
 
         monkeypatch.setattr(forward, "phase_operator", phase_operator)
         monkeypatch.setattr(sensitivity, "level_coefficients", level_coefficients)
-        monkeypatch.setattr(optimize, "simulate", counting("simulates", optimize.simulate))
+        monkeypatch.setattr(optimize, "simulate",
+                            counting(counts, "simulates", optimize.simulate))
         monkeypatch.setattr(optimize, "solve_adjoint",
-                            counting("sweeps", optimize.solve_adjoint))
+                            counting(counts, "sweeps", optimize.solve_adjoint))
         code, out, _ = run(benchmark_argv("optimize_1d", tmp_path), capsys)
         assert code == 0 and "termination=tolerance_met" in out
         n_steps = 50
         assert stacks == [(n_steps, 32)] * counts["sweeps"]
         assert counts["phase_solves"] == (counts["simulates"] + counts["sweeps"]) * n_steps
         assert counts["phase_applies"] == counts["phase_solves"]
+
+    def test_benchmark_sweeps_build_each_operator_once(self, capsys, tmp_path, monkeypatch):
+        # Every simulate and adjoint sweep builds its step plan once: one phase
+        # operator, one phase inverse and one diffusion operator, not one per step.
+        builders = ("phase_operator", "phase_preconditioner", "diffusion_operator")
+        counts = dict.fromkeys(builders + ("simulates", "sweeps"), 0)
+        for name in builders:
+            monkeypatch.setattr(forward, name, counting(counts, name, getattr(forward, name)))
+        monkeypatch.setattr(optimize, "simulate",
+                            counting(counts, "simulates", optimize.simulate))
+        monkeypatch.setattr(optimize, "solve_adjoint",
+                            counting(counts, "sweeps", optimize.solve_adjoint))
+        code, _, _ = run(benchmark_argv("optimize_1d", tmp_path), capsys)
+        assert code == 0
+        sweeps = counts["simulates"] + counts["sweeps"]
+        assert sweeps > 2
+        assert [counts[name] for name in builders] == [sweeps] * len(builders)
 
 
 def heavy_modules_after(name, outdir):

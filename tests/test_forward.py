@@ -6,11 +6,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismatchError,
-                       ModelParams, Numerics, QuadraticProliferation, energy, f_deriv,
+                       ModelParams, Numerics, QuadraticProliferation, StepPlan, energy, f_deriv,
                        inner_product, integrate, l2q_inner, l2q_norm, lipschitz_probe, norm_h,
                        optimize, p_deriv, preset_field, project, simulate, step)
-from chcontrol.forward import diffusion_operator, phase_operator, phase_preconditioner
-from chcontrol.grid import (DENSE_CACHE_SIZE, DENSE_MAX_CELLS, CgNonConvergenceError, cg_solve,
+from chcontrol.forward import (_diffusion_increment, _phase_increment, diffusion_operator,
+                               phase_operator, phase_preconditioner)
+from chcontrol.grid import (DENSE_MAX_CELLS, CgNonConvergenceError, _dense_increment, cg_solve,
                             implicit_operator, laplacian_values)
 from chcontrol.model import _splitmix64_uniform
 from helpers import (assemble_operator, grids, load_instance, ode_reference,
@@ -31,6 +32,7 @@ step_params = st.builds(lambda tau: small_params(tau=tau, t_final=1.0),
                         st.floats(1e-5, 1e-1))
 STEP_OPERATORS = ((phase_operator, stencil_phase_operator),
                   (diffusion_operator, stencil_diffusion_operator))
+STEP_INCREMENTS = {"phase": _phase_increment, "diffusion": _diffusion_increment}
 
 
 class TestImplicitOperator:
@@ -47,10 +49,8 @@ class TestImplicitOperator:
     @example(Grid.box(4, 4, 1.0, 1.5), small_params(tau=0.0625, t_final=1.0))
     def test_dense_matrix_is_bitwise_symmetric(self, g, params):
         # The stencil's own matrix is asymmetric in the last bit on this box.
-        for make, _ in STEP_OPERATORS:
-            make(params, g)
-        assert len(g._operator_cache) == 2
-        for mat in g._operator_cache.values():
+        for increment in STEP_INCREMENTS.values():
+            mat = _dense_increment(g, increment(params, g))
             assert np.array_equal(mat, mat.T)
 
     @given(small_grids, step_params, st.floats(-1e3, 1e3))
@@ -71,7 +71,7 @@ class TestImplicitOperator:
         params = small_params()
         tau = params.tau
         ops = [diffusion_operator(params, g), diffusion_operator(params, g),
-               implicit_operator(g, ("diffusion", tau), lambda v: -tau * laplacian_values(g, v))]
+               implicit_operator(g, lambda v: -tau * laplacian_values(g, v))]
         ops[0].role = "diffusion"
         assert len({id(op) for op in ops}) == 3
         assert not any(hasattr(op, "role") for op in ops[1:])
@@ -79,12 +79,11 @@ class TestImplicitOperator:
     @pytest.mark.parametrize("g", [Grid.box(4, 4, 1.0, 1.5), Grid.box(16, 16, 4.0, 4.0)])
     def test_dense_matrices_match_reference_kernel(self, g):
         params = small_params(tau=0.0625, t_final=1.0)
-        for make, _ in STEP_OPERATORS:
-            make(params, g)
         want = reference_dense_increments(params, g)
-        assert g._operator_cache.keys() == want.keys()
-        for key, mat in want.items():
-            assert g._operator_cache[key].tobytes() == mat.tobytes()
+        assert want.keys() == STEP_INCREMENTS.keys()
+        for name, mat in want.items():
+            got = _dense_increment(g, STEP_INCREMENTS[name](params, g))
+            assert got.tobytes() == mat.tobytes()
 
     @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(32, 32, 4.0, 4.0)])
     def test_operators_leave_their_argument_unmodified(self, g):
@@ -94,18 +93,6 @@ class TestImplicitOperator:
         for make, _ in STEP_OPERATORS:
             make(params, g)(v)
         assert v.tobytes() == before.tobytes()
-
-    def test_matrix_cache_is_bounded(self):
-        g = Grid.line(16, 4.0)
-        keys = [("scale", float(k)) for k in range(DENSE_CACHE_SIZE + 3)]
-        for key in keys:
-            implicit_operator(g, key, lambda v, c=key[1]: c * laplacian_values(g, v))
-        cache = g._operator_cache
-        assert len(cache) == DENSE_CACHE_SIZE
-        assert keys[-1] in cache and keys[0] not in cache
-        mat = cache[keys[-1]]
-        implicit_operator(g, keys[-1], None)  # a hit never calls the increment
-        assert cache[keys[-1]] is mat
 
 
 def conditioned_params(grid, gamma):
@@ -172,7 +159,7 @@ class TestPhasePreconditioner:
 
 def smoother_operator(g):
     kappa = (2.0 * max(g.spacing[:g.dim])) ** 2
-    return implicit_operator(g, ("diffusion", kappa), lambda v: -kappa * laplacian_values(g, v))
+    return implicit_operator(g, lambda v: -kappa * laplacian_values(g, v))
 
 
 class TestUnpreconditionedSolves:
@@ -235,10 +222,12 @@ class TestFilteredNoise:
         assert abs(integrate(got) - integrate(raw)) <= 1e-14 * scale
 
     def test_cold_and_warm_cache_agree_bytewise(self):
+        # Repeated builds agree: on a fresh grid, on one whose spectral basis
+        # another inverse has built, and on the next call.
         args = dict(seed=7, amplitude=0.6)
         cold = preset_field("filtered_noise", Grid.box(64, 64, 4.0, 4.0), **args)
         g = Grid.box(64, 64, 4.0, 4.0)
-        phase_preconditioner(small_params(), g)  # another inverse on the same axes
+        phase_preconditioner(small_params(), g)  # another inverse on the same basis
         first = preset_field("filtered_noise", g, **args)
         warm = preset_field("filtered_noise", g, **args)
         assert cold.values.tobytes() == first.values.tobytes() == warm.values.tobytes()
@@ -249,7 +238,7 @@ class TestStep:
         g = Grid.line(8, 2.0)
         params = small_params()
         zero = np.zeros(g.shape)
-        phi1, sigma1 = step(params, g, zero, zero, zero)
+        phi1, sigma1 = step(StepPlan(params, g), zero, zero, zero)
         assert np.all(phi1 == 0.0)
         assert np.all(sigma1 == 0.0)
 
@@ -259,8 +248,9 @@ class TestStep:
         a, b, c = 0.2, 0.1, 0.3
         phi, sigma = np.full(g.shape, a), np.full(g.shape, b)
         u = np.full(g.shape, c)
+        plan = StepPlan(params, g)
         for _ in range(10):
-            phi, sigma = step(params, g, phi, sigma, u)
+            phi, sigma = step(plan, phi, sigma, u)
             exchange = p_deriv(params.proliferation, 0, a) \
                 * (b - f_deriv(params.potential, 1, a))
             a, b = a + params.tau * exchange, b + params.tau * (c - exchange)
@@ -274,7 +264,7 @@ class TestStep:
         phi = smooth_field(g, 21, 0.8)
         sigma = smooth_field(g, 22, 0.5)
         u = smooth_field(g, 23, 0.5)
-        phi1, sigma1 = step(params, g, phi.values, sigma.values, u.values)
+        phi1, sigma1 = step(StepPlan(params, g), phi.values, sigma.values, u.values)
 
         from chcontrol.grid import laplacian_values
         lap = lambda v: laplacian_values(g, v)
@@ -305,7 +295,7 @@ class TestStep:
         params = small_params()
         g = Grid.line(8, 2.0)
         with pytest.raises(GridMismatchError):
-            step(params, g, np.zeros(8), np.zeros(9), np.zeros(8))
+            step(StepPlan(params, g), np.zeros(8), np.zeros(9), np.zeros(8))
         a = Field.zeros(g)
         b = Field.zeros(Grid.line(8, 3.0))
         with pytest.raises(GridMismatchError):

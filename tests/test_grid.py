@@ -6,11 +6,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import chcontrol.grid as grid_module
 from chcontrol import (CgNonConvergenceError, Field, Grid, GridMismatchError, ModelParams,
                        cg_solve, grad_sq_integral, inner_product, integrate, neumann_laplacian,
                        norm_h)
 from chcontrol.forward import phase_operator
-from chcontrol.grid import DENSE_CACHE_SIZE, DENSE_MAX_CELLS, laplacian_values, spectral_inverse
+from chcontrol.grid import DENSE_MAX_CELLS, laplacian_values, spectral_inverse
 from helpers import assemble_operator, mirror_ghost_laplacian_1d, padded_flux_laplacian
 
 field_values = arrays(np.float64, 16, elements=st.floats(-100.0, 100.0))
@@ -446,48 +447,41 @@ class TestSpectralInverse:
                                    Grid.box(20, 13, 2.0, 7.0)])
     def test_matches_dense_inverse(self, g):
         c = 0.3 * min(g.spacing[:g.dim]) ** 2
-        inverse = spectral_inverse(g, ("diffusion", c), lambda mu: 1.0 + c * mu)
+        inverse = spectral_inverse(g, lambda mu: 1.0 + c * mu)
         want = np.linalg.inv(assemble_operator(lambda v: v - c * laplacian_values(g, v), g))
         got = assemble_operator(inverse, g)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("g", [Grid.box(8, 8, 1.0, 1.0), Grid.box(32, 32, 1.0, 1.0)])
     def test_constant_mode_is_scaled_exactly(self, g):
-        inverse = spectral_inverse(g, ("shifted", 4.0), lambda mu: 4.0 + mu)
+        inverse = spectral_inverse(g, lambda mu: 4.0 + mu)
         assert np.array_equal(inverse(np.full(g.shape, 3.0)), np.full(g.shape, 0.75))
 
     @pytest.mark.parametrize("symbol", [lambda mu: 1.0 - mu, lambda mu: np.full_like(mu, np.inf),
                                         lambda mu: np.ones(3)])
     def test_rejects_bad_symbols(self, symbol):
         with pytest.raises(ValueError):
-            spectral_inverse(Grid.line(8, 1.0), ("bad",), symbol)
-
-    @pytest.mark.parametrize("n", [16, DENSE_MAX_CELLS + 4])
-    def test_cache_is_shared_and_bounded(self, n):
-        g = Grid.line(n, 4.0)
-        keys = [("scale", float(k)) for k in range(DENSE_CACHE_SIZE + 3)]
-        for key in keys:
-            spectral_inverse(g, key, lambda mu, c=key[1]: 1.0 + c * mu)
-        cache = g._operator_cache
-        assert len(cache) == DENSE_CACHE_SIZE
-        assert ("inverse", keys[-1]) in cache and ("inverse", keys[0]) not in cache
-        entry = cache[("inverse", keys[-1])]
-        spectral_inverse(g, keys[-1], None)  # a hit never calls the symbol
-        assert cache[("inverse", keys[-1])] is entry
-        # Every build touches the DCT matrix, so it outlives the evicted inverses.
-        held = {id(mat) for key, entry in cache.items() if key[0] == "inverse"
-                for mat in entry[0]}
-        assert held == {id(cache[("dct", n)])}
+            spectral_inverse(Grid.line(8, 1.0), symbol)
 
     @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(16, 16, 4.0, 4.0),
                                    Grid.box(16, 8, 4.0, 1.0)])
-    def test_dct_matrices_are_shared_across_keys(self, g):
-        spectral_inverse(g, ("one",), lambda mu: 1.0 + mu)
-        spectral_inverse(g, ("two",), lambda mu: 2.0 + mu * mu)
-        cache = g._operator_cache
-        (ax, *a_rest), _ = cache[("inverse", ("one",))]
-        (bx, *b_rest), _ = cache[("inverse", ("two",))]
-        assert ax is bx is cache[("dct", g.counts[0])]
+    def test_dct_matrices_are_shared_across_keys(self, g, monkeypatch):
+        # Inverses of different symbols share the grid's spectral basis: each
+        # axis length's DCT matrix is built once, by the first inverse.
+        built = []
+        real_dct = grid_module._dct_matrix
+
+        def dct_matrix(n):
+            built.append(n)
+            return real_dct(n)
+
+        monkeypatch.setattr(grid_module, "_dct_matrix", dct_matrix)
+        spectral_inverse(g, lambda mu: 1.0 + mu)
+        basis = grid_module._spectral_basis(g)
+        spectral_inverse(g, lambda mu: 2.0 + mu * mu)
+        assert sorted(built) == sorted(set(g.shape))
+        assert grid_module._spectral_basis(g) is basis
+        mats, mu = basis
+        assert mu.shape == g.shape
         if g.dim == 2:
-            assert a_rest[0] is b_rest[0] is cache[("dct", g.counts[1])]
-            assert (a_rest[0] is ax) == (g.counts[0] == g.counts[1])
+            assert (mats[0] is mats[1]) == (g.counts[0] == g.counts[1])

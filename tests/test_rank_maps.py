@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import chcontrol.grid as grid_module
 import chcontrol.sensitivity as sensitivity_module
 from chcontrol import ControlSchedule, DivergenceError, Field, Grid, ModelParams, inner_product
-from chcontrol.forward import (_check_outputs, diffusion_operator, phase_operator,
-                               phase_preconditioner)
-from chcontrol.grid import (DENSE_MAX_CELLS, LEVEL_BLOCK_CELLS, _level_blocks,
-                            level_inner_products, spectral_inverse)
+from chcontrol.forward import (_check_outputs, _diffusion_increment, _phase_increment,
+                               diffusion_operator, phase_operator, phase_preconditioner)
+from chcontrol.grid import (DENSE_MAX_CELLS, LEVEL_BLOCK_CELLS, _dense_increment, _level_blocks,
+                            _spectral_basis, level_inner_products, spectral_inverse)
 from chcontrol.sensitivity import level_coefficients
 from helpers import smooth_field
 
@@ -46,11 +46,10 @@ class TestDenseMap1d:
     def test_matches_the_generic_form_bitwise(self, nx, length, params, seed):
         g = Grid.line(nx, length)
         v = np.random.default_rng(seed).uniform(-2.0, 2.0, g.shape)
-        for make, key in ((phase_operator, ("phase", params.tau, params.stabilization)),
-                          (diffusion_operator, ("diffusion", params.tau))):
-            op = make(params, g)
-            mat = g._operator_cache[key]
-            assert op(v).tobytes() == generic_dense(mat, v).tobytes()
+        for make, increment in ((phase_operator, _phase_increment),
+                                (diffusion_operator, _diffusion_increment)):
+            mat = _dense_increment(g, increment(params, g))
+            assert make(params, g)(v).tobytes() == generic_dense(mat, v).tobytes()
 
     @given(st.integers(4, DENSE_MAX_CELLS), step_params, st.floats(-1e3, 1e3))
     def test_constants_map_to_themselves(self, nx, params, c):
@@ -78,8 +77,12 @@ class TestSpectralMap1d:
     @example(300, 10.0, 1e-4, 1)
     def test_matches_the_generic_form_bitwise(self, nx, length, c, seed):
         g = Grid.line(nx, length)
-        inverse = spectral_inverse(g, ("test", c), lambda mu: 1.0 + c * mu * mu)
-        mats, inv = g._operator_cache[("inverse", ("test", c))]
+        def symbol(mu):
+            return 1.0 + c * mu * mu
+
+        inverse = spectral_inverse(g, symbol)
+        mats, mu = _spectral_basis(g)
+        inv = 1.0 / symbol(mu)
         b = np.random.default_rng(seed).uniform(-2.0, 2.0, g.shape)
         assert inverse(b).tobytes() == generic_spectral(mats, inv, b).tobytes()
 
@@ -87,9 +90,9 @@ class TestSpectralMap1d:
     def test_constants_map_exactly(self, nx, c):
         g = Grid.line(nx, 4.0)
         const = np.full(g.shape, c)
-        unit = spectral_inverse(g, ("unit",), lambda mu: 1.0 + mu)
+        unit = spectral_inverse(g, lambda mu: 1.0 + mu)
         assert unit(const).tobytes() == const.tobytes()
-        shifted = spectral_inverse(g, ("shifted",), lambda mu: 4.0 + mu)
+        shifted = spectral_inverse(g, lambda mu: 4.0 + mu)
         assert shifted(const).tobytes() == np.full(g.shape, c * 0.25).tobytes()
 
     def test_argument_unmodified_and_new_function_per_call(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
-                       QuadraticProliferation, dot_product_test, fit_loglog_slope,
+                       QuadraticProliferation, StepPlan, dot_product_test, fit_loglog_slope,
                        frechet_remainder_sweep, inner_product, norm_h, preset_field,
                        simulate, solve_adjoint, solve_linearized, step)
 from chcontrol.sensitivity import adjoint_step, level_coefficients, linearized_step
@@ -37,7 +37,7 @@ class TestLinearizedStep:
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         zero = np.zeros(g.shape)
         coefficients = level_coefficients(params, g, phi_b.values, sigma_b.values)
-        xi1, rho1 = linearized_step(params, g, coefficients, zero, zero, zero)
+        xi1, rho1 = linearized_step(StepPlan(params, g), coefficients, zero, zero, zero)
         assert np.all(xi1 == 0.0) and np.all(rho1 == 0.0)
 
     def test_doubling_is_exact(self):
@@ -45,7 +45,7 @@ class TestLinearizedStep:
         params = tight_params()
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         xi, rho, h = smooth_field(g, 3, 1.0), smooth_field(g, 4, 1.0), smooth_field(g, 5, 1.0)
-        base = (params, g, level_coefficients(params, g, phi_b.values, sigma_b.values))
+        base = (StepPlan(params, g), level_coefficients(params, g, phi_b.values, sigma_b.values))
         a1, b1 = linearized_step(*base, xi.values, rho.values, h.values)
         a2, b2 = linearized_step(*base, 2.0 * xi.values, 2.0 * rho.values, 2.0 * h.values)
         assert np.array_equal(a2, 2.0 * a1)
@@ -63,9 +63,10 @@ class TestLinearizedStep:
         eps = 1e-5
         pb, sb = phi_b.values, sigma_b.values
         xv, rv, hv = xi.values, rho.values, h.values
-        plus = step(params, g, pb + eps * xv, sb + eps * rv, eps * hv)
-        minus = step(params, g, pb + (-eps) * xv, sb + (-eps) * rv, (-eps) * hv)
-        lin = linearized_step(params, g, level_coefficients(params, g, pb, sb), xv, rv, hv)
+        plan = StepPlan(params, g)
+        plus = step(plan, pb + eps * xv, sb + eps * rv, eps * hv)
+        minus = step(plan, pb + (-eps) * xv, sb + (-eps) * rv, (-eps) * hv)
+        lin = linearized_step(plan, level_coefficients(params, g, pb, sb), xv, rv, hv)
         for fd_pair, exact in zip(zip(plus, minus), lin):
             fd = (fd_pair[0] - fd_pair[1]) / (2 * eps)
             rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
@@ -137,7 +138,7 @@ class TestAdjointStep:
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         zero = np.zeros(g.shape)
         coefficients = level_coefficients(params, g, phi_b.values, sigma_b.values)
-        p, r, lift = adjoint_step(params, g, coefficients, zero, zero)
+        p, r, lift = adjoint_step(StepPlan(params, g), coefficients, zero, zero)
         assert np.all(p == 0.0) and np.all(r == 0.0)
         assert np.all(lift == 0.0)
 
@@ -147,7 +148,7 @@ class TestAdjointStep:
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         xi, rho, h = smooth_field(g, 3, 1.0), smooth_field(g, 4, 1.0), smooth_field(g, 5, 1.0)
         p_in, r_in = smooth_field(g, 6, 1.0), smooth_field(g, 7, 1.0)
-        base = (params, g, level_coefficients(params, g, phi_b.values, sigma_b.values))
+        base = (StepPlan(params, g), level_coefficients(params, g, phi_b.values, sigma_b.values))
         xi1, rho1 = (Field(g, a) for a in linearized_step(*base, xi.values, rho.values, h.values))
         p0, r0, lift = (Field(g, a) for a in adjoint_step(*base, p_in.values, r_in.values))
         lhs = inner_product(xi1, p_in) + inner_product(rho1, r_in)
@@ -160,18 +161,19 @@ class TestAdjointStep:
         params = tight_params()
         phi_b, sigma_b = smooth_field(g, 1, 0.8), smooth_field(g, 2, 0.5)
         coefficients = level_coefficients(params, g, phi_b.values, sigma_b.values)
+        plan = StepPlan(params, g)
         n = g.n_cells
         jac = np.zeros((2 * n, 3 * n))
         for j in range(3 * n):
             e = np.zeros(3 * n)
             e[j] = 1.0
-            a, b = linearized_step(params, g, coefficients, e[:n], e[n:2 * n], e[2 * n:])
+            a, b = linearized_step(plan, coefficients, e[:n], e[n:2 * n], e[2 * n:])
             jac[:, j] = np.concatenate([a.ravel(), b.ravel()])
         jac_t = np.zeros((3 * n, 2 * n))
         for j in range(2 * n):
             e = np.zeros(2 * n)
             e[j] = 1.0
-            p0, r0, lift = adjoint_step(params, g, coefficients, e[:n], e[n:])
+            p0, r0, lift = adjoint_step(plan, coefficients, e[:n], e[n:])
             jac_t[:, j] = np.concatenate([p0.ravel(), r0.ravel(), params.tau * lift.ravel()])
         gap = np.max(np.abs(jac.T - jac_t)) / max(1.0, np.max(np.abs(jac)))
         assert gap <= 1e-9
