@@ -3,16 +3,16 @@
 Usage:
     chcontrol <subcommand> <config_path> [section.key=value ...]
 
-Subcommands: simulate, optimize, grad-check, taylor, oracle,
-check-hypotheses.  Exit codes: 0 pass, 1 criteria failure, 2 usage or
-config error, 3 numerical divergence or linear-solver failure
-(``error=divergence`` or ``error=solver`` on stderr).  The environment
-variable RUN_SEED, when set, overrides every seed in the configuration and
-the built-in seed lists; it must be an integer in [0, 2^54) (exit 2
-otherwise).  Run logs contain no timestamps (those go to a .meta sidecar,
-with the snapshot writer's process count and time), so identical
-configurations produce bitwise-identical artifacts for one numpy/BLAS build,
-CPU kernel and BLAS thread count (see the ``grid`` module).
+Subcommands: simulate, optimize, grad-check, taylor, oracle, check-hypotheses.
+Exit codes: 0 pass, 1 criteria failure, 2 usage or config error, 3 numerical
+divergence or linear-solver failure (``error=divergence`` or ``error=solver``
+on stderr), 4 internal error (any other exception: ``error=internal`` and its
+traceback on stderr).  The environment variable RUN_SEED, when set, overrides
+every seed in the configuration and the built-in seed lists; it must be an
+integer in [0, 2^54) (exit 2 otherwise).  Run logs contain no timestamps (those
+go to a .meta sidecar, with the snapshot writer's process count and time), so
+identical configurations produce bitwise-identical artifacts for one numpy/BLAS
+build, CPU kernel and BLAS thread count (see the ``grid`` module).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,10 @@ subcommands:
   optimize          projected-gradient descent on the tracking cost
   grad-check        adjoint/linearization transpose identities
   taylor            state and cost Taylor-remainder sweeps
-  oracle            spatially constant run against an adaptive ODE solve
+  oracle            spatially constant run against an RK4 ODE reference
   check-hypotheses  structural checks on the model ingredients
-exit codes: 0 pass, 1 criteria failure, 2 usage/config error,
-            3 divergence or linear-solver failure (error=divergence / error=solver)
+exit codes: 0 pass, 1 criteria failure, 2 usage/config error, 3 divergence or
+            linear-solver failure (error=divergence / error=solver), 4 internal error
 """
 
 
@@ -238,32 +239,49 @@ def cmd_taylor(cfg: RunConfig) -> int:
     return 0 if (state_ok and cost_ok and dir_ok) else 1
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    from scipy.integrate import solve_ivp
+def _ode_reference(params, a0: float, b0: float, c: float, t_final: float) -> np.ndarray:
+    """End state of the spatially constant model ``a' = P(a)(b - F'(a))``,
+    ``b' = c - a'`` on [0, t_final] by classical RK4, from 64 steps doubled until
+    two finite end states agree to 1e-13 relative (the error is then about 1/15
+    of their gap); no agreement by 2^16 steps raises DivergenceError."""
+    def rhs(y):
+        exchange = p_deriv(params.proliferation, 0, y[0]) \
+            * (y[1] - f_deriv(params.potential, 1, y[0]))
+        return np.array([exchange, -exchange + c])
 
+    def solve(n):  # the end state after n steps, or the first non-finite one
+        h, y = t_final / n, np.array([a0, b0], dtype=float)
+        for _ in range(n):
+            k1 = rhs(y)
+            k2 = rhs(y + (h / 2) * k1)
+            k3 = rhs(y + (h / 2) * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y).all():
+                break
+        return y
+
+    n, prev = 64, np.full(2, np.nan)
+    while n <= 2 ** 16:
+        y = solve(n)
+        if np.isfinite(y).all() and abs(y - prev).max() <= 1e-13 * max(1.0, abs(y).max()):
+            return y
+        prev, n = y, 2 * n
+    raise DivergenceError("ODE reference: no two finite RK4 end states agree to 1e-13")
+
+
+def cmd_oracle(cfg: RunConfig) -> int:
     grid = build_grid(cfg)
     params = build_params(cfg, grid)
     for key in ("init.phi0", "init.sigma0", "opt.u0"):
         if cfg[key].kind != "constant":
             raise ConfigError("the oracle subcommand needs constant presets", key=key)
-    a0 = float(cfg["init.phi0"].arg("value"))
-    b0 = float(cfg["init.sigma0"].arg("value"))
-    c = float(cfg["opt.u0"].arg("value"))
-    t_final = params.t_final
-
-    def rhs(_t, y):
-        exchange = p_deriv(params.proliferation, 0, y[0]) \
-            * (y[1] - f_deriv(params.potential, 1, y[0]))
-        return [exchange, -exchange + c]
-
-    ode = solve_ivp(rhs, (0.0, t_final), [a0, b0], rtol=1e-11, atol=1e-13,
-                    dense_output=True)
-    ref = ode.y[:, -1]
+    a0, b0, c = (float(cfg[k].arg("value")) for k in ("init.phi0", "init.sigma0", "opt.u0"))
+    ref = _ode_reference(params, a0, b0, c, params.t_final)
 
     errors = []
     for tau in (params.tau, params.tau / 2, params.tau / 4):
-        p = dataclasses.replace(params, tau=tau, t_final=t_final,
-                                phi_q=None, phi_omega=None)
+        p = dataclasses.replace(params, tau=tau, phi_q=None, phi_omega=None)
         u = ControlSchedule.constant(grid, p.n_steps, c)
         traj = simulate(p, u, phi0=Field.full(grid, a0), sigma0=Field.full(grid, b0))
         got = np.array([float(traj.phi[-1].flat[0]), float(traj.sigma[-1].flat[0])])
@@ -312,16 +330,12 @@ def main(argv=None) -> int:
         return 2
     config_path = Path(argv[1])
     try:
-        cfg = parse_config(config_path.read_text(encoding="utf-8"))
-        cfg = apply_overrides(cfg, argv[2:])
-        cfg = _seed_override(cfg)
+        text = config_path.read_text(encoding="utf-8")
     except FileNotFoundError:
         print(f"error=config detail=no such file: {config_path}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"error=config detail={exc}", file=sys.stderr)
-        return 2
     try:
+        cfg = _seed_override(apply_overrides(parse_config(text), argv[2:]))
         return _SUBCOMMANDS[name](cfg)
     except ConfigError as exc:
         print(f"error=config detail={exc}", file=sys.stderr)
@@ -333,6 +347,10 @@ def main(argv=None) -> int:
         print(f"error=solver residual={exc.residual!r} iterations={exc.iterations} "
               f"detail={exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect, never a criteria failure
+        print(f"error=internal type={type(exc).__name__} detail={exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import Field, Grid
+from .grid import Field, Grid, _finite_inverse_square
 from .model import (ModelParams, Numerics, QuadraticProliferation, QuarticDoubleWell,
                     SigmoidProliferation, preset_field)
 from .forward import ControlSchedule
@@ -285,6 +285,9 @@ def _validate(cfg: RunConfig, lines: dict) -> None:
         _fail(lines, "grid.nx", "need at least 4 cells per active axis")
     if v["grid.lx"] <= 0 or v["grid.ly"] <= 0:
         _fail(lines, "grid.lx", "domain lengths must be positive")
+    for key, count in (("grid.lx", "grid.nx"), ("grid.ly", "grid.ny")):
+        if not _finite_inverse_square(v[key] / v[count]):
+            _fail(lines, key, "cell spacing too small: 1/h^2 is not finite")
     if v["time.tau"] <= 0:
         _fail(lines, "time.tau", "tau must be positive")
     if v["time.t_final"] <= 0:

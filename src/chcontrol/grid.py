@@ -94,6 +94,11 @@ class CgNonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+def _finite_inverse_square(h: float) -> bool:
+    """Whether ``1/h^2``, the laplacian's scale on cells of spacing h, is finite."""
+    return h * h > 0 and math.isfinite(1.0 / (h * h))
+
+
 class Grid:
     """Uniform cell-centered Cartesian mesh in one or two dimensions.
 
@@ -126,6 +131,8 @@ class Grid:
         self.counts = counts
         self.lengths = lengths
         self.spacing = (lengths[0] / nx, lengths[1] / ny)
+        if not all(map(_finite_inverse_square, self.spacing)):
+            raise ValueError(f"spacings {self.spacing} are too small: 1/h^2 is not finite")
         self.cell_volume = self.spacing[0] * self.spacing[1]
         self.shape = (nx,) if dim == 1 else (nx, ny)
         self.n_cells = nx * ny

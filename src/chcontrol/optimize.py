@@ -44,6 +44,8 @@ __all__ = [
     "directional_derivative_check",
 ]
 
+_MAX_BACKTRACKS = 60  # step shrinks per line search before it fails
+
 
 def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedule) -> float:
     tau = params.tau
@@ -84,14 +86,13 @@ def project(params: ModelParams, u: ControlSchedule) -> ControlSchedule:
 
 @dataclass
 class OptimOptions:
-    """Projected-gradient knobs; defaults are the standard robust choices."""
+    """Projected-gradient knobs, one per ``opt.*`` key; defaults are standard choices."""
 
     max_iters: int = 100
     tol: float = 1e-6
     armijo_c: float = 1e-4
     alpha0: float = 1.0
     alpha_shrink: float = 0.5
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if self.tol <= 0 or self.alpha0 <= 0:
@@ -151,7 +152,7 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
             break
         alpha_try = min(opts.alpha0, alpha / opts.alpha_shrink)
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = project(params, u - grad.scaled(alpha_try))
             move = trial - u
             move_sq = l2q_inner(tau, move, move)

@@ -3,10 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chcontrol import Grid, cli, forward, optimize, preset_field, sensitivity
 from chcontrol.cli import main
+from helpers import load_instance, ode_reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -94,12 +96,22 @@ class TestUsageErrors:
         ("optimize", "tracking.cfg", ("model.beta_u=nan",), "model.beta_u"),
         ("optimize", "tracking.cfg", ("model.proliferation=sigmoid", "model.k=nan"), "model.k"),
         ("optimize", "tracking.cfg", ("model.proliferation=sigmoid", "model.p0=nan"), "model.p0"),
+        ("simulate", "dissipation.cfg", ("grid.lx=1e-300",), "grid.lx"),
     ])
     def test_non_finite_number_names_its_key(self, sub, config, overrides, key, capsys,
                                              tmp_path):
         code, _, err = run([sub, cfg(config), *overrides, f"io.outdir={tmp_path}"], capsys)
         assert code == 2
         assert err.startswith("error=config") and f"key {key}" in err
+
+    @pytest.mark.parametrize("override", ["time.tau=1e-300", "model.stabilization=1e308"])
+    def test_internal_error_exits_4(self, override, capsys, tmp_path):
+        # No budget names these keys yet (exit 2 once one does); the uncaught
+        # ValueError must not read as a criteria failure.
+        code, _, err = run(["simulate", cfg("dissipation.cfg"), override,
+                            f"io.outdir={tmp_path}"], capsys)
+        assert code == 4
+        assert err.startswith("error=internal type=ValueError") and "Traceback" in err
 
     @pytest.mark.parametrize("sub, config, seed", [
         ("simulate", "equilibrium.cfg", "abc"),
@@ -261,6 +273,28 @@ class TestVerificationSubcommands:
         assert code == 0
         assert "order=" in out
 
+    @pytest.mark.parametrize("overrides, a0, b0, c, t_final", [
+        ((), 0.2, 0.1, 0.3, 0.1),
+        (("model.p0=2",), -0.7, 0.5, -1.0, 1.0),
+        (("model.proliferation=sigmoid", "model.p0=1", "model.k=3", "model.p_floor=0.1"),
+         0.9, -0.2, 0.5, 1.0),
+    ])
+    def test_oracle_reference_matches_solve_ivp(self, overrides, a0, b0, c, t_final):
+        params = load_instance("oracle.cfg", overrides)[2]
+        got = cli._ode_reference(params, a0, b0, c, t_final)
+        assert np.max(np.abs(got - ode_reference(params, a0, b0, c, t_final))) <= 1e-10
+
+    def test_oracle_overflowing_start_exits_3(self, tmp_path):
+        # Every RK4 run leaves the finite range, so the reference gives up at
+        # its step cap instead of refining forever.
+        proc = subprocess.run(
+            [sys.executable, "-m", "chcontrol", "oracle", cfg("oracle.cfg"),
+             "init.phi0=constant value=1e100", f"io.outdir={tmp_path}"],
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines()[-1].startswith("error=divergence")
+
     def test_oracle_rejects_nonconstant_presets(self, capsys, tmp_path):
         code, _, err = run(["oracle", cfg("oracle.cfg"), f"io.outdir={tmp_path}",
                             "init.phi0=tanh_ball center=2.0 radius=1.0 width=0.3"], capsys)
@@ -368,13 +402,13 @@ class TestOptimize:
         assert [counts[name] for name in builders] == [sweeps] * len(builders)
 
 
-def heavy_modules_after(name, outdir):
-    """Heavy modules in ``sys.modules`` after one benchmark command, run in a
-    fresh interpreter (the test process itself has scipy loaded)."""
+def heavy_modules_after(argv):
+    """Heavy modules in ``sys.modules`` after ``main(argv)``, run in a fresh
+    interpreter (the test process itself has scipy loaded)."""
     code = (
         "import sys\n"
         "from chcontrol.cli import main\n"
-        f"rc = main({benchmark_argv(name, outdir)!r})\n"
+        f"rc = main({argv!r})\n"
         "heavy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "               or m.startswith(('numpy.fft', 'numpy.random')))\n"
         "print(rc, heavy)\n"
@@ -389,8 +423,14 @@ def heavy_modules_after(name, outdir):
 def test_simulate_imports_neither_scipy_nor_numpy_fft(tmp_path):
     # Each import would raise the peak RSS of every run: scipy.fft alone adds
     # about 25 MB, numpy.random about 6 MB.
-    assert heavy_modules_after("simulate_2d", tmp_path) == "0 []"
+    assert heavy_modules_after(benchmark_argv("simulate_2d", tmp_path)) == "0 []"
 
 
 def test_grad_check_imports_neither_scipy_nor_numpy_random(tmp_path):
-    assert heavy_modules_after("gradcheck_2d", tmp_path) == "0 []"
+    assert heavy_modules_after(benchmark_argv("gradcheck_2d", tmp_path)) == "0 []"
+
+
+def test_oracle_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: scipy.integrate alone costs about
+    # 0.5 s of import and 50 MB of peak RSS.
+    assert heavy_modules_after(["oracle", cfg("oracle.cfg"), f"io.outdir={tmp_path}"]) == "0 []"
