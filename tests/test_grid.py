@@ -73,6 +73,8 @@ class TestGridConstruction:
             Grid(1, (8, 2), (1.0, 1.0))
         with pytest.raises(ValueError):
             Grid.line(8, -1.0)
+        with pytest.raises(ValueError, match="1/h"):  # 1/h^2 overflows
+            Grid.box(8, 8, 1.0, 1e-160)
 
     def test_cell_centers(self):
         g = Grid.line(4, 4.0)
