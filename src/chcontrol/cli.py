@@ -179,7 +179,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return 0 if result.termination_reason == "tolerance_met" else 1
 
 
-def cmd_grad_check(cfg: RunConfig, bound: float = 1e-10) -> int:
+def cmd_grad_check(cfg: RunConfig) -> int:
+    bound = 1e-10  # on the relative defect of the transpose identities
     grid = build_grid(cfg)
     params = build_params(cfg, grid)
     n_steps = min(params.n_steps, 16)
@@ -341,7 +342,8 @@ def main(argv=None) -> int:
         print(f"error=config detail={exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
-        print(f"error=divergence step={exc.step_index} detail={exc}", file=sys.stderr)
+        step = "" if exc.step_index is None else f" step={exc.step_index}"
+        print(f"error=divergence{step} detail={exc}", file=sys.stderr)
         return 3
     except CgNonConvergenceError as exc:
         print(f"error=solver residual={exc.residual!r} iterations={exc.iterations} "

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import Field, Grid, _finite_inverse_square
+from .grid import _VALUE_BUDGET, Field, Grid
 from .model import (ModelParams, Numerics, QuadraticProliferation, QuarticDoubleWell,
-                    SigmoidProliferation, preset_field)
+                    SigmoidProliferation, default_stabilization, preset_field)
 from .forward import ControlSchedule
 from .snapshots import read_snapshot
 
@@ -285,13 +285,18 @@ def _validate(cfg: RunConfig, lines: dict) -> None:
         _fail(lines, "grid.nx", "need at least 4 cells per active axis")
     if v["grid.lx"] <= 0 or v["grid.ly"] <= 0:
         _fail(lines, "grid.lx", "domain lengths must be positive")
-    for key, count in (("grid.lx", "grid.nx"), ("grid.ly", "grid.ny")):
-        if not _finite_inverse_square(v[key] / v[count]):
-            _fail(lines, key, "cell spacing too small: 1/h^2 is not finite")
+    for count in ("grid.nx", "grid.ny"):
+        if v[count] ** 2 > _VALUE_BUDGET:
+            _fail(lines, count, f"the {v[count]}^2 values of the axis's DCT matrix exceed "
+                                f"the value budget of {_VALUE_BUDGET}")
     if v["time.tau"] <= 0:
         _fail(lines, "time.tau", "tau must be positive")
     if v["time.t_final"] <= 0:
         _fail(lines, "time.t_final", "t_final must be positive")
+    steps, cells = v["time.t_final"] / v["time.tau"], v["grid.nx"] * v["grid.ny"]
+    if not steps < _VALUE_BUDGET or (cfg.n_steps + 1) * cells > _VALUE_BUDGET:
+        _fail(lines, "time.tau", f"a level array of {steps!r} steps of {cells} cells "
+                                 f"exceeds the value budget of {_VALUE_BUDGET}")
     if cfg.n_steps < 1:
         _fail(lines, "time.t_final", "t_final/tau must round to at least one step")
     if v["model.well_scale"] <= 0:
@@ -311,6 +316,7 @@ def _validate(cfg: RunConfig, lines: dict) -> None:
     stab = v["model.stabilization"]
     if stab is not None and stab < 0:
         _fail(lines, "model.stabilization", "stabilization must be nonnegative (or auto)")
+    _check_phase_symbol(v, lines)
     lo, hi = v["model.u_min"], v["model.u_max"]
     if not isinstance(lo, FieldExpr) and not isinstance(hi, FieldExpr) and lo > hi:
         _fail(lines, "model.u_min", "u_min must not exceed u_max")
@@ -332,6 +338,28 @@ def _validate(cfg: RunConfig, lines: dict) -> None:
         _fail(lines, "opt.alpha_shrink", "alpha_shrink must be in (0, 1)")
     if v["io.snapshot_every"] < 1:
         _fail(lines, "io.snapshot_every", "snapshot_every must be at least 1")
+
+
+def _check_phase_symbol(v: dict, lines: dict) -> None:
+    """The phase symbol ``1 + tau*(mu^2 + S*mu)`` (``forward.phase_preconditioner``)
+    must be finite at ``mu``, the active axes' sum of ``4/h^2``, which must be
+    finite on every axis (``Grid``); else name the spacing, S or tau."""
+    scales = {}
+    for key, count in (("grid.lx", "grid.nx"), ("grid.ly", "grid.ny")):
+        h = v[key] / v[count]
+        scales[key] = 4.0 / (h * h) if h * h > 0 else math.inf
+    mu = sum(list(scales.values())[:v["grid.dim"]])
+    s_const, s_key = v["model.stabilization"], "model.stabilization"
+    if s_const is None:
+        s_const = default_stabilization(QuarticDoubleWell(well_scale=v["model.well_scale"]))
+        s_key = "model.well_scale"
+    for key, term in ((max(scales, key=scales.get), max(mu * mu, *scales.values())),
+                      (s_key, s_const * mu),
+                      ("time.tau", 1.0 + v["time.tau"] * (mu * mu + s_const * mu))):
+        if not math.isfinite(term):
+            _fail(lines, key, f"the phase symbol 1 + tau*(mu^2 + S*mu) is not finite for "
+                              f"4/h^2 = {tuple(scales.values())!r}, S = {s_const!r}, "
+                              f"tau = {v['time.tau']!r}")
 
 
 def echo_text(cfg: RunConfig) -> str:

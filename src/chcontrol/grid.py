@@ -4,8 +4,8 @@ and a matrix-free (preconditioned) conjugate-gradient solver.
 Operators act on cell-centered values with mirror ghost cells (the ghost
 value equals the adjacent interior value), the second-order treatment of a
 zero-flux boundary.  The laplacian is assembled in flux form (one kernel,
-``laplacian_values``, on the flat cell index), so two structural facts hold
-to roundoff and are relied on downstream:
+``laplacian_values``, on the flat cell index after any leading batch axes),
+so two structural facts hold to roundoff and are relied on downstream:
 
 * ``integrate(neumann_laplacian(f)) == 0`` (interior fluxes telescope,
   boundary fluxes vanish), and
@@ -16,7 +16,7 @@ to roundoff and are relied on downstream:
 (Python's ``fsum``), whatever the order of the terms.  ``level_inner_products``
 reduces its rows in blocks of at most ``LEVEL_BLOCK_CELLS`` cells (one
 multiply and one ``tolist`` per block, one ``fsum`` per row), so no
-temporary outgrows the larger of one level and the budget.  The other
+temporary outgrows the larger of one level and the block.  The other
 reductions go through BLAS, whose summation order follows the CPU kernel and
 the thread count: the dots of ``cg_solve`` and ``grad_sq_integral`` and the
 matrix products of ``spectral_inverse`` and the dense operators.  So results
@@ -94,9 +94,10 @@ class CgNonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _finite_inverse_square(h: float) -> bool:
-    """Whether ``1/h^2``, the laplacian's scale on cells of spacing h, is finite."""
-    return h * h > 0 and math.isfinite(1.0 / (h * h))
+# 2^27 float64 values (1 GiB): the most a run's level array, (n_steps + 1) *
+# cells, an axis's DCT matrix, n^2, or filtered_noise's passes * cells may
+# take; checked before allocation (config._validate, model.preset_field).
+_VALUE_BUDGET = 2 ** 27
 
 
 class Grid:
@@ -131,7 +132,7 @@ class Grid:
         self.counts = counts
         self.lengths = lengths
         self.spacing = (lengths[0] / nx, lengths[1] / ny)
-        if not all(map(_finite_inverse_square, self.spacing)):
+        if not all(h * h > 0 and math.isfinite(1.0 / (h * h)) for h in self.spacing):
             raise ValueError(f"spacings {self.spacing} are too small: 1/h^2 is not finite")
         self.cell_volume = self.spacing[0] * self.spacing[1]
         self.shape = (nx,) if dim == 1 else (nx, ny)
@@ -187,14 +188,7 @@ class Field:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values):
-        arr = np.array(values, dtype=float)
-        if arr.shape != grid.shape:
-            if arr.size == grid.n_cells:
-                arr = arr.reshape(grid.shape)
-            else:
-                raise ValueError(
-                    f"field values have shape {arr.shape}, grid expects {grid.shape}")
-        _init_field(self, grid, arr)
+        _init_field(self, grid, np.array(values, dtype=float))
 
     @classmethod
     def _wrap(cls, grid: Grid, arr: np.ndarray) -> "Field":
@@ -226,29 +220,30 @@ def _init_field(obj: Field, grid: Grid, arr: np.ndarray) -> None:
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Zero-flux laplacian of ``values`` (grid shape, then optional batch axes).
+    """Zero-flux laplacian of ``values``, of shape ``(*batch, *grid.shape)``.
 
     On the flat C-order cell index, x-neighbours are ``m = counts[1]`` apart
     and y-neighbours 1 apart: each axis is one contiguous subtraction into a
     face-flux buffer whose boundary faces are zero (for y, the faces at
     multiples of ``m``).  Sharing each interior flux between its two cells
-    keeps the column sum at the roundoff of one subtraction per cell.
+    keeps the column sum at the roundoff of one subtraction per cell.  Each
+    entry of the batch axes gets bitwise what a call on it alone gives.
     """
-    if values.shape[:grid.dim] != grid.shape:
+    batch = values.shape[:values.ndim - grid.dim]
+    if values.shape[len(batch):] != grid.shape:
         raise GridMismatchError(f"values of shape {values.shape} on a {grid.shape} grid")
     n, m = grid.n_cells, grid.counts[1]
-    batch = values.shape[grid.dim:]
-    a = values.reshape((n,) + batch)
+    a = values.reshape(batch + (n,))
     hx, hy = grid.spacing
-    flux = np.zeros((n + m,) + batch)
-    np.subtract(a[m:], a[:-m], out=flux[m:n])
-    out = flux[m:] - flux[:-m]
+    flux = np.zeros(batch + (n + m,))
+    np.subtract(a[..., m:], a[..., :-m], out=flux[..., m:n])
+    out = flux[..., m:] - flux[..., :-m]
     out /= hx * hx
     if grid.dim == 2:
-        flux = np.empty((n + 1,) + batch)
-        np.subtract(a[1:], a[:-1], out=flux[1:n])
-        flux[::m] = 0.0
-        dy = flux[1:] - flux[:-1]
+        flux = np.empty(batch + (n + 1,))
+        np.subtract(a[..., 1:], a[..., :-1], out=flux[..., 1:n])
+        flux[..., ::m] = 0.0
+        dy = flux[..., 1:] - flux[..., :-1]
         dy /= hy * hy
         out += dy
     return out.reshape(values.shape)
@@ -260,11 +255,11 @@ DENSE_MAX_CELLS = 256
 def _dense_increment(grid: Grid, increment) -> np.ndarray:
     """The matrix of ``increment`` on ``grid``, made exactly symmetric."""
     n = grid.n_cells
-    # One batched stencil call: column j is the increment of unit vector j.
-    mat = increment(np.eye(n).reshape(grid.shape + (n,))).reshape(n, n)
-    # Mirrored entries can differ in the last bit on 2D boxes with unequal
-    # spacings; averaging makes the matrix exactly symmetric, and leaves it
-    # unchanged wherever it already was.
+    # One batched stencil call: row j is the increment of unit vector j (the
+    # transpose).  Mirrored entries can differ in the last bit on 2D boxes with
+    # unequal spacings; averaging, which commutes, makes the matrix exactly
+    # symmetric, and leaves it unchanged wherever it already was.
+    mat = increment(np.eye(n).reshape((n,) + grid.shape)).reshape(n, n)
     mat = 0.5 * (mat + mat.T)
     mat.setflags(write=False)
     return mat
@@ -274,7 +269,7 @@ def implicit_operator(grid: Grid, increment: Callable[[np.ndarray], np.ndarray])
     """Array map v -> v + increment(v) for an implicit-step operator.
 
     ``increment`` is a linear stencil map that sends constants to zero and
-    accepts trailing batch axes.  Grids of at most ``DENSE_MAX_CELLS`` cells
+    accepts leading batch axes.  Grids of at most ``DENSE_MAX_CELLS`` cells
     apply it as the matrix ``K = _dense_increment(grid, increment)``, as
     ``v + K @ (v - v[0])``; larger grids call the stencil.  A 1D array is its
     own flat vector, so the 1D dense map applies that formula as written; the

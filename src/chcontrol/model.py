@@ -27,7 +27,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .grid import Field, Grid, GridMismatchError, spectral_inverse
+from .grid import _VALUE_BUDGET, Field, Grid, GridMismatchError, spectral_inverse
 
 __all__ = [
     "QuarticDoubleWell",
@@ -256,22 +256,13 @@ class HypothesisReport:
         return out
 
 
-def check_hypotheses(params: ModelParams, sample_range=(-5.0, 5.0),
-                     n_samples: int = 2001) -> HypothesisReport:
+def check_hypotheses(params: ModelParams) -> HypothesisReport:
     """Sample the nonlinearities and report the structural constants.
 
-    Requires ``n_samples >= 100``.  Always includes the endpoints and (when
-    the range straddles it) s = 0, which pins the minimum of the curvature
-    sandwich ratio for the quartic split.
+    The samples are 2001 equispaced points of [-5, 5] plus s = 0, which pins
+    the minimum of the curvature sandwich ratio for the quartic split.
     """
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    lo, hi = float(sample_range[0]), float(sample_range[1])
-    if not lo < hi:
-        raise ValueError("sample range must be increasing")
-    s = np.linspace(lo, hi, int(n_samples))
-    if lo < 0.0 < hi:
-        s = np.sort(np.append(s, 0.0))
+    s = np.sort(np.append(np.linspace(-5.0, 5.0, 2001), 0.0))
 
     pot = params.potential
     prol = params.proliferation
@@ -394,6 +385,9 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
         kappa = float(kappa)
         if kappa <= 0 or passes < 1:
             raise ValueError("kappa must be positive and passes >= 1")
+        if passes * grid.n_cells > _VALUE_BUDGET:
+            raise ValueError(f"{passes} passes over {grid.n_cells} cells exceed the value "
+                             f"budget of {_VALUE_BUDGET}")
         values = amplitude * _splitmix64_uniform(seed, grid.shape)
         smoother = spectral_inverse(grid, lambda mu: 1.0 + kappa * mu)
         for _ in range(passes):

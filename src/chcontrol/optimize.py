@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, level_inner_products
+from .grid import level_inner_products
 from .forward import ControlSchedule, StateTrajectory, l2q_inner, l2q_norm, simulate
 from .model import ModelParams, _bound_values
 from .sensitivity import (AdjointTrajectory, _tracking_misfits, fit_loglog_slope,
@@ -64,17 +64,15 @@ def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedul
     return math.fsum(terms)
 
 
-def _evaluate(params: ModelParams, u: ControlSchedule,
-              phi0=None, sigma0=None) -> tuple[float, StateTrajectory]:
-    traj = simulate(params, u, phi0=phi0, sigma0=sigma0)
+def _evaluate(params: ModelParams, u: ControlSchedule) -> tuple[float, StateTrajectory]:
+    traj = simulate(params, u)
     return _tracking_cost(params, traj, u), traj
 
 
-def reduced_cost(params: ModelParams, u: ControlSchedule,
-                 phi0: Field | None = None, sigma0: Field | None = None) -> float:
+def reduced_cost(params: ModelParams, u: ControlSchedule) -> float:
     """Tracking cost of the trajectory generated by ``u`` (any schedule,
     admissible or not; feasibility is the optimizer's business)."""
-    return _evaluate(params, u, phi0=phi0, sigma0=sigma0)[0]
+    return _evaluate(params, u)[0]
 
 
 def project(params: ModelParams, u: ControlSchedule) -> ControlSchedule:
@@ -118,9 +116,7 @@ class OptimResult:
 
 
 def projected_gradient(params: ModelParams, u0: ControlSchedule,
-                       options: OptimOptions | None = None,
-                       phi0: Field | None = None,
-                       sigma0: Field | None = None) -> OptimResult:
+                       options: OptimOptions | None = None) -> OptimResult:
     """Minimize the reduced cost over the box of ``params`` by projected gradient descent.
 
     Each iterate re-simulates, solves the adjoint, and backtracks along the
@@ -135,7 +131,7 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
     opts = options or OptimOptions()
     tau = params.tau
     u = project(params, u0)
-    cost, traj = _evaluate(params, u, phi0=phi0, sigma0=sigma0)
+    cost, traj = _evaluate(params, u)
     cost_history = [cost]
     grad_history = []
     stationarity = math.inf
@@ -158,7 +154,7 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
             move_sq = l2q_inner(tau, move, move)
             if move_sq == 0.0:
                 break  # projection arc pinned; stationary up to roundoff
-            trial_cost, trial_traj = _evaluate(params, trial, phi0=phi0, sigma0=sigma0)
+            trial_cost, trial_traj = _evaluate(params, trial)
             if trial_cost <= cost - (opts.armijo_c / alpha_try) * move_sq:
                 u, cost, traj = trial, trial_cost, trial_traj
                 cost_history.append(cost)
@@ -229,41 +225,38 @@ def kkt_report(params: ModelParams, u: ControlSchedule,
                      note=note)
 
 
-def _cost_and_pairing(params: ModelParams, u: ControlSchedule, h: ControlSchedule,
-                      phi0: Field | None, sigma0: Field | None) -> tuple[float, float]:
+def _cost_and_pairing(params: ModelParams, u: ControlSchedule,
+                      h: ControlSchedule) -> tuple[float, float]:
     """The reduced cost at ``u`` and the adjoint pairing ``<g, h>`` of its
     gradient with the direction ``h``."""
-    cost, traj = _evaluate(params, u, phi0=phi0, sigma0=sigma0)
+    cost, traj = _evaluate(params, u)
     grad = reduced_gradient(params, u, solve_adjoint(params, traj))
     return cost, l2q_inner(params.tau, grad, h)
 
 
 def cost_taylor_sweep(params: ModelParams, u: ControlSchedule, h: ControlSchedule,
-                      eps_values=(1e-2, 1e-3, 1e-4, 1e-5),
-                      phi0: Field | None = None, sigma0: Field | None = None):
+                      eps_values=(1e-2, 1e-3, 1e-4, 1e-5)):
     """First-order Taylor remainders of the reduced cost along ``h``.
 
     Returns ``(rows, slope, pairing)`` where rows are
     ``(eps, |J(u + eps*h) - J(u) - eps*<g, h>|)`` and slope is the log-log
     fit; a slope near 2 certifies the adjoint gradient.
     """
-    cost0, pairing = _cost_and_pairing(params, u, h, phi0, sigma0)
+    cost0, pairing = _cost_and_pairing(params, u, h)
     rows = []
     for eps in eps_values:
         eps = float(eps)
-        cost_eps = reduced_cost(params, u + h.scaled(eps), phi0=phi0, sigma0=sigma0)
+        cost_eps = reduced_cost(params, u + h.scaled(eps))
         rows.append((eps, abs(cost_eps - cost0 - eps * pairing)))
     return rows, fit_loglog_slope(rows), pairing
 
 
 def directional_derivative_check(params: ModelParams, u: ControlSchedule,
-                                 h: ControlSchedule, eps: float = 1e-3,
-                                 phi0: Field | None = None,
-                                 sigma0: Field | None = None) -> float:
+                                 h: ControlSchedule, eps: float = 1e-3) -> float:
     """Relative gap between the adjoint pairing <g, h> and a centered
     finite-difference directional derivative of the reduced cost."""
-    _, pairing = _cost_and_pairing(params, u, h, phi0, sigma0)
-    plus = reduced_cost(params, u + h.scaled(eps), phi0=phi0, sigma0=sigma0)
-    minus = reduced_cost(params, u + h.scaled(-eps), phi0=phi0, sigma0=sigma0)
+    _, pairing = _cost_and_pairing(params, u, h)
+    plus = reduced_cost(params, u + h.scaled(eps))
+    minus = reduced_cost(params, u + h.scaled(-eps))
     fd = (plus - minus) / (2.0 * eps)
     return abs(fd - pairing) / max(abs(pairing), 1e-300)

@@ -34,12 +34,14 @@ only (they are linear in their direction).  In place of the base state they
 take the Jacobian's frozen cellwise coefficients of their base level,
 ``level_coefficients``.  ``solve_linearized`` and ``solve_adjoint`` build one
 plan and the coefficients of all levels (three ``(n_steps, *grid.shape)``
-arrays) once per sweep, and fill one ``(n_steps + 1, *grid.shape)`` level
-array per channel, row by row.  The two implicit solves are the forward
-step's own, ``_phase_solve`` and ``_diffusion_solve``.  The tracking
-misfits are computed once, by ``_tracking_misfits``, for the adjoint's
-default data and for the reduced cost in ``optimize``.  Only the Fields a
-caller hands ``solve_adjoint`` are validated.
+arrays, from one laplacian call per block of levels) once per sweep, and
+fill one ``(n_steps + 1, *grid.shape)`` level array per channel, row by row.
+The two implicit solves are the forward step's own, ``_phase_solve`` and
+``_diffusion_solve``.  The tracking misfits are computed once, by
+``_tracking_misfits``, for the adjoint's default data and for the reduced
+cost in ``optimize``.  ``frechet_remainder_sweep``, like ``optimize``, runs
+from the initial data of ``params``.  Only the Fields a caller hands
+``solve_adjoint`` are validated.
 """
 
 from __future__ import annotations
@@ -72,12 +74,6 @@ __all__ = [
 
 Coefficients = tuple[np.ndarray, np.ndarray, np.ndarray]  # (curvature, rate, rate_slope)
 
-# Grids of at most this many cells take a block of base levels through one
-# batched laplacian call (a block then holds at least 8 levels); on larger
-# grids the moves to and from the batch axis cost more than the per-call
-# overhead they save (timeit on 2D boxes from 32x32 to 64x64).
-_BATCH_MAX_CELLS = 1024
-
 
 def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
                        sigma: np.ndarray) -> Coefficients:
@@ -87,11 +83,9 @@ def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
     levels (``(levels, *grid.shape)``), ``GridMismatchError`` otherwise.
     Returns (curvature, rate, rate_slope) of the same shape: F''(phi),
     P(phi), and P'(phi)*(sigma - mu) with mu the explicit potential of each
-    level.  On grids of at most ``_BATCH_MAX_CELLS`` cells the laplacian
-    takes the levels on its trailing batch axis, one call per
-    ``grid._level_blocks`` block (a 1D control sweep or a 32x32 sweep of 8
-    levels is one block); on larger grids it is called level by level.  The
-    arithmetic is cellwise, so every level is bitwise what a call on that
+    level.  The laplacian takes one ``grid._level_blocks`` block of levels
+    per call, on its leading batch axis (a 1D control sweep is one block).
+    The arithmetic is cellwise, so every level is bitwise what a call on that
     level alone gives.
     """
     if phi.shape[phi.ndim - grid.dim:] != grid.shape or phi.ndim > grid.dim + 1 \
@@ -104,13 +98,8 @@ def level_coefficients(params: ModelParams, grid: Grid, phi: np.ndarray,
     # stack of levels makes few temporaries.
     mu = np.asarray(f_deriv(params.potential, 1, phi), dtype=float)
     mu_stack = mu.reshape(stack.shape)  # a view: mu is fresh and of phi's shape
-    if grid.n_cells <= _BATCH_MAX_CELLS:
-        for blk in _level_blocks(len(stack), grid.n_cells):
-            mu_stack[blk] -= np.moveaxis(
-                laplacian_values(grid, np.moveaxis(stack[blk], 0, -1)), -1, 0)
-    else:
-        for n in range(len(stack)):
-            mu_stack[n] -= laplacian_values(grid, stack[n])
+    for blk in _level_blocks(len(stack), grid.n_cells):
+        mu_stack[blk] -= laplacian_values(grid, stack[blk])
     rate_slope = np.subtract(sigma, mu, out=mu)
     np.multiply(p_deriv(params.proliferation, 1, phi), rate_slope, out=rate_slope)
     curvature = np.asarray(f_deriv(params.potential, 2, phi), dtype=float)
@@ -372,21 +361,19 @@ def fit_loglog_slope(pairs) -> float:
 
 
 def frechet_remainder_sweep(params: ModelParams, u: ControlSchedule, h: ControlSchedule,
-                            eps_values=(1e-1, 3e-2, 1e-2, 3e-3),
-                            phi0: Field | None = None,
-                            sigma0: Field | None = None):
+                            eps_values=(1e-1, 3e-2, 1e-2, 3e-3)):
     """Remainder of the state linearization for shrinking perturbations.
 
     Returns rows ``(eps, max-in-time H norm of phi(u + eps*h) - phi(u) -
     eps*xi)``; second-order decay of the rows is the differentiability
     signature of the control-to-state map.
     """
-    base = simulate(params, u, phi0=phi0, sigma0=sigma0)
+    base = simulate(params, u)
     lin = solve_linearized(params, base, h)
     rows = []
     for eps in eps_values:
         eps = float(eps)
-        traj = simulate(params, u + h.scaled(eps), phi0=phi0, sigma0=sigma0)
+        traj = simulate(params, u + h.scaled(eps))
         rem = 0.0
         for n in range(base.n_steps + 1):
             defect = traj.phi[n] - base.phi[n] - eps * lin.xi[n]

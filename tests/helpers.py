@@ -3,12 +3,16 @@ assembly, hand stencils, stencil-only step operators and their dense-path
 matrices, the plain CG loop, the Field-level solve and steps, the per-column
 snapshot formatter, a per-level KKT audit, tracking cost, stability probe and
 state remainder sweep, an adaptive ODE
-reference for spatially constant runs, and instance builders tied to the
-shipped configuration files."""
+reference for spatially constant runs, instance builders tied to the
+shipped configuration files, and a CLI runner in a memory-limited subprocess."""
 
 from __future__ import annotations
 
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -23,6 +27,20 @@ from chcontrol.forward import diffusion_operator, phase_operator, phase_precondi
 from chcontrol.grid import laplacian_values
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_limited(argv, timeout=60, address_space=1 << 30):
+    """``python -m chcontrol *argv`` in a subprocess whose address space is
+    capped (``RLIMIT_AS``, 1 GiB by default) and which is killed after
+    ``timeout`` seconds, so an input that escapes its check fails the test
+    instead of exhausting the machine.  Returns the text-mode CompletedProcess."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "chcontrol", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=limit)
 
 
 def load_instance(name, overrides=()):
@@ -81,10 +99,12 @@ def padded_flux_second_difference(arr, axis, h):
 
 
 def padded_flux_laplacian(grid, vals):
-    """Reference zero-flux laplacian summed over the grid's active axes."""
-    out = padded_flux_second_difference(vals, 0, grid.spacing[0])
+    """Reference zero-flux laplacian summed over the grid's active axes, the
+    trailing ``grid.dim`` axes of ``vals`` (any leading axes are a batch)."""
+    first = vals.ndim - grid.dim
+    out = padded_flux_second_difference(vals, first, grid.spacing[0])
     if grid.dim == 2:
-        out = out + padded_flux_second_difference(vals, 1, grid.spacing[1])
+        out = out + padded_flux_second_difference(vals, first + 1, grid.spacing[1])
     return out
 
 
@@ -93,7 +113,7 @@ def reference_dense_increments(params, grid):
     assembled with ``padded_flux_laplacian``."""
     tau, s_const = params.tau, params.stabilization
     n = grid.n_cells
-    eye = np.eye(n).reshape(grid.shape + (n,))
+    eye = np.eye(n).reshape((n,) + grid.shape)
     lap = padded_flux_laplacian(grid, eye)
     increments = {"phase": tau * (padded_flux_laplacian(grid, lap) - s_const * lap),
                   "diffusion": -tau * lap}

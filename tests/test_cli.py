@@ -8,10 +8,9 @@ import pytest
 
 from chcontrol import Grid, cli, forward, optimize, preset_field, sensitivity
 from chcontrol.cli import main
-from helpers import load_instance, ode_reference
+from helpers import SRC_DIR, load_instance, ode_reference, run_cli_limited
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 # The three benchmark commands: the 1D soft tracking run from a rough initial
@@ -96,7 +95,6 @@ class TestUsageErrors:
         ("optimize", "tracking.cfg", ("model.beta_u=nan",), "model.beta_u"),
         ("optimize", "tracking.cfg", ("model.proliferation=sigmoid", "model.k=nan"), "model.k"),
         ("optimize", "tracking.cfg", ("model.proliferation=sigmoid", "model.p0=nan"), "model.p0"),
-        ("simulate", "dissipation.cfg", ("grid.lx=1e-300",), "grid.lx"),
     ])
     def test_non_finite_number_names_its_key(self, sub, config, overrides, key, capsys,
                                              tmp_path):
@@ -104,14 +102,37 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error=config") and f"key {key}" in err
 
-    @pytest.mark.parametrize("override", ["time.tau=1e-300", "model.stabilization=1e308"])
-    def test_internal_error_exits_4(self, override, capsys, tmp_path):
-        # No budget names these keys yet (exit 2 once one does); the uncaught
-        # ValueError must not read as a criteria failure.
-        code, _, err = run(["simulate", cfg("dissipation.cfg"), override,
-                            f"io.outdir={tmp_path}"], capsys)
+    @pytest.mark.parametrize("override, key", [
+        # The phase symbol 1 + tau*(mu^2 + S*mu) overflows.
+        ("grid.lx=1e-150", "grid.lx"),
+        ("grid.lx=1e-300", "grid.lx"),
+        ("model.stabilization=1e308", "model.stabilization"),
+        ("model.well_scale=1e308", "model.well_scale"),
+        # Over the value budget: a level array, a DCT matrix, the smoothing.
+        ("time.tau=1e-300", "time.tau"),
+        ("time.tau=1e-310", "time.tau"),
+        ("time.tau=1e-12", "time.tau"),
+        ("grid.nx=20000", "grid.nx"),
+        ("init.phi0=filtered_noise seed=0 passes=100000000", "init.phi0"),
+    ])
+    def test_overflowing_or_oversized_input_names_its_key(self, override, key, tmp_path):
+        # In a memory-limited subprocess: a missed check may allocate
+        # gigabytes (grid.nx=20000) or run for hours (passes).
+        proc = run_cli_limited(["simulate", cfg("dissipation.cfg"), override,
+                                f"io.outdir={tmp_path}"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error=config") and f"key {key}" in proc.stderr
+
+    def test_internal_error_exits_4(self, capsys, tmp_path, monkeypatch):
+        # A defect's uncaught exception must not read as a criteria failure.
+        def defect(cfg):
+            raise ValueError("a defect")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", defect)
+        code, _, err = run(["simulate", cfg("dissipation.cfg"), f"io.outdir={tmp_path}"], capsys)
         assert code == 4
-        assert err.startswith("error=internal type=ValueError") and "Traceback" in err
+        assert err.startswith("error=internal type=ValueError detail=a defect")
+        assert "Traceback" in err
 
     @pytest.mark.parametrize("sub, config, seed", [
         ("simulate", "equilibrium.cfg", "abc"),
@@ -286,14 +307,12 @@ class TestVerificationSubcommands:
 
     def test_oracle_overflowing_start_exits_3(self, tmp_path):
         # Every RK4 run leaves the finite range, so the reference gives up at
-        # its step cap instead of refining forever.
-        proc = subprocess.run(
-            [sys.executable, "-m", "chcontrol", "oracle", cfg("oracle.cfg"),
-             "init.phi0=constant value=1e100", f"io.outdir={tmp_path}"],
-            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), capture_output=True, text=True,
-            timeout=60)
+        # its step cap instead of refining forever.  It has no step to name.
+        proc = run_cli_limited(["oracle", cfg("oracle.cfg"), "init.phi0=constant value=1e100",
+                                f"io.outdir={tmp_path}"])
         assert proc.returncode == 3
-        assert proc.stderr.splitlines()[-1].startswith("error=divergence")
+        assert proc.stderr.splitlines()[-1].startswith("error=divergence detail=")
+        assert "step=" not in proc.stderr
 
     def test_oracle_rejects_nonconstant_presets(self, capsys, tmp_path):
         code, _, err = run(["oracle", cfg("oracle.cfg"), f"io.outdir={tmp_path}",

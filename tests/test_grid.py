@@ -32,7 +32,7 @@ def laid_out(vals, layout):
 @st.composite
 def grids_with_values(draw):
     """1D lines and 2D boxes down to 4-cell axes, with unequal side lengths;
-    values with up to two trailing batch axes, in any layout."""
+    values with up to two leading batch axes, in any layout."""
     lengths = st.floats(0.5, 10.0)
     if draw(st.sampled_from((1, 2))) == 1:
         grid = Grid.line(draw(st.integers(4, 24)), draw(lengths))
@@ -40,7 +40,7 @@ def grids_with_values(draw):
         grid = Grid.box(draw(st.integers(4, 12)), draw(st.integers(4, 12)),
                         draw(lengths), draw(lengths))
     batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    vals = draw(arrays(np.float64, grid.shape + batch, elements=st.floats(-100.0, 100.0)))
+    vals = draw(arrays(np.float64, batch + grid.shape, elements=st.floats(-100.0, 100.0)))
     return grid, laid_out(vals, draw(st.sampled_from(("contiguous", "transposed", "sliced"))))
 
 
@@ -87,6 +87,13 @@ class TestField:
         with pytest.raises(ValueError):
             Field(g, np.zeros(7))
 
+    @pytest.mark.parametrize("shape", [(6, 8), (48,), (8, 6, 1)])
+    def test_same_size_array_of_another_shape_raises(self, shape):
+        # A (6, 8) array on an 8x6 box holds the right number of values in
+        # the wrong layout; no reshape may turn it into a field.
+        with pytest.raises(ValueError, match="grid expects"):
+            Field(Grid.box(8, 6, 4.0, 3.0), np.zeros(shape))
+
     def test_rejects_non_finite(self):
         g = line16()
         bad = np.zeros(16)
@@ -113,7 +120,7 @@ class TestLaplacian:
         assert np.all(lap.values == 0.0)
 
     @given(grids_with_values())
-    @example((Grid.box(4, 11, 1.0, 7.5), laid_out(np.linspace(-3.0, 3.0, 88).reshape(4, 11, 2),
+    @example((Grid.box(4, 11, 1.0, 7.5), laid_out(np.linspace(-3.0, 3.0, 88).reshape(2, 4, 11),
                                                    "transposed")))
     @example((Grid.box(11, 4, 7.5, 1.0), laid_out(np.linspace(-3.0, 3.0, 44).reshape(11, 4),
                                                    "sliced")))

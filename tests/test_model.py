@@ -160,10 +160,6 @@ class TestHypothesisReport:
         report = check_hypotheses(params)
         assert not report.checks["weights_nonnegative_not_all_zero"]
 
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            check_hypotheses(ModelParams(beta_u=1.0), n_samples=10)
-
 
 class TestPresets:
     def test_constant(self):

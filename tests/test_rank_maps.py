@@ -9,7 +9,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import chcontrol.grid as grid_module
-import chcontrol.sensitivity as sensitivity_module
 from chcontrol import ControlSchedule, DivergenceError, Field, Grid, ModelParams, inner_product
 from chcontrol.forward import (_check_outputs, _diffusion_increment, _phase_increment,
                                diffusion_operator, phase_operator, phase_preconditioner)
@@ -202,11 +201,8 @@ class TestBlockedInnerProducts:
 class TestBlockedCoefficients:
     @pytest.mark.parametrize("g", BLOCK_GRIDS)
     @pytest.mark.parametrize("budget_levels", [1, 2, 3, 100])
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_levels_equal_single_level_calls(self, monkeypatch, g, budget_levels, batched):
+    def test_levels_equal_single_level_calls(self, monkeypatch, g, budget_levels):
         monkeypatch.setattr(grid_module, "LEVEL_BLOCK_CELLS", budget_levels * g.n_cells)
-        monkeypatch.setattr(sensitivity_module, "_BATCH_MAX_CELLS",
-                            g.n_cells if batched else g.n_cells - 1)
         params = ModelParams(beta_u=1.0)
         levels = 7
         phi = np.array([smooth_field(g, k, 0.8).values for k in range(levels)])
