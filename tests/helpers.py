@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -32,15 +31,16 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 def run_cli_limited(argv, timeout=60, address_space=1 << 30):
     """``python -m chcontrol *argv`` in a subprocess whose address space is
-    capped (``RLIMIT_AS``, 1 GiB by default) and which is killed after
-    ``timeout`` seconds, so an input that escapes its check fails the test
-    instead of exhausting the machine.  Returns the text-mode CompletedProcess."""
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
-
-    return subprocess.run([sys.executable, "-m", "chcontrol", *argv],
+    capped (``RLIMIT_AS``, 1 GiB by default) before the package is imported,
+    and which is killed after ``timeout`` seconds, so an input that escapes
+    its check fails the test instead of exhausting the machine.  Returns the
+    text-mode CompletedProcess."""
+    code = ("import resource, runpy; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space})); "
+            "runpy.run_module('chcontrol', run_name='__main__')")
+    return subprocess.run([sys.executable, "-c", code, *argv],
                           env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), capture_output=True,
-                          text=True, timeout=timeout, preexec_fn=limit)
+                          text=True, timeout=timeout)
 
 
 def load_instance(name, overrides=()):
