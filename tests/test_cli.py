@@ -134,6 +134,17 @@ class TestUsageErrors:
         assert err.startswith("error=internal type=ValueError detail=a defect")
         assert "Traceback" in err
 
+    @pytest.mark.parametrize("step_index, step", [(None, ""), (7, " step=7")])
+    def test_divergence_names_its_step_only_when_known(self, step_index, step, capsys,
+                                                        tmp_path, monkeypatch):
+        def diverge(cfg):
+            raise forward.DivergenceError("phi left the guard", step_index=step_index)
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", diverge)
+        code, _, err = run(["simulate", cfg("dissipation.cfg"), f"io.outdir={tmp_path}"], capsys)
+        assert code == 3
+        assert err == f"error=divergence{step} detail=phi left the guard\n"
+
     @pytest.mark.parametrize("sub, config, seed", [
         ("simulate", "equilibrium.cfg", "abc"),
         ("grad-check", "gradcheck.cfg", "-1"),

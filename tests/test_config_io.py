@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from chcontrol import Field, Grid, preset_field, snapshots
 from chcontrol.config import (ConfigError, FieldExpr, apply_overrides, build_grid,
                               build_initial_control, build_params, echo_text, parse_config)
+from chcontrol.grid import _VALUE_BUDGET
 from chcontrol.snapshots import (SnapshotError, read_snapshot, read_snapshot_header,
                                  write_snapshot, write_snapshots)
 from helpers import snapshot_text_by_column
@@ -97,6 +99,50 @@ class TestOverrides:
     def test_override_still_validated(self):
         with pytest.raises(ConfigError):
             apply_overrides(parse_config(MINIMAL), ["time.tau=-1.0"])
+
+
+class TestValueBudget:
+    # Checked on the configuration alone, before any array exists; a size
+    # equal to the budget is allowed, one more value is not.
+    @pytest.mark.parametrize("extra, allowed", [(0, True), (1, False)])
+    def test_dct_matrix_bound_is_inclusive(self, extra, allowed):
+        nx = math.isqrt(_VALUE_BUDGET) + extra
+        assert (nx * nx <= _VALUE_BUDGET) == allowed
+        override = [f"grid.nx={nx}"]
+        if allowed:
+            assert apply_overrides(parse_config(MINIMAL), override)["grid.nx"] == nx
+        else:
+            with pytest.raises(ConfigError, match="key grid.nx"):
+                apply_overrides(parse_config(MINIMAL), override)
+
+    @pytest.mark.parametrize("extra, allowed", [(0, True), (1, False)])
+    def test_level_array_bound_is_inclusive(self, extra, allowed):
+        # 16 cells, so (n_steps + 1) * 16 levels of values reach the budget
+        # at n_steps = budget/16 - 1.
+        n_steps = _VALUE_BUDGET // 16 - 1 + extra
+        override = [f"time.t_final={n_steps}", "time.tau=1.0"]
+        if allowed:
+            assert apply_overrides(parse_config(MINIMAL), override).n_steps == n_steps
+        else:
+            with pytest.raises(ConfigError, match="key time.tau"):
+                apply_overrides(parse_config(MINIMAL), override)
+
+
+class TestPhaseSymbol:
+    # 16 cells on [0, 4]: 4/h^2 = 64, so S*mu overflows between S = 1e306
+    # and S = 1e308 while mu^2 and tau stay small.
+    def test_large_finite_symbol_accepted(self):
+        cfg = apply_overrides(parse_config(MINIMAL), ["model.stabilization=1e306"])
+        assert cfg["model.stabilization"] == 1e306
+
+    @pytest.mark.parametrize("overrides, key", [
+        (("model.stabilization=1e308",), "model.stabilization"),
+        (("time.t_final=1e306", "time.tau=1e305"), "time.tau"),
+    ])
+    def test_overflow_names_its_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"key {key}") as info:
+            apply_overrides(parse_config(MINIMAL), overrides)
+        assert "phase symbol" in str(info.value)
 
 
 class TestFieldExpr:

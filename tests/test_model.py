@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chcontrol import (Field, Grid, ModelParams, QuadraticProliferation, QuarticDoubleWell,
                        SigmoidProliferation, check_hypotheses, default_stabilization,
                        f_deriv, p_deriv, preset_field)
+import chcontrol.model as model_module
 from chcontrol.model import _splitmix64, _splitmix64_uniform, f0_deriv, f1_deriv
 
 
@@ -193,6 +194,17 @@ class TestPresets:
         rough = 0.5 * _splitmix64_uniform(11, g.shape)
         smooth = preset_field("filtered_noise", g, seed=11, amplitude=0.5)
         assert np.max(np.abs(np.diff(smooth.values))) < np.max(np.abs(np.diff(rough)))
+
+    @pytest.mark.parametrize("passes, allowed", [(3, True), (4, False)])
+    def test_filtered_noise_passes_within_value_budget(self, monkeypatch, passes, allowed):
+        # passes * n_cells is checked against the budget before any work.
+        g = Grid.line(32, 4.0)
+        monkeypatch.setattr(model_module, "_VALUE_BUDGET", 3 * g.n_cells)
+        if allowed:
+            assert preset_field("filtered_noise", g, seed=11, passes=passes).values.shape == (32,)
+        else:
+            with pytest.raises(ValueError, match="value budget"):
+                preset_field("filtered_noise", g, seed=11, passes=passes)
 
     def test_splitmix64_matches_published_words(self):
         assert _splitmix64(0, 3).tolist() == [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4,
