@@ -10,11 +10,12 @@ gradient method, and verification utilities (transpose identities, Taylor
 remainder sweeps, an ODE oracle for spatially constant runs).
 """
 
-from .grid import (CgNonConvergenceError, Field, Grid, GridMismatchError, cg_solve,
-                   grad_sq_integral, inner_product, integrate, neumann_laplacian, norm_h)
+from .grid import (CgNonConvergenceError, Field, Grid, GridMismatchError, ParameterError,
+                   cg_solve, grad_sq_integral, inner_product, integrate, neumann_laplacian,
+                   norm_h)
 from .model import (HypothesisReport, ModelParams, Numerics, QuadraticProliferation,
                     QuarticDoubleWell, SigmoidProliferation, check_hypotheses,
-                    default_stabilization, f_deriv, p_deriv, preset_field)
+                    default_stabilization, f_deriv, p_deriv, preset_field, step_count)
 from .forward import (ControlSchedule, DivergenceError, StabilityReport, StateTrajectory,
                       StepPlan, energy, l2q_inner, l2q_norm, lipschitz_probe, simulate, step)
 from .sensitivity import (AdjointTrajectory, LinearizedTrajectory, adjoint_step,

@@ -28,12 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ConfigError, FieldExpr, RunConfig, apply_overrides, build_grid,
-                     build_initial_control, build_params, echo_text, parse_config)
+                     build_initial_control, build_options, build_params, echo_text,
+                     parse_config)
 from .forward import ControlSchedule, DivergenceError, simulate
 from .grid import CgNonConvergenceError, Field
 from .model import check_hypotheses, f_deriv, p_deriv, preset_field
-from .optimize import (OptimOptions, cost_taylor_sweep, directional_derivative_check,
-                       kkt_report, projected_gradient)
+from .optimize import (cost_taylor_sweep, directional_derivative_check, kkt_report,
+                       projected_gradient)
 from .sensitivity import dot_product_test, fit_loglog_slope, frechet_remainder_sweep
 from .snapshots import write_snapshots
 
@@ -66,11 +67,14 @@ class RunWriter:
 
     def __init__(self, cfg: RunConfig):
         self.outdir = Path(cfg["io.outdir"])
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        (self.outdir / "config.echo").write_text(echo_text(cfg), encoding="utf-8")
         self._log_lines: list[str] = []
-        (self.outdir / "run.meta").write_text(
-            f"started_unix={time.time()!r}\n", encoding="utf-8")
+        try:  # a directory that cannot be made or written is a config error
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            (self.outdir / "config.echo").write_text(echo_text(cfg), encoding="utf-8")
+            (self.outdir / "run.meta").write_text(
+                f"started_unix={time.time()!r}\n", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write the run's files: {exc}", key="io.outdir") from exc
 
     def log(self, **pairs) -> None:
         self._log_lines.append(_kv_line(**pairs))
@@ -156,10 +160,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     params = build_params(cfg, grid)
     u0 = build_initial_control(cfg, grid, params)
     writer = RunWriter(cfg)
-    opts = OptimOptions(max_iters=cfg["opt.max_iters"], tol=cfg["opt.tol"],
-                        armijo_c=cfg["opt.armijo_c"], alpha0=cfg["opt.alpha0"],
-                        alpha_shrink=cfg["opt.alpha_shrink"])
-    result = projected_gradient(params, u0, opts)
+    result = projected_gradient(params, u0, build_options(cfg))
     for k, cost in enumerate(result.cost_history):
         writer.log(iter=k, cost=cost)
     # Pointwise audit at the standard tolerance; the stopping rule above is an

@@ -11,6 +11,13 @@ valued entries use preset expressions, e.g.
 
 ``echo_text`` renders the effective configuration canonically; parsing the
 echo and echoing again is byte-identical.
+
+Validation builds the grid, the well, the sigmoid law, a ``ModelParams``
+without fields, ``Numerics`` and ``OptimOptions``, so each rule lives in its
+constructor; a ``ParameterError`` names the key ending in the parameter's
+name (``model.k``, ``model.p_floor``, ``solver.cg_maxit`` for ``steepness``,
+``floor``, ``cg_max_iter``).  Checked here is only what no constructor checks:
+the value budget, the phase symbol, ``opt.max_iters``, ``io.snapshot_every``.
 """
 
 from __future__ import annotations
@@ -18,14 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import _VALUE_BUDGET, Field, Grid
+from .grid import _VALUE_BUDGET, Field, Grid, ParameterError
 from .model import (ModelParams, Numerics, QuadraticProliferation, QuarticDoubleWell,
-                    SigmoidProliferation, default_stabilization, preset_field)
-from .forward import ControlSchedule
+                    SigmoidProliferation, preset_field, step_count)
+from .forward import ControlSchedule, phase_symbol
+from .optimize import OptimOptions
 from .snapshots import read_snapshot
 
 __all__ = ["ConfigError", "FieldExpr", "RunConfig", "parse_config", "echo_text",
-           "apply_overrides", "build_grid", "build_params", "build_initial_control"]
+           "apply_overrides", "build_grid", "build_params", "build_initial_control",
+           "build_options"]
 
 
 class ConfigError(ValueError):
@@ -164,6 +173,14 @@ _SCHEMA = [
 ]
 _TYPES = {key: kind for key, kind, _ in _SCHEMA}
 _ORDER = [key for key, _, _ in _SCHEMA]
+# Constructor parameter name -> the key that sets it (builders read each
+# argument from it, and a ParameterError names it).
+_KEY_OF = {key.split(".", 1)[1]: key for key in _ORDER}
+_KEY_OF.update(steepness="model.k", floor="model.p_floor", cg_max_iter="solver.cg_maxit")
+
+
+def _args(cfg, *names) -> dict:
+    return {name: cfg[_KEY_OF[name]] for name in names}
 
 
 def _parse_value(kind: str, raw: str):
@@ -222,7 +239,7 @@ class RunConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self["time.t_final"] / self["time.tau"]))
+        return step_count(self["time.t_final"], self["time.tau"])
 
 
 def parse_config(text: str) -> RunConfig:
@@ -277,85 +294,40 @@ def _fail(lines: dict, key: str, message: str):
 
 def _validate(cfg: RunConfig, lines: dict) -> None:
     v = cfg.values
-    if v["grid.dim"] not in (1, 2):
-        _fail(lines, "grid.dim", "dim must be 1 or 2")
-    if v["grid.dim"] == 1 and v["grid.ny"] != 1:
-        _fail(lines, "grid.ny", "1D runs use grid.ny = 1")
-    if v["grid.nx"] < 4 or (v["grid.dim"] == 2 and v["grid.ny"] < 4):
-        _fail(lines, "grid.nx", "need at least 4 cells per active axis")
-    if v["grid.lx"] <= 0 or v["grid.ly"] <= 0:
-        _fail(lines, "grid.lx", "domain lengths must be positive")
-    for count in ("grid.nx", "grid.ny"):
+    for count in ("grid.nx", "grid.ny"):  # before Grid, whose l/n overflows for a huge n
         if v[count] ** 2 > _VALUE_BUDGET:
             _fail(lines, count, f"the {v[count]}^2 values of the axis's DCT matrix exceed "
                                 f"the value budget of {_VALUE_BUDGET}")
-    if v["time.tau"] <= 0:
-        _fail(lines, "time.tau", "tau must be positive")
-    if v["time.t_final"] <= 0:
-        _fail(lines, "time.t_final", "t_final must be positive")
-    steps, cells = v["time.t_final"] / v["time.tau"], v["grid.nx"] * v["grid.ny"]
-    if not steps < _VALUE_BUDGET or (cfg.n_steps + 1) * cells > _VALUE_BUDGET:
-        _fail(lines, "time.tau", f"a level array of {steps!r} steps of {cells} cells "
-                                 f"exceeds the value budget of {_VALUE_BUDGET}")
-    if cfg.n_steps < 1:
-        _fail(lines, "time.t_final", "t_final/tau must round to at least one step")
-    if v["model.well_scale"] <= 0:
-        _fail(lines, "model.well_scale", "well_scale must be positive")
-    if v["model.p0"] <= 0:
-        _fail(lines, "model.p0", "p0 must be positive")
-    if v["model.k"] <= 0:
-        _fail(lines, "model.k", "sigmoid steepness must be positive")
-    if v["model.p_floor"] < 0:
-        _fail(lines, "model.p_floor", "p_floor must be nonnegative")
-    betas = (v["model.beta_q"], v["model.beta_omega"], v["model.beta_u"])
-    for name in ("model.beta_q", "model.beta_omega", "model.beta_u"):
-        if v[name] < 0:
-            _fail(lines, name, "cost weights must be nonnegative")
-    if all(b == 0 for b in betas):
-        _fail(lines, "model.beta_u", "cost weights must not all be zero")
-    stab = v["model.stabilization"]
-    if stab is not None and stab < 0:
-        _fail(lines, "model.stabilization", "stabilization must be nonnegative (or auto)")
-    _check_phase_symbol(v, lines)
-    lo, hi = v["model.u_min"], v["model.u_max"]
-    if not isinstance(lo, FieldExpr) and not isinstance(hi, FieldExpr) and lo > hi:
-        _fail(lines, "model.u_min", "u_min must not exceed u_max")
-    if v["solver.cg_tol"] <= 0:
-        _fail(lines, "solver.cg_tol", "cg_tol must be positive")
-    if v["solver.cg_maxit"] < 1:
-        _fail(lines, "solver.cg_maxit", "cg_maxit must be at least 1")
-    if v["solver.overflow_guard"] <= 0:
-        _fail(lines, "solver.overflow_guard", "overflow_guard must be positive")
-    if v["opt.max_iters"] < 1:
-        _fail(lines, "opt.max_iters", "max_iters must be at least 1")
-    if v["opt.tol"] <= 0:
-        _fail(lines, "opt.tol", "tol must be positive")
-    if not 0 < v["opt.armijo_c"] < 1:
-        _fail(lines, "opt.armijo_c", "armijo_c must be in (0, 1)")
-    if v["opt.alpha0"] <= 0:
-        _fail(lines, "opt.alpha0", "alpha0 must be positive")
-    if not 0 < v["opt.alpha_shrink"] < 1:
-        _fail(lines, "opt.alpha_shrink", "alpha_shrink must be in (0, 1)")
-    if v["io.snapshot_every"] < 1:
-        _fail(lines, "io.snapshot_every", "snapshot_every must be at least 1")
+    # A field bound is ordered cellwise when build_params builds it.
+    bounds = [v[key] if not isinstance(v[key], FieldExpr) else default for key, default
+              in (("model.u_min", -math.inf), ("model.u_max", math.inf))]
+    try:
+        grid = build_grid(cfg)
+        # The sigmoid law checks model.k and model.p_floor, whatever the law.
+        SigmoidProliferation(**_args(cfg, "p0", "steepness", "floor"))
+        params = _model_params(cfg, u_min=bounds[0], u_max=bounds[1])
+        build_options(cfg)
+    except ParameterError as exc:
+        _fail(lines, _KEY_OF[exc.name], str(exc))
+    if (params.n_steps + 1) * grid.n_cells > _VALUE_BUDGET:
+        _fail(lines, "time.tau", f"a level array of {v['time.t_final'] / v['time.tau']!r} "
+                                 f"steps of {grid.n_cells} cells exceeds the value budget "
+                                 f"of {_VALUE_BUDGET}")
+    _check_phase_symbol(v, grid, params.stabilization, lines)
+    for key in ("opt.max_iters", "io.snapshot_every"):
+        if v[key] < 1:
+            _fail(lines, key, f"{key.split('.')[1]} must be at least 1")
 
 
-def _check_phase_symbol(v: dict, lines: dict) -> None:
-    """The phase symbol ``1 + tau*(mu^2 + S*mu)`` (``forward.phase_preconditioner``)
-    must be finite at ``mu``, the active axes' sum of ``4/h^2``, which must be
-    finite on every axis (``Grid``); else name the spacing, S or tau."""
-    scales = {}
-    for key, count in (("grid.lx", "grid.nx"), ("grid.ly", "grid.ny")):
-        h = v[key] / v[count]
-        scales[key] = 4.0 / (h * h) if h * h > 0 else math.inf
-    mu = sum(list(scales.values())[:v["grid.dim"]])
-    s_const, s_key = v["model.stabilization"], "model.stabilization"
-    if s_const is None:
-        s_const = default_stabilization(QuarticDoubleWell(well_scale=v["model.well_scale"]))
-        s_key = "model.well_scale"
+def _check_phase_symbol(v: dict, grid: Grid, s_const: float, lines: dict) -> None:
+    """``forward.phase_symbol`` must be finite at ``mu``, the active axes' sum of
+    ``4/h^2``, finite on each axis; else name the spacing, S (or well_scale) or tau."""
+    scales = {key: 4.0 / (h * h) for key, h in zip(("grid.lx", "grid.ly"), grid.spacing)}
+    mu = sum(list(scales.values())[:grid.dim])
+    s_key = "model.stabilization" if v["model.stabilization"] is not None else "model.well_scale"
     for key, term in ((max(scales, key=scales.get), max(mu * mu, *scales.values())),
                       (s_key, s_const * mu),
-                      ("time.tau", 1.0 + v["time.tau"] * (mu * mu + s_const * mu))):
+                      ("time.tau", phase_symbol(mu, v["time.tau"], s_const))):
         if not math.isfinite(term):
             _fail(lines, key, f"the phase symbol 1 + tau*(mu^2 + S*mu) is not finite for "
                               f"4/h^2 = {tuple(scales.values())!r}, S = {s_const!r}, "
@@ -387,39 +359,37 @@ def _build_field(cfg: RunConfig, key: str, grid: Grid, level: int | None = None)
         raise ConfigError(str(exc), key=key) from exc
 
 
+def _model_params(cfg: RunConfig, **fields) -> ModelParams:
+    return ModelParams(
+        potential=QuarticDoubleWell(**_args(cfg, "well_scale")),
+        numerics=Numerics(**_args(cfg, "cg_tol", "cg_max_iter", "overflow_guard")),
+        **_args(cfg, "beta_q", "beta_omega", "beta_u", "t_final", "tau", "stabilization"),
+        **fields)
+
+
 def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
-    """Materialize fields and assemble the parameter record for a grid."""
+    """Materialize fields and assemble the parameter record for a grid; a
+    rule broken only cellwise (the box) raises a ConfigError naming its key."""
     if cfg["model.proliferation"] == "quadratic":
-        proliferation = QuadraticProliferation(p0=cfg["model.p0"])
+        proliferation = QuadraticProliferation(**_args(cfg, "p0"))
     else:
-        proliferation = SigmoidProliferation(p0=cfg["model.p0"], steepness=cfg["model.k"],
-                                             floor=cfg["model.p_floor"])
+        proliferation = SigmoidProliferation(**_args(cfg, "p0", "steepness", "floor"))
     if cfg["target.phi_q"].is_time_varying():
         phi_q = [_build_field(cfg, "target.phi_q", grid, level=max(n, 1))
                  for n in range(cfg.n_steps + 1)]
     else:
         phi_q = _build_field(cfg, "target.phi_q", grid)
-    fields = {name: _build_field(cfg, key, grid) for name, key in (
-        ("u_min", "model.u_min"), ("u_max", "model.u_max"), ("phi_omega", "target.phi_omega"),
-        ("phi0", "init.phi0"), ("sigma0", "init.sigma0"))}
+    fields = {name: _build_field(cfg, _KEY_OF[name], grid)
+              for name in ("u_min", "u_max", "phi_omega", "phi0", "sigma0")}
     try:
-        return ModelParams(
-            potential=QuarticDoubleWell(well_scale=cfg["model.well_scale"]),
-            proliferation=proliferation,
-            beta_q=cfg["model.beta_q"],
-            beta_omega=cfg["model.beta_omega"],
-            beta_u=cfg["model.beta_u"],
-            t_final=cfg["time.t_final"],
-            tau=cfg["time.tau"],
-            stabilization=cfg["model.stabilization"],
-            phi_q=phi_q,
-            numerics=Numerics(cg_tol=cfg["solver.cg_tol"],
-                              cg_max_iter=cfg["solver.cg_maxit"],
-                              overflow_guard=cfg["solver.overflow_guard"]),
-            **fields,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return _model_params(cfg, proliferation=proliferation, phi_q=phi_q, **fields)
+    except ParameterError as exc:
+        _fail({}, _KEY_OF[exc.name], str(exc))
+
+
+def build_options(cfg: RunConfig) -> OptimOptions:
+    """The optimizer's options, one per ``opt.*`` key but ``opt.u0``."""
+    return OptimOptions(**_args(cfg, "max_iters", "tol", "armijo_c", "alpha0", "alpha_shrink"))
 
 
 def build_initial_control(cfg: RunConfig, grid: Grid, params: ModelParams) -> ControlSchedule:

@@ -82,6 +82,7 @@ __all__ = [
     "l2q_norm",
     "phase_operator",
     "phase_preconditioner",
+    "phase_symbol",
     "diffusion_operator",
 ]
 
@@ -207,12 +208,18 @@ def phase_operator(params: ModelParams, grid: Grid):
     return implicit_operator(grid, _phase_increment(params, grid))
 
 
+def phase_symbol(mu, tau: float, s_const: float):
+    """The eigenvalue ``1 + tau*(mu^2 + S*mu)`` of the phase operator at the
+    laplacian's eigenvalue magnitude ``mu`` (a number or an array)."""
+    return 1.0 + tau * (mu * mu + s_const * mu)
+
+
 def phase_preconditioner(params: ModelParams, grid: Grid):
-    """The exact inverse of ``phase_operator``, from its symbol
-    1 + tau*(mu^2 + S*mu) in the laplacian's eigenvalue magnitudes mu."""
+    """The exact inverse of ``phase_operator``, from its ``phase_symbol`` in
+    the laplacian's eigenvalue magnitudes mu."""
     tau = params.tau
     s_const = params.stabilization
-    return spectral_inverse(grid, lambda mu: 1.0 + tau * (mu * mu + s_const * mu))
+    return spectral_inverse(grid, lambda mu: phase_symbol(mu, tau, s_const))
 
 
 def diffusion_operator(params: ModelParams, grid: Grid):

@@ -64,6 +64,7 @@ __all__ = [
     "Grid",
     "Field",
     "GridMismatchError",
+    "ParameterError",
     "CgNonConvergenceError",
     "neumann_laplacian",
     "laplacian_values",
@@ -80,6 +81,20 @@ __all__ = [
 
 class GridMismatchError(ValueError):
     """Two fields that must live on the same grid do not."""
+
+
+class ParameterError(ValueError):
+    """A constructor argument outside its domain, named by ``name`` (raised by
+    ``Grid`` and the parameter records of ``model`` and ``optimize``)."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+def _require(ok: bool, name: str, message: str) -> None:
+    if not ok:
+        raise ParameterError(name, message)
 
 
 class CgNonConvergenceError(RuntimeError):
@@ -104,8 +119,11 @@ class Grid:
     """Uniform cell-centered Cartesian mesh in one or two dimensions.
 
     ``counts`` is always ``(nx, ny)`` with ``ny == 1`` in 1D; every active
-    axis needs at least 4 cells.  ``cell_volume`` is the product of the
-    spacings, so a 1D grid keeps its length measure when ``ly == 1``.
+    axis needs at least 4 cells, and each length must be positive with a
+    finite ``1/h^2``.  A bad argument raises ParameterError naming it
+    (``dim``, ``nx``, ``ny``, ``lx`` or ``ly``).  ``cell_volume`` is the
+    product of the spacings, so a 1D grid keeps its length measure when
+    ``ly == 1``.
     The grid keeps its spectral basis (``_spectral_basis``) once built.
     """
 
@@ -113,27 +131,21 @@ class Grid:
                  "_spectral")
 
     def __init__(self, dim: int, counts: Sequence[int], lengths: Sequence[float]):
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
+        _require(dim in (1, 2), "dim", f"dim must be 1 or 2, got {dim}")
         counts = tuple(int(c) for c in counts)
         lengths = tuple(float(x) for x in lengths)
         if len(counts) != 2 or len(lengths) != 2:
             raise ValueError("counts and lengths must both be (x, y) pairs")
         nx, ny = counts
-        if dim == 1 and ny != 1:
-            raise ValueError(f"1D grids must have ny == 1, got ny={ny}")
-        if any(c < 4 for c in counts[:dim]):
-            raise ValueError(f"need at least 4 cells per active axis, got {counts[:dim]}")
-        if ny < 1:
-            raise ValueError("ny must be positive")
-        if any(x <= 0 for x in lengths):
-            raise ValueError(f"domain lengths must be positive, got {lengths}")
-        self.dim = dim
-        self.counts = counts
-        self.lengths = lengths
+        _require(dim == 2 or ny == 1, "ny", f"1D grids must have ny == 1, got ny={ny}")
+        for name, count in zip(("nx", "ny"), counts[:dim]):
+            _require(count >= 4, name, f"need at least 4 cells per axis, got {name}={count}")
         self.spacing = (lengths[0] / nx, lengths[1] / ny)
-        if not all(h * h > 0 and math.isfinite(1.0 / (h * h)) for h in self.spacing):
-            raise ValueError(f"spacings {self.spacing} are too small: 1/h^2 is not finite")
+        for name, length, h in zip(("lx", "ly"), lengths, self.spacing):
+            _require(length > 0, name, f"domain lengths must be positive, got {name}={length}")
+            _require(h * h > 0 and math.isfinite(1.0 / (h * h)), name,
+                     f"spacing {h} is too small: 1/h^2 is not finite")
+        self.dim, self.counts, self.lengths = dim, counts, lengths
         self.cell_volume = self.spacing[0] * self.spacing[1]
         self.shape = (nx,) if dim == 1 else (nx, ny)
         self.n_cells = nx * ny

@@ -27,7 +27,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .grid import _VALUE_BUDGET, Field, Grid, GridMismatchError, spectral_inverse
+from .grid import _VALUE_BUDGET, Field, Grid, GridMismatchError, _require, spectral_inverse
 
 __all__ = [
     "QuarticDoubleWell",
@@ -35,6 +35,7 @@ __all__ = [
     "SigmoidProliferation",
     "Numerics",
     "ModelParams",
+    "step_count",
     "HypothesisReport",
     "f_deriv",
     "f0_deriv",
@@ -48,14 +49,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuarticDoubleWell:
-    """Quartic double well w*(s^2-1)^2/4 with minima at s = +-1."""
+    """Quartic double well w*(s^2-1)^2/4 with minima at s = +-1; w =
+    ``well_scale`` must be positive."""
 
     well_scale: float = 1.0
     growth_exponent: ClassVar[int] = 4  # exponent of the convex part's curvature growth
 
     def __post_init__(self):
-        if self.well_scale <= 0:
-            raise ValueError("well_scale must be positive")
+        _require(self.well_scale > 0, "well_scale", "well_scale must be positive")
 
 
 def f_deriv(spec: QuarticDoubleWell, order: int, s):
@@ -99,14 +100,13 @@ def f1_deriv(spec: QuarticDoubleWell, order: int, s):
 
 @dataclass(frozen=True)
 class QuadraticProliferation:
-    """P(s) = p0*(1 + s^2): strictly positive, derivative grows linearly."""
+    """P(s) = p0*(1 + s^2), p0 > 0: strictly positive, derivative grows linearly."""
 
     p0: float = 0.5
     growth_exponent: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.p0 <= 0:
-            raise ValueError("p0 must be positive")
+        _require(self.p0 > 0, "p0", "p0 must be positive")
 
     def value(self, s):
         return self.p0 * (1.0 + np.square(s))
@@ -117,7 +117,8 @@ class QuadraticProliferation:
 
 @dataclass(frozen=True)
 class SigmoidProliferation:
-    """P(s) = p0*(1 + tanh(k*s))/2 + floor: bounded, nonnegative rate."""
+    """P(s) = p0*(1 + tanh(k*s))/2 + floor: bounded, nonnegative rate; ``p0``
+    and ``steepness`` k must be positive and ``floor`` nonnegative."""
 
     p0: float = 1.0
     steepness: float = 1.0
@@ -125,12 +126,9 @@ class SigmoidProliferation:
     growth_exponent: ClassVar[int] = 1
 
     def __post_init__(self):
-        if self.p0 <= 0:
-            raise ValueError("p0 must be positive")
-        if self.steepness <= 0:
-            raise ValueError("steepness must be positive")
-        if self.floor < 0:
-            raise ValueError("floor must be nonnegative")
+        for name in ("p0", "steepness"):
+            _require(getattr(self, name) > 0, name, f"{name} must be positive")
+        _require(self.floor >= 0, "floor", "floor must be nonnegative")
 
     def value(self, s):
         return self.p0 * (1.0 + np.tanh(self.steepness * np.asarray(s, dtype=float))) / 2.0 + self.floor
@@ -151,15 +149,29 @@ def p_deriv(spec, order: int, s):
 
 @dataclass(frozen=True)
 class Numerics:
-    """Linear-solver and robustness knobs shared by the time steppers."""
+    """Linear-solver and robustness knobs shared by the time steppers;
+    ``cg_tol`` and ``overflow_guard`` positive, ``cg_max_iter`` at least 1."""
 
     cg_tol: float = 1e-12
     cg_max_iter: int = 20000
     overflow_guard: float = 1e6
 
     def __post_init__(self):
-        if self.cg_tol <= 0 or self.cg_max_iter < 1 or self.overflow_guard <= 0:
-            raise ValueError("invalid numerics options")
+        for name in ("cg_tol", "overflow_guard"):
+            _require(getattr(self, name) > 0, name, f"{name} must be positive")
+        _require(self.cg_max_iter >= 1, "cg_max_iter", "cg_max_iter must be at least 1")
+
+
+def step_count(t_final: float, tau: float) -> int:
+    """``int(round(t_final / tau))``, at least 1, from positive ``t_final``
+    and ``tau`` with a finite ratio; else ParameterError naming one of them."""
+    _require(tau > 0, "tau", "tau must be positive")
+    _require(t_final > 0, "t_final", "t_final must be positive")
+    ratio = t_final / tau
+    _require(math.isfinite(ratio), "tau", f"t_final/tau = {ratio!r} is not a finite step count")
+    n_steps = int(round(ratio))
+    _require(n_steps >= 1, "t_final", "t_final/tau must round to at least one step")
+    return n_steps
 
 
 def default_stabilization(potential: QuarticDoubleWell, phi_max: float = 1.5) -> float:
@@ -184,8 +196,9 @@ class ModelParams:
     ``stabilization=None`` resolves to the default curvature bound.  The
     tracking target ``phi_q`` may be a single field (constant in time) or a
     sequence indexed by time level.  Weights must be nonnegative and not all
-    zero.  ``u_min``/``u_max`` (numbers or Fields, ordered cellwise) are the
-    problem's box, the one home of the admissible set.
+    zero (named ``beta_u``) and S nonnegative; ``n_steps`` is ``step_count``'s.
+    ``u_min``/``u_max`` (numbers or Fields, ordered cellwise, else ``u_min``
+    is named) are the problem's box, the one home of the admissible set.
     """
 
     potential: QuarticDoubleWell = field(default_factory=QuarticDoubleWell)
@@ -206,22 +219,16 @@ class ModelParams:
     n_steps: int = field(init=False)
 
     def __post_init__(self):
-        betas = (self.beta_q, self.beta_omega, self.beta_u)
-        if any(b < 0 for b in betas):
-            raise ValueError("cost weights beta_q, beta_omega, beta_u must be nonnegative")
-        if all(b == 0 for b in betas):
-            raise ValueError("cost weights must not all be zero")
-        if self.tau <= 0 or self.t_final <= 0:
-            raise ValueError("tau and t_final must be positive")
-        self.n_steps = int(round(self.t_final / self.tau))
-        if self.n_steps < 1:
-            raise ValueError("t_final/tau must round to at least one step")
+        for name in ("beta_q", "beta_omega", "beta_u"):
+            _require(getattr(self, name) >= 0, name, "cost weights must be nonnegative")
+        _require(any((self.beta_q, self.beta_omega, self.beta_u)), "beta_u",
+                 "cost weights must not all be zero")
+        self.n_steps = step_count(self.t_final, self.tau)
         if self.stabilization is None:
             self.stabilization = default_stabilization(self.potential)
-        elif self.stabilization < 0:
-            raise ValueError("stabilization must be nonnegative")
-        if np.any(_bound_values(self.u_min) > _bound_values(self.u_max)):
-            raise ValueError("u_min must not exceed u_max anywhere")
+        _require(self.stabilization >= 0, "stabilization", "stabilization must be nonnegative")
+        _require(not np.any(_bound_values(self.u_min) > _bound_values(self.u_max)), "u_min",
+                 "u_min must not exceed u_max anywhere")
 
     def phi_q_at(self, n: int) -> Field:
         """Tracking target at time level n (1..n_steps)."""

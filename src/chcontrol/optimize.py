@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import level_inner_products
+from .grid import _require, level_inner_products
 from .forward import ControlSchedule, StateTrajectory, l2q_inner, l2q_norm, simulate
 from .model import ModelParams, _bound_values
 from .sensitivity import (AdjointTrajectory, _tracking_misfits, fit_loglog_slope,
@@ -84,7 +84,9 @@ def project(params: ModelParams, u: ControlSchedule) -> ControlSchedule:
 
 @dataclass
 class OptimOptions:
-    """Projected-gradient knobs, one per ``opt.*`` key; defaults are standard choices."""
+    """Projected-gradient knobs, one per ``opt.*`` key; defaults are standard
+    choices.  ``tol`` and ``alpha0`` must be positive, ``armijo_c`` and
+    ``alpha_shrink`` in (0, 1); a bad one raises ParameterError naming it."""
 
     max_iters: int = 100
     tol: float = 1e-6
@@ -93,12 +95,10 @@ class OptimOptions:
     alpha_shrink: float = 0.5
 
     def __post_init__(self):
-        if self.tol <= 0 or self.alpha0 <= 0:
-            raise ValueError("tol and alpha0 must be positive")
-        if not 0.0 < self.alpha_shrink < 1.0:
-            raise ValueError("alpha_shrink must be in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must be in (0, 1)")
+        for name in ("tol", "alpha0"):
+            _require(getattr(self, name) > 0, name, f"{name} must be positive")
+        for name in ("armijo_c", "alpha_shrink"):
+            _require(0.0 < getattr(self, name) < 1.0, name, f"{name} must be in (0, 1)")
 
 
 @dataclass

@@ -102,6 +102,39 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error=config") and f"key {key}" in err
 
+    @pytest.mark.parametrize("sub, config, override, key", [
+        # Per-axis grid rules name their own axis (both named grid.nx before).
+        ("simulate", "twodim.cfg", "grid.ny=2", "grid.ny"),
+        ("simulate", "twodim.cfg", "grid.ly=-1", "grid.ly"),
+        # A bound ordered wrongly only as a field is found by build_params.
+        ("simulate", "dissipation.cfg", "model.u_min=constant value=2.0", "model.u_min"),
+        ("optimize", "tracking.cfg", "solver.cg_maxit=0", "solver.cg_maxit"),
+        ("optimize", "tracking.cfg", "opt.alpha_shrink=1.0", "opt.alpha_shrink"),
+    ])
+    def test_out_of_domain_value_names_its_key(self, sub, config, override, key, capsys,
+                                               tmp_path):
+        code, _, err = run([sub, cfg(config), override, f"io.outdir={tmp_path}"], capsys)
+        assert code == 2
+        assert err.startswith("error=config") and f"key {key}" in err
+
+    @pytest.mark.parametrize("outdir", ["file", "file/sub"])
+    def test_unusable_outdir_names_its_key(self, outdir, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, _, err = run(["simulate", cfg("dissipation.cfg"), f"io.outdir={tmp_path / outdir}"],
+                           capsys)
+        assert code == 2
+        assert err.startswith("error=config") and "key io.outdir" in err
+
+    def test_later_write_failure_exits_4(self, capsys, tmp_path, monkeypatch):
+        # Only the output directory's first writes are configuration errors.
+        def full_disk(grid, items):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_snapshots", full_disk)
+        code, _, err = run(["simulate", cfg("dissipation.cfg"), f"io.outdir={tmp_path}"], capsys)
+        assert code == 4
+        assert err.startswith("error=internal type=OSError")
+
     @pytest.mark.parametrize("override, key", [
         # The phase symbol 1 + tau*(mu^2 + S*mu) overflows.
         ("grid.lx=1e-150", "grid.lx"),

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 
 from chcontrol import Field, Grid, preset_field, snapshots
-from chcontrol.config import (ConfigError, FieldExpr, apply_overrides, build_grid,
+from chcontrol.config import (_SCHEMA, ConfigError, FieldExpr, apply_overrides, build_grid,
                               build_initial_control, build_params, echo_text, parse_config)
 from chcontrol.grid import _VALUE_BUDGET
 from chcontrol.snapshots import (SnapshotError, read_snapshot, read_snapshot_header,
                                  write_snapshot, write_snapshots)
-from helpers import snapshot_text_by_column
+from helpers import CONFIG_DIR, snapshot_text_by_column
 
 MINIMAL = """
 grid.dim = 1
@@ -380,3 +381,32 @@ class TestWriteSnapshots:
         write_snapshots(grid, items)
         written = log.read_text().splitlines()
         assert sorted(written) == sorted(str(path) for _, _, paths in items for path in paths)
+
+
+# Every key of the schema, set to each of these values on a valid 1D and 2D
+# base, either gives a valid configuration or a ConfigError naming a key.
+SWEEP_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", str(2 ** 63), "word"]
+# README's exit-2 table: a rule on two keys names one of them.
+CROSS_KEY = {
+    "time.t_final": "time.tau",  # the level array's value budget
+    "time.tau": "time.t_final",  # t_final/tau rounds to no step
+    "model.u_max": "model.u_min",  # u_min > u_max
+    "model.beta_q": "model.beta_u",  # all cost weights zero
+    "model.beta_omega": "model.beta_u",
+}
+
+
+@functools.cache
+def sweep_base(name):
+    return parse_config((CONFIG_DIR / name).read_text())
+
+
+class TestKeySweep:
+    @pytest.mark.parametrize("base", ["dissipation.cfg", "twodim.cfg"])
+    @pytest.mark.parametrize("key", [key for key, _, _ in _SCHEMA])
+    @pytest.mark.parametrize("value", SWEEP_VALUES)
+    def test_override_is_valid_or_names_its_key(self, base, key, value):
+        try:
+            apply_overrides(sweep_base(base), [f"{key}={value}"])
+        except ConfigError as exc:
+            assert exc.key in (key, CROSS_KEY.get(key)), str(exc)

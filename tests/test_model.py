@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chcontrol import (Field, Grid, ModelParams, QuadraticProliferation, QuarticDoubleWell,
-                       SigmoidProliferation, check_hypotheses, default_stabilization,
-                       f_deriv, p_deriv, preset_field)
+from chcontrol import (Field, Grid, ModelParams, Numerics, OptimOptions, ParameterError,
+                       QuadraticProliferation, QuarticDoubleWell, SigmoidProliferation,
+                       check_hypotheses, default_stabilization, f_deriv, p_deriv, preset_field,
+                       step_count)
 import chcontrol.model as model_module
 from chcontrol.model import _splitmix64, _splitmix64_uniform, f0_deriv, f1_deriv
 
@@ -110,6 +111,55 @@ class TestModelParams:
         params = ModelParams(beta_u=1.0)
         assert params.stabilization == default_stabilization(params.potential)
         assert params.stabilization == pytest.approx(5.75)
+
+    def test_infinite_step_ratio_names_tau(self):
+        # t_final/tau overflows to inf; rounding it used to raise OverflowError.
+        with pytest.raises(ParameterError) as info:
+            ModelParams(t_final=1e300, tau=1e-300)
+        assert info.value.name == "tau"
+
+
+class TestParameterError:
+    # Each constructor raises for one parameter at a time and names it.
+    @pytest.mark.parametrize("build, kwargs, name", [
+        (Grid, dict(dim=0, counts=(8, 1), lengths=(1.0, 1.0)), "dim"),
+        (Grid, dict(dim=1, counts=(3, 1), lengths=(1.0, 1.0)), "nx"),
+        (Grid, dict(dim=1, counts=(8, 2), lengths=(1.0, 1.0)), "ny"),
+        (Grid, dict(dim=2, counts=(8, 2), lengths=(1.0, 1.0)), "ny"),
+        (Grid, dict(dim=2, counts=(8, 8), lengths=(0.0, 1.0)), "lx"),
+        (Grid, dict(dim=2, counts=(8, 8), lengths=(1.0, -1.0)), "ly"),
+        (Grid, dict(dim=2, counts=(8, 8), lengths=(1.0, 1e-160)), "ly"),
+        (Grid, dict(dim=1, counts=(8, 1), lengths=(1.0, 1e-160)), "ly"),
+        (QuarticDoubleWell, dict(well_scale=0.0), "well_scale"),
+        (QuadraticProliferation, dict(p0=0.0), "p0"),
+        (SigmoidProliferation, dict(p0=-1.0), "p0"),
+        (SigmoidProliferation, dict(steepness=0.0), "steepness"),
+        (SigmoidProliferation, dict(floor=-0.1), "floor"),
+        (Numerics, dict(cg_tol=0.0), "cg_tol"),
+        (Numerics, dict(cg_max_iter=0), "cg_max_iter"),
+        (Numerics, dict(overflow_guard=-1.0), "overflow_guard"),
+        (OptimOptions, dict(tol=0.0), "tol"),
+        (OptimOptions, dict(alpha0=-1.0), "alpha0"),
+        (OptimOptions, dict(armijo_c=1.0), "armijo_c"),
+        (OptimOptions, dict(alpha_shrink=0.0), "alpha_shrink"),
+        (ModelParams, dict(beta_q=-1.0), "beta_q"),
+        (ModelParams, dict(beta_omega=-1.0), "beta_omega"),
+        (ModelParams, dict(beta_u=0.0), "beta_u"),
+        (ModelParams, dict(tau=0.0), "tau"),
+        (ModelParams, dict(t_final=-1.0), "t_final"),
+        (ModelParams, dict(t_final=1e-4, tau=1e-3), "t_final"),
+        (ModelParams, dict(t_final=1.0, tau=math.nan), "tau"),
+        (ModelParams, dict(stabilization=-1.0), "stabilization"),
+        (ModelParams, dict(u_min=1.0, u_max=-1.0), "u_min"),
+    ])
+    def test_names_the_parameter(self, build, kwargs, name):
+        with pytest.raises(ParameterError) as info:
+            build(**kwargs)
+        assert info.value.name == name
+
+    def test_step_count(self):
+        assert step_count(0.1, 0.001) == ModelParams(t_final=0.1, tau=0.001).n_steps == 100
+        assert step_count(1.4e-3, 1e-3) == 1
 
 
 class TestHypothesisReport:
