@@ -12,16 +12,22 @@ so two structural facts hold to roundoff and are relied on downstream:
 * ``inner_product(neumann_laplacian(f), g)`` is symmetric in ``(f, g)``,
   with ``inner_product(neumann_laplacian(f), f) == -grad_sq_integral(f)``.
 
-``integrate``, ``inner_product`` and ``level_inner_products`` sum exactly
-(Python's ``fsum``), whatever the order of the terms.  ``level_inner_products``
-reduces its rows in blocks of at most ``LEVEL_BLOCK_CELLS`` cells (one
-multiply and one ``tolist`` per block, one ``fsum`` per row), so no
-temporary outgrows the larger of one level and the block.  The other
-reductions go through BLAS, whose summation order follows the CPU kernel and
-the thread count: the dots of ``cg_solve`` and ``grad_sq_integral`` and the
-matrix products of ``spectral_inverse`` and the dense operators.  So results
-are bitwise reproducible for one numpy/BLAS build, CPU kernel and thread
-count.
+Every reduction of the package, ``integrate``, ``inner_product``,
+``level_inner_products`` and ``grad_sq_integral``, is one ``np.add.reduce``
+over a C-contiguous copy of its terms in C order (``_fixed_sum``).  On such
+data numpy sums pairwise: eight accumulators over blocks of up to 128 terms,
+halving the array above that (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 4: error at most ``gamma_k * sum|x_i|``, ``k`` being 25
+plus one per halving).  That is plain C with one order for every SIMD
+target, so a sum depends on its terms and their count only, not on the
+BLAS, the CPU kernel or the thread count.  ``level_inner_products`` reduces
+its rows in blocks of at most ``LEVEL_BLOCK_CELLS`` cells (one multiply and
+one row-wise reduce per block), so no temporary outgrows the larger of one
+level and the block, and each row is bitwise the single-level sum.  Only
+the dots of ``cg_solve`` and the matrix products of ``spectral_inverse`` and
+the dense operators go through BLAS, whose summation order follows the CPU
+kernel and the thread count.  So results are bitwise reproducible for one
+numpy/BLAS build, CPU kernel and thread count.
 
 ``cg_solve`` works on arrays only: its operator is an array map (ndarray in,
 new ndarray out, argument left unmodified), and its right-hand side, initial
@@ -56,6 +62,7 @@ dropped.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,11 +126,11 @@ class Grid:
     """Uniform cell-centered Cartesian mesh in one or two dimensions.
 
     ``counts`` is always ``(nx, ny)`` with ``ny == 1`` in 1D; every active
-    axis needs at least 4 cells, and each length must be positive with a
-    finite ``1/h^2``.  A bad argument raises ParameterError naming it
-    (``dim``, ``nx``, ``ny``, ``lx`` or ``ly``).  ``cell_volume`` is the
-    product of the spacings, so a 1D grid keeps its length measure when
-    ``ly == 1``.
+    axis needs at least 4 cells and a count that converts to a finite float,
+    and each length must be positive with a finite ``1/h^2``.  A bad
+    argument raises ParameterError naming it (``dim``, ``nx``, ``ny``, ``lx``
+    or ``ly``).  ``cell_volume`` is the product of the spacings, so a 1D grid
+    keeps its length measure when ``ly == 1``.
     The grid keeps its spectral basis (``_spectral_basis``) once built.
     """
 
@@ -140,6 +147,8 @@ class Grid:
         _require(dim == 2 or ny == 1, "ny", f"1D grids must have ny == 1, got ny={ny}")
         for name, count in zip(("nx", "ny"), counts[:dim]):
             _require(count >= 4, name, f"need at least 4 cells per axis, got {name}={count}")
+            _require(count <= sys.float_info.max, name,
+                     f"{name} does not convert to a finite float")
         self.spacing = (lengths[0] / nx, lengths[1] / ny)
         for name, length, h in zip(("lx", "ly"), lengths, self.spacing):
             _require(length > 0, name, f"domain lengths must be positive, got {name}={length}")
@@ -391,13 +400,20 @@ def neumann_laplacian(f: Field) -> Field:
     return Field._wrap(f.grid, laplacian_values(f.grid, f.values))
 
 
+def _fixed_sum(values: np.ndarray) -> float:
+    """Sum of ``values`` in C order, as a Python float: numpy's pairwise
+    add-reduce on a contiguous copy (``np.ravel`` copies only what is not
+    C-contiguous), so the order depends on the count of terms alone."""
+    return float(np.add.reduce(np.ravel(values)))
+
+
 def _grad_sq(grid: Grid, values: np.ndarray) -> float:
     """``grad_sq_integral`` of an array of the grid's shape."""
     total = 0.0
     for axis in range(grid.dim):
         h = grid.spacing[axis]
-        d = np.diff(values, axis=axis).ravel()
-        total += grid.cell_volume / (h * h) * float(np.dot(d, d))
+        d = np.diff(values, axis=axis)
+        total += grid.cell_volume / (h * h) * _fixed_sum(d * d)
     return total
 
 
@@ -411,13 +427,14 @@ def grad_sq_integral(f: Field) -> float:
 
 
 def _volume_sum(grid: Grid, values: np.ndarray) -> float:
-    """Cell-volume weighted sum of ``values``, exactly summed: the one exact
-    reduction, behind ``integrate``, ``inner_product`` and the diagnostics."""
-    return grid.cell_volume * math.fsum(values.ravel().tolist())
+    """Cell-volume weighted sum of ``values`` by ``_fixed_sum``: the one
+    weighted reduction, behind ``integrate``, ``inner_product`` and the
+    diagnostics."""
+    return grid.cell_volume * _fixed_sum(values)
 
 
 def inner_product(f: Field, g: Field) -> float:
-    """Cell-volume weighted inner product, exactly summed."""
+    """Cell-volume weighted inner product, summed by ``_volume_sum``."""
     if f.grid != g.grid:
         raise GridMismatchError("fields live on different grids")
     return _volume_sum(f.grid, f.values * g.values)
@@ -440,10 +457,11 @@ def level_inner_products(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[float
 
     ``a`` and ``b`` are ``(levels, *grid.shape)`` arrays (``GridMismatchError``
     otherwise), of any strides (a constant schedule's rows are one stride-0
-    row).  Each row is summed exactly like ``inner_product``, so entry n is
-    bitwise the ``inner_product`` of the two level-n Fields.  The rows are
-    reduced in ``_level_blocks``: one multiply and one ``tolist`` per block,
-    then one exact sum per row.
+    row).  Each row is summed like ``inner_product``, so entry n is bitwise
+    the ``inner_product`` of the two level-n Fields.  The rows are reduced in
+    ``_level_blocks``: one C-ordered multiply and one row-wise
+    ``np.add.reduce`` per block, each row's pairwise sum the one
+    ``_fixed_sum`` makes of that level alone.
     """
     if a.shape != b.shape or a.shape[1:] != grid.shape:
         raise GridMismatchError(f"level arrays of shapes {a.shape} and {b.shape} "
@@ -451,13 +469,13 @@ def level_inner_products(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[float
     vol = grid.cell_volume
     out = []
     for blk in _level_blocks(len(a), grid.n_cells):
-        rows = np.multiply(a[blk], b[blk]).reshape(-1, grid.n_cells).tolist()
-        out.extend(vol * math.fsum(row) for row in rows)
+        rows = np.multiply(a[blk], b[blk], order="C").reshape(-1, grid.n_cells)
+        out.extend(vol * s for s in np.add.reduce(rows, axis=1).tolist())
     return out
 
 
 def integrate(f: Field) -> float:
-    """Cell-volume weighted sum of the field, exactly summed."""
+    """Cell-volume weighted sum of the field, summed by ``_volume_sum``."""
     return _volume_sum(f.grid, f.values)
 
 

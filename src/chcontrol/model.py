@@ -150,15 +150,18 @@ def p_deriv(spec, order: int, s):
 @dataclass(frozen=True)
 class Numerics:
     """Linear-solver and robustness knobs shared by the time steppers;
-    ``cg_tol`` and ``overflow_guard`` positive, ``cg_max_iter`` at least 1."""
+    ``cg_tol`` at least the machine epsilon 2^-52 (the relative-residual
+    test cannot be met below it), ``overflow_guard`` positive, ``cg_max_iter``
+    at least 1."""
 
     cg_tol: float = 1e-12
     cg_max_iter: int = 20000
     overflow_guard: float = 1e6
 
     def __post_init__(self):
-        for name in ("cg_tol", "overflow_guard"):
-            _require(getattr(self, name) > 0, name, f"{name} must be positive")
+        _require(self.cg_tol >= 2.0 ** -52, "cg_tol",
+                 f"cg_tol must be at least 2^-52 (machine epsilon), got {self.cg_tol!r}")
+        _require(self.overflow_guard > 0, "overflow_guard", "overflow_guard must be positive")
         _require(self.cg_max_iter >= 1, "cg_max_iter", "cg_max_iter must be at least 1")
 
 

@@ -2,7 +2,7 @@
 assembly, hand stencils, stencil-only step operators and their dense-path
 matrices, the plain CG loop, the Field-level solve and steps, the per-column
 snapshot formatter, a per-level KKT audit, tracking cost, stability probe and
-state remainder sweep, an adaptive ODE
+state remainder sweep, a pure-Python copy of numpy's pairwise sum, an adaptive ODE
 reference for spatially constant runs, instance builders tied to the
 shipped configuration files, and a CLI runner in a memory-limited subprocess."""
 
@@ -408,6 +408,51 @@ def snapshot_text_by_column(field, t):
     for j in range(ny):
         lines.append(",".join(repr(float(v)) for v in arr[:, j]))
     return "\n".join(lines) + "\n"
+
+
+PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
+
+
+def _pairwise(x, lo, n):
+    """numpy's ``pairwise_sum`` of ``x[lo:lo + n]``."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += x[i]
+        return res
+    if n <= PAIRWISE_BLOCK:
+        acc = x[lo:lo + 8]  # eight accumulators, one per residue mod 8
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                acc[j] += x[i + j]
+        res = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(stop, lo + n):
+            res += x[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
+
+
+def pairwise_sum(values):
+    """Reference for ``np.add.reduce`` on a contiguous float64 array: the
+    reduction's identity 0.0 plus numpy's pairwise sum of the values in C
+    order, written out in Python floats."""
+    x = np.ravel(np.asarray(values, dtype=float)).tolist()
+    return 0.0 + _pairwise(x, 0, len(x))
+
+
+def pairwise_depth(n):
+    """Most additions any term of an ``n``-term pairwise sum passes through:
+    15 in its accumulator, 3 combining the 8 accumulators, 7 in the tail of a
+    block, and one per halving above ``PAIRWISE_BLOCK`` terms."""
+    depth = 15 + 3 + 7
+    while n > PAIRWISE_BLOCK:
+        half = n // 2
+        n -= half - half % 8  # the larger part
+        depth += 1
+    return depth
 
 
 def smooth_field(grid, seed, amplitude=1.0):

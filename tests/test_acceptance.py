@@ -287,9 +287,10 @@ def test_criterion_13_reproducibility(tmp_path, capsys):
     """Two runs of one configuration in one process write the same bytes.
 
     This is the guarantee the package gives: bitwise for one numpy/BLAS
-    build, CPU kernel and BLAS thread count.  The exact sums (``math.fsum``)
-    do not depend on any of these; the BLAS dot and matrix products do, so
-    outputs may differ across BLAS kernels or thread counts.
+    build, CPU kernel and BLAS thread count.  The reductions (numpy's
+    pairwise sum, in an order fixed by the count of terms) do not depend on
+    any of these; the CG dots and the matrix products go through BLAS and
+    do, so outputs may differ across BLAS kernels or thread counts.
     """
     config = str(Path(__file__).resolve().parent.parent / "configs" / "dissipation.cfg")
     outputs = []

@@ -109,6 +109,8 @@ class TestUsageErrors:
         # A bound ordered wrongly only as a field is found by build_params.
         ("simulate", "dissipation.cfg", "model.u_min=constant value=2.0", "model.u_min"),
         ("optimize", "tracking.cfg", "solver.cg_maxit=0", "solver.cg_maxit"),
+        # Below machine epsilon no relative residual is reachable (exit 3 before).
+        ("optimize", "tracking.cfg", "solver.cg_tol=1e-300", "solver.cg_tol"),
         ("optimize", "tracking.cfg", "opt.alpha_shrink=1.0", "opt.alpha_shrink"),
     ])
     def test_out_of_domain_value_names_its_key(self, sub, config, override, key, capsys,

@@ -88,6 +88,11 @@ class TestProliferation:
 
 
 class TestModelParams:
+    def test_cg_tol_floor_is_machine_epsilon(self):
+        assert Numerics(cg_tol=2.0 ** -52).cg_tol == np.finfo(float).eps
+        with pytest.raises(ParameterError):
+            Numerics(cg_tol=math.nextafter(2.0 ** -52, 0.0))
+
     def test_step_count(self):
         params = ModelParams(beta_u=1.0, t_final=0.1, tau=0.001)
         assert params.n_steps == 100
@@ -130,12 +135,16 @@ class TestParameterError:
         (Grid, dict(dim=2, counts=(8, 8), lengths=(1.0, -1.0)), "ly"),
         (Grid, dict(dim=2, counts=(8, 8), lengths=(1.0, 1e-160)), "ly"),
         (Grid, dict(dim=1, counts=(8, 1), lengths=(1.0, 1e-160)), "ly"),
+        # Counts that do not convert to a float (OverflowError before).
+        (Grid, dict(dim=1, counts=(10 ** 400, 1), lengths=(1.0, 1.0)), "nx"),
+        (Grid, dict(dim=2, counts=(8, 10 ** 400), lengths=(1.0, 1.0)), "ny"),
         (QuarticDoubleWell, dict(well_scale=0.0), "well_scale"),
         (QuadraticProliferation, dict(p0=0.0), "p0"),
         (SigmoidProliferation, dict(p0=-1.0), "p0"),
         (SigmoidProliferation, dict(steepness=0.0), "steepness"),
         (SigmoidProliferation, dict(floor=-0.1), "floor"),
         (Numerics, dict(cg_tol=0.0), "cg_tol"),
+        (Numerics, dict(cg_tol=2.0 ** -53), "cg_tol"),  # below machine epsilon
         (Numerics, dict(cg_max_iter=0), "cg_max_iter"),
         (Numerics, dict(overflow_guard=-1.0), "overflow_guard"),
         (OptimOptions, dict(tol=0.0), "tol"),
@@ -156,6 +165,11 @@ class TestParameterError:
         with pytest.raises(ParameterError) as info:
             build(**kwargs)
         assert info.value.name == name
+
+    def test_cg_tol_floor_is_machine_epsilon(self):
+        assert Numerics(cg_tol=2.0 ** -52).cg_tol == np.finfo(float).eps
+        with pytest.raises(ParameterError):
+            Numerics(cg_tol=math.nextafter(2.0 ** -52, 0.0))
 
     def test_step_count(self):
         assert step_count(0.1, 0.001) == ModelParams(t_final=0.1, tau=0.001).n_steps == 100
