@@ -210,13 +210,15 @@ def cmd_taylor(cfg: RunConfig) -> int:
     # the linear-solver noise floor.
     h = _direction_schedule(grid, params.n_steps, seed, amplitude=2.0)
 
-    def emit_rows(sweep, rows):
+    def emit_rows(sweep, rows):  # a zero remainder has no order: nan, and the fit fails
         prev = None
         for eps, rem in rows:
             if prev is None:
                 print(_kv_line(subcommand="taylor", sweep=sweep, eps=eps, remainder=rem))
             else:
-                order = math.log(prev[1] / rem) / math.log(prev[0] / eps)
+                ratio = prev[1] / rem if rem > 0.0 else math.nan
+                order = (math.log(ratio) / math.log(prev[0] / eps)
+                         if 0.0 < ratio < math.inf else math.nan)
                 print(_kv_line(subcommand="taylor", sweep=sweep, eps=eps, remainder=rem,
                                order=order))
             prev = (eps, rem)

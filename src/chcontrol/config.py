@@ -9,6 +9,9 @@ valued entries use preset expressions, e.g.
     init.sigma0 = constant value=0.0
     target.phi_q = file path=targets/phi_q_{n}.csv
 
+No key sets the well (quartic), the line search's constants or the
+``filtered_noise`` smoother (it takes only ``seed`` and ``amplitude``).
+
 ``echo_text`` renders the effective configuration canonically; parsing the
 echo and echoing again is byte-identical.
 
@@ -56,7 +59,7 @@ class ConfigError(ValueError):
 _EXPR_KINDS = {
     "constant": {"value": "float"},
     "tanh_ball": {"center": "floats", "radius": "float", "width": "float"},
-    "filtered_noise": {"seed": "int", "amplitude": "float?", "kappa": "float?", "passes": "int?"},
+    "filtered_noise": {"seed": "int", "amplitude": "float?"},
     "file": {"path": "str"},
 }
 
@@ -143,7 +146,6 @@ _SCHEMA = [
     ("grid.ly", "float", "1.0"),
     ("time.t_final", "float", "0.1"),
     ("time.tau", "float", "0.001"),
-    ("model.potential", "choice:quartic_double_well", "quartic_double_well"),
     ("model.well_scale", "float", "1.0"),
     ("model.proliferation", "choice:quadratic|sigmoid", "quadratic"),
     ("model.p0", "float", "0.5"),
@@ -164,9 +166,7 @@ _SCHEMA = [
     ("solver.overflow_guard", "float", "1e6"),
     ("opt.max_iters", "int", "100"),
     ("opt.tol", "float", "1e-6"),
-    ("opt.armijo_c", "float", "0.0001"),
     ("opt.alpha0", "float", "1.0"),
-    ("opt.alpha_shrink", "float", "0.5"),
     ("opt.u0", "expr", "constant value=0.0"),
     ("io.outdir", "str", "out"),
     ("io.snapshot_every", "int", "50"),
@@ -389,7 +389,7 @@ def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
 
 def build_options(cfg: RunConfig) -> OptimOptions:
     """The optimizer's options, one per ``opt.*`` key but ``opt.u0``."""
-    return OptimOptions(**_args(cfg, "max_iters", "tol", "armijo_c", "alpha0", "alpha_shrink"))
+    return OptimOptions(**_args(cfg, "max_iters", "tol", "alpha0"))
 
 
 def build_initial_control(cfg: RunConfig, grid: Grid, params: ModelParams) -> ControlSchedule:

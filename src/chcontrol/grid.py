@@ -117,20 +117,20 @@ class CgNonConvergenceError(RuntimeError):
 
 
 # 2^27 float64 values (1 GiB): the most a run's level array, (n_steps + 1) *
-# cells, an axis's DCT matrix, n^2, or filtered_noise's passes * cells may
-# take; checked before allocation (config._validate, model.preset_field).
+# cells, or an axis's DCT matrix, n^2, may take; checked before allocation
+# (config._validate).
 _VALUE_BUDGET = 2 ** 27
 
 
 class Grid:
     """Uniform cell-centered Cartesian mesh in one or two dimensions.
 
-    ``counts`` is always ``(nx, ny)`` with ``ny == 1`` in 1D; every active
-    axis needs at least 4 cells and a count that converts to a finite float,
-    and each length must be positive with a finite ``1/h^2``.  A bad
-    argument raises ParameterError naming it (``dim``, ``nx``, ``ny``, ``lx``
-    or ``ly``).  ``cell_volume`` is the product of the spacings, so a 1D grid
-    keeps its length measure when ``ly == 1``.
+    ``counts`` is always ``(nx, ny)`` with ``ny == 1`` in 1D; every count
+    must convert to a finite float, every active axis needs at least 4
+    cells, and each length must be positive with finite ``h*h`` and
+    ``1/h^2``.  A bad argument raises ParameterError naming it (``dim``,
+    ``nx``, ``ny``, ``lx`` or ``ly``).  ``cell_volume`` is the product of the
+    spacings, so a 1D grid keeps its length measure when ``ly == 1``.
     The grid keeps its spectral basis (``_spectral_basis``) once built.
     """
 
@@ -144,16 +144,18 @@ class Grid:
         if len(counts) != 2 or len(lengths) != 2:
             raise ValueError("counts and lengths must both be (x, y) pairs")
         nx, ny = counts
+        for name, count in zip(("nx", "ny"), counts):  # before any message formats a count
+            _require(abs(count) <= sys.float_info.max, name,
+                     f"{name} does not convert to a finite float")
         _require(dim == 2 or ny == 1, "ny", f"1D grids must have ny == 1, got ny={ny}")
         for name, count in zip(("nx", "ny"), counts[:dim]):
             _require(count >= 4, name, f"need at least 4 cells per axis, got {name}={count}")
-            _require(count <= sys.float_info.max, name,
-                     f"{name} does not convert to a finite float")
         self.spacing = (lengths[0] / nx, lengths[1] / ny)
         for name, length, h in zip(("lx", "ly"), lengths, self.spacing):
             _require(length > 0, name, f"domain lengths must be positive, got {name}={length}")
             _require(h * h > 0 and math.isfinite(1.0 / (h * h)), name,
                      f"spacing {h} is too small: 1/h^2 is not finite")
+            _require(math.isfinite(h * h), name, f"spacing {h} is too large: h*h is not finite")
         self.dim, self.counts, self.lengths = dim, counts, lengths
         self.cell_volume = self.spacing[0] * self.spacing[1]
         self.shape = (nx,) if dim == 1 else (nx, ny)

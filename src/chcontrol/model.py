@@ -2,7 +2,8 @@
 parameter record, smooth field presets, and an executable report on the
 structural assumptions the solver leans on.
 
-The free energy density is the quartic double well
+The free energy density is the quartic double well (the only one, so no
+configuration key selects it)
 
     F(s) = w * (s^2 - 1)^2 / 4,
 
@@ -27,7 +28,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .grid import _VALUE_BUDGET, Field, Grid, GridMismatchError, _require, spectral_inverse
+from .grid import Field, Grid, GridMismatchError, _require, spectral_inverse
 
 __all__ = [
     "QuarticDoubleWell",
@@ -356,12 +357,13 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
     constant:       value
     tanh_ball:      center (scalar or (cx, cy)), radius, width
                     tanh((radius - |x - center|) / (sqrt(2)*width))
-    filtered_noise: seed, amplitude=1.0, kappa=None, passes=2
+    filtered_noise: seed, amplitude=1.0
                     seeded uniform noise on [-amplitude, amplitude) from a
-                    SplitMix64 stream, smoothed by ``passes`` exact implicit
-                    diffusion solves (I - kappa*lap)^{-1}, each applied as one
-                    spectral transform; deterministic per seed, and the
-                    smoothing keeps the field's integral to roundoff
+                    SplitMix64 stream, smoothed by two exact implicit
+                    diffusion solves (I - kappa*lap)^{-1}, kappa = (2h)^2 for
+                    the coarser spacing h, each applied as one spectral
+                    transform; deterministic per seed, and the smoothing
+                    keeps the field's integral to roundoff
     """
     if name == "constant":
         return Field.full(grid, float(args["value"]))
@@ -387,21 +389,10 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
     elif name == "filtered_noise":
         seed = int(args["seed"])
         amplitude = float(args.get("amplitude", 1.0))
-        passes = int(args.get("passes", 2))
-        kappa = args.get("kappa", None)
-        if kappa is None:
-            h = max(grid.spacing[: grid.dim])
-            kappa = (2.0 * h) ** 2
-        kappa = float(kappa)
-        if kappa <= 0 or passes < 1:
-            raise ValueError("kappa must be positive and passes >= 1")
-        if passes * grid.n_cells > _VALUE_BUDGET:
-            raise ValueError(f"{passes} passes over {grid.n_cells} cells exceed the value "
-                             f"budget of {_VALUE_BUDGET}")
-        values = amplitude * _splitmix64_uniform(seed, grid.shape)
-        smoother = spectral_inverse(grid, lambda mu: 1.0 + kappa * mu)
-        for _ in range(passes):
-            values = smoother(values)
+        h = max(grid.spacing[: grid.dim])
+        # 1 + (2h)^2*mu, formed so that (2h)^2 cannot overflow where h*h does not.
+        smoother = spectral_inverse(grid, lambda mu: 1.0 + 4.0 * ((h * h) * mu))
+        values = smoother(smoother(amplitude * _splitmix64_uniform(seed, grid.shape)))
     else:
         raise ValueError(f"unknown preset '{name}'")
     return Field._wrap(grid, values)

@@ -44,6 +44,8 @@ __all__ = [
     "directional_derivative_check",
 ]
 
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+_ALPHA_SHRINK = 0.5  # factor per backtrack
 _MAX_BACKTRACKS = 60  # step shrinks per line search before it fails
 
 
@@ -85,20 +87,17 @@ def project(params: ModelParams, u: ControlSchedule) -> ControlSchedule:
 @dataclass
 class OptimOptions:
     """Projected-gradient knobs, one per ``opt.*`` key; defaults are standard
-    choices.  ``tol`` and ``alpha0`` must be positive, ``armijo_c`` and
-    ``alpha_shrink`` in (0, 1); a bad one raises ParameterError naming it."""
+    choices.  ``tol`` and ``alpha0`` must be positive; a bad one raises
+    ParameterError naming it.  The Armijo constant and the backtracking
+    factor are the module constants ``_ARMIJO_C`` and ``_ALPHA_SHRINK``."""
 
     max_iters: int = 100
     tol: float = 1e-6
-    armijo_c: float = 1e-4
     alpha0: float = 1.0
-    alpha_shrink: float = 0.5
 
     def __post_init__(self):
         for name in ("tol", "alpha0"):
             _require(getattr(self, name) > 0, name, f"{name} must be positive")
-        for name in ("armijo_c", "alpha_shrink"):
-            _require(0.0 < getattr(self, name) < 1.0, name, f"{name} must be in (0, 1)")
 
 
 @dataclass
@@ -120,9 +119,10 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
     """Minimize the reduced cost over the box of ``params`` by projected gradient descent.
 
     Each iterate re-simulates, solves the adjoint, and backtracks along the
-    projection arc until ``J(u+) <= J(u) - (armijo_c/alpha)*|u+ - u|^2``.
-    The step is warm-started from the previously accepted one (allowed to
-    grow back by one shrink factor, capped at alpha0).  Terminates when the
+    projection arc until ``J(u+) <= J(u) - (c/alpha)*|u+ - u|^2``, ``c =
+    _ARMIJO_C``, halving the step (``_ALPHA_SHRINK``) up to ``_MAX_BACKTRACKS``
+    times.  The step is warm-started from the previously accepted one (allowed
+    to grow back by one shrink factor, capped at alpha0).  Terminates when the
     stationarity measure ``|u - project(u - g)|`` drops below ``tol``, the
     iteration budget runs out, or the line search fails; the last is a
     recorded outcome, not an exception.  The result carries the adjoint of
@@ -146,7 +146,7 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
         if stationarity <= opts.tol:
             reason = "tolerance_met"
             break
-        alpha_try = min(opts.alpha0, alpha / opts.alpha_shrink)
+        alpha_try = min(opts.alpha0, alpha / _ALPHA_SHRINK)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = project(params, u - grad.scaled(alpha_try))
@@ -155,13 +155,13 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
             if move_sq == 0.0:
                 break  # projection arc pinned; stationary up to roundoff
             trial_cost, trial_traj = _evaluate(params, trial)
-            if trial_cost <= cost - (opts.armijo_c / alpha_try) * move_sq:
+            if trial_cost <= cost - (_ARMIJO_C / alpha_try) * move_sq:
                 u, cost, traj = trial, trial_cost, trial_traj
                 cost_history.append(cost)
                 alpha = alpha_try
                 accepted = True
                 break
-            alpha_try *= opts.alpha_shrink
+            alpha_try *= _ALPHA_SHRINK
         if not accepted:
             reason = "line_search_failed"
             break

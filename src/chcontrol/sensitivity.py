@@ -352,11 +352,12 @@ def reduced_gradient(params: ModelParams, u: ControlSchedule,
 
 
 def fit_loglog_slope(pairs) -> float:
-    """Least-squares slope of log(value) against log(eps)."""
+    """Least-squares slope of log(value) against log(eps); nan unless every
+    value is positive (a zero remainder has no logarithm)."""
     eps = np.array([p[0] for p in pairs], dtype=float)
     val = np.array([p[1] for p in pairs], dtype=float)
-    if np.any(val <= 0.0):
-        raise ValueError("all values must be positive for a log-log fit")
+    if not np.all(val > 0.0):
+        return math.nan
     return float(np.polyfit(np.log(eps), np.log(val), 1)[0])
 
 

@@ -4,7 +4,8 @@ matrices, the plain CG loop, the Field-level solve and steps, the per-column
 snapshot formatter, a per-level KKT audit, tracking cost, stability probe and
 state remainder sweep, a pure-Python copy of numpy's pairwise sum, an adaptive ODE
 reference for spatially constant runs, instance builders tied to the
-shipped configuration files, and a CLI runner in a memory-limited subprocess."""
+shipped configuration files, the key sweeps' override values, and a CLI
+runner in a memory-limited subprocess."""
 
 from __future__ import annotations
 
@@ -27,6 +28,11 @@ from chcontrol.grid import laplacian_values
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# Values every schema key is overridden with by the key sweeps: each override
+# must give a valid configuration or a ConfigError naming a key, and every
+# valid one must run each subcommand to a documented exit code.
+SWEEP_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", str(2 ** 63), "word"]
 
 
 def run_cli_limited(argv, timeout=60, address_space=1 << 30):

@@ -1,16 +1,17 @@
+import functools
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chcontrol import Grid, cli, forward, optimize, preset_field, sensitivity
 from chcontrol.cli import main
-from helpers import SRC_DIR, load_instance, ode_reference, run_cli_limited
+from chcontrol.config import _SCHEMA, ConfigError, apply_overrides, parse_config
+from helpers import (CONFIG_DIR, SRC_DIR, SWEEP_VALUES, load_instance, ode_reference,
+                     run_cli_limited)
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 # The three benchmark commands: the 1D soft tracking run from a rough initial
@@ -111,7 +112,15 @@ class TestUsageErrors:
         ("optimize", "tracking.cfg", "solver.cg_maxit=0", "solver.cg_maxit"),
         # Below machine epsilon no relative residual is reachable (exit 3 before).
         ("optimize", "tracking.cfg", "solver.cg_tol=1e-300", "solver.cg_tol"),
-        ("optimize", "tracking.cfg", "opt.alpha_shrink=1.0", "opt.alpha_shrink"),
+        ("optimize", "tracking.cfg", "opt.alpha0=0", "opt.alpha0"),
+        # Constants, not settings: the well, the line search, the smoother.
+        ("simulate", "dissipation.cfg", "model.potential=quartic_double_well",
+         "model.potential"),
+        ("optimize", "tracking.cfg", "opt.armijo_c=0.0001", "opt.armijo_c"),
+        ("optimize", "tracking.cfg", "opt.alpha_shrink=0.5", "opt.alpha_shrink"),
+        ("simulate", "dissipation.cfg", "init.phi0=filtered_noise seed=0 kappa=0.25",
+         "init.phi0"),
+        ("optimize", "tracking.cfg", "opt.u0=filtered_noise seed=0 passes=2", "opt.u0"),
     ])
     def test_out_of_domain_value_names_its_key(self, sub, config, override, key, capsys,
                                                tmp_path):
@@ -143,16 +152,17 @@ class TestUsageErrors:
         ("grid.lx=1e-300", "grid.lx"),
         ("model.stabilization=1e308", "model.stabilization"),
         ("model.well_scale=1e308", "model.well_scale"),
-        # Over the value budget: a level array, a DCT matrix, the smoothing.
+        # Over the value budget: a level array, a DCT matrix.
         ("time.tau=1e-300", "time.tau"),
         ("time.tau=1e-310", "time.tau"),
         ("time.tau=1e-12", "time.tau"),
         ("grid.nx=20000", "grid.nx"),
+        # An unknown preset argument is rejected before any smoothing.
         ("init.phi0=filtered_noise seed=0 passes=100000000", "init.phi0"),
     ])
     def test_overflowing_or_oversized_input_names_its_key(self, override, key, tmp_path):
         # In a memory-limited subprocess: a missed check may allocate
-        # gigabytes (grid.nx=20000) or run for hours (passes).
+        # gigabytes (grid.nx=20000) or run for hours.
         proc = run_cli_limited(["simulate", cfg("dissipation.cfg"), override,
                                 f"io.outdir={tmp_path}"])
         assert proc.returncode == 2, proc.stderr
@@ -465,6 +475,67 @@ class TestOptimize:
         sweeps = counts["simulates"] + counts["sweeps"]
         assert sweeps > 2
         assert [counts[name] for name in builders] == [sweeps] * len(builders)
+
+
+# Each subcommand on its shipped config, with the horizon (and the optimizer's
+# budget) cut so that the run sweep stays fast; the swept override comes last.
+RUN_SWEEP_BASES = {
+    "simulate": ("dissipation.cfg", ("time.t_final=0.01",)),
+    "optimize": ("tracking.cfg", ("time.t_final=0.01", "opt.max_iters=5")),
+    "grad-check": ("gradcheck.cfg", ()),
+    "taylor": ("taylor.cfg", ("time.t_final=0.02",)),
+    "oracle": ("oracle.cfg", ("time.t_final=0.01",)),
+    "check-hypotheses": ("hypotheses.cfg", ()),
+}
+
+
+@functools.cache
+def shipped_config(name):
+    return parse_config((CONFIG_DIR / name).read_text())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme values overflow by design
+class TestRunSweep:
+    """Every override of the config key sweep that the configuration accepts
+    runs each subcommand to a documented exit code (0 to 3), never to an
+    internal error."""
+
+    @pytest.mark.parametrize("key", [key for key, _, _ in _SCHEMA])
+    @pytest.mark.parametrize("sub", sorted(RUN_SWEEP_BASES))
+    def test_accepted_override_exits_0_to_3(self, sub, key, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("RUN_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)  # a swept io.outdir is a relative path
+        config, base = RUN_SWEEP_BASES[sub]
+        failures = []
+        for value in SWEEP_VALUES:
+            overrides = [*base, f"io.outdir={tmp_path / 'out'}", f"{key}={value}"]
+            try:
+                apply_overrides(shipped_config(config), overrides)
+            except ConfigError:
+                continue
+            code, out, err = run([sub, cfg(config), *overrides], capsys)
+            if not 0 <= code <= 3 or "error=internal" in out + err:
+                failures.append((value, code, err.splitlines()[:1]))
+        assert failures == []
+
+    @pytest.mark.parametrize("sub, config, override, code, line", [
+        # h*h overflows, so Grid names the length.
+        ("grad-check", "gradcheck.cfg", "grid.lx=1e300", 2, "key grid.lx"),
+        ("taylor", "taylor.cfg", "grid.lx=1e300", 2, "key grid.lx"),
+        # h*h is finite and (2h)^2 is not; the smoother never forms (2h)^2.
+        ("grad-check", "gradcheck.cfg", "grid.lx=2e155", 0, "ok=true"),
+        # Zero remainders have no order and no slope: a criteria failure.
+        ("taylor", "taylor.cfg", "model.p0=1e-300", 1, "sweep=state slope=nan ok=false"),
+        ("taylor", "taylor.cfg", "solver.cg_tol=1e300", 1, "sweep=state slope=nan ok=false"),
+        ("taylor", "taylor.cfg", f"solver.cg_tol={2 ** 63}", 1,
+         "sweep=state slope=nan ok=false"),
+    ])
+    def test_extreme_input_exits_as_documented(self, sub, config, override, code, line,
+                                               tmp_path):
+        proc = run_cli_limited([sub, cfg(config), override, f"io.outdir={tmp_path}"])
+        assert proc.returncode == code, proc.stderr
+        assert "error=internal" not in proc.stderr
+        assert line in proc.stdout + proc.stderr
 
 
 def heavy_modules_after(argv):

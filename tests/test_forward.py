@@ -12,7 +12,7 @@ from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismat
 from chcontrol.forward import (_diffusion_increment, _phase_increment, diffusion_operator,
                                phase_operator, phase_preconditioner)
 from chcontrol.grid import (DENSE_MAX_CELLS, CgNonConvergenceError, _dense_increment, cg_solve,
-                            implicit_operator, laplacian_values)
+                            implicit_operator, laplacian_values, spectral_inverse)
 from chcontrol.model import _splitmix64_uniform
 from helpers import (assemble_operator, grids, load_instance, ode_reference,
                      padded_flux_laplacian, probe_rows_by_level, reference_cg,
@@ -193,8 +193,9 @@ class TestUnpreconditionedSolves:
 
 
 class TestFilteredNoise:
-    """The ``filtered_noise`` smoother is ``passes`` exact solves of
-    ``I - kappa*lap`` on the preset's own SplitMix64 draw."""
+    """The ``filtered_noise`` smoother is two exact solves of ``I - kappa*lap``,
+    ``kappa = (2h)^2`` for the coarser spacing h, on the preset's own
+    SplitMix64 draw."""
 
     @given(small_grids, st.integers(0, 2 ** 64 - 1), st.integers(1, 3), st.floats(0.1, 4.0))
     @example(Grid.line(4, 0.5), 0, 2, 4.0)
@@ -206,12 +207,25 @@ class TestFilteredNoise:
         kappa = scale * min(g.spacing[:g.dim]) ** 2
         lap = assemble_operator(lambda v: padded_flux_laplacian(g, v), g)
         mat = np.eye(g.n_cells) - kappa * lap
-        want = 0.6 * _splitmix64_uniform(seed, g.shape).ravel()
+        smoother = spectral_inverse(g, lambda mu: 1.0 + kappa * mu)
+        got = 0.6 * _splitmix64_uniform(seed, g.shape)
+        want = got.ravel()
         for _ in range(passes):
+            got = smoother(got)
             want = np.linalg.solve(mat, want)
-        got = preset_field("filtered_noise", g, seed=seed, amplitude=0.6, kappa=kappa,
-                           passes=passes)
-        assert np.max(np.abs(got.values.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @given(st.one_of(small_grids, large_grids), st.integers(0, 2 ** 64 - 1))
+    @example(Grid.box(20, 13, 2.0, 7.0), 5)
+    @example(Grid.box(64, 64, 4.0, 4.0), 2 ** 64 - 1)
+    def test_is_two_passes_of_the_default_smoother(self, g, seed):
+        # The preset forms 1 + 4*((h*h)*mu) so that (2h)^2 cannot overflow;
+        # scaling by 4 is exact, so it is bitwise the textbook (2h)^2 symbol.
+        h = max(g.spacing[:g.dim])
+        smoother = spectral_inverse(g, lambda mu: 1.0 + (2.0 * h) ** 2 * mu)
+        want = smoother(smoother(0.6 * _splitmix64_uniform(seed, g.shape)))
+        got = preset_field("filtered_noise", g, seed=seed, amplitude=0.6)
+        assert got.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(20, 13, 2.0, 7.0),
                                    Grid.box(64, 64, 4.0, 4.0)])
