@@ -36,20 +36,22 @@ guess and solution are arrays of the grid's shape.  It validates no values;
 steps check their own outputs.
 
 ``implicit_operator`` builds such a map, ``v -> v + increment(v)``, for the
-implicit steps: on grids of at most ``DENSE_MAX_CELLS`` (256) cells, where the
-stencil's per-call overhead dominates, as one dense matrix ``K`` applied as
-``v + K @ (v - v[0])``; above it, as the stencil.  ``spectral_inverse`` builds
-the exact inverse of an operator that is a function of the laplacian: the
-orthonormal DCT-II ``C`` diagonalizes the mirror-ghost laplacian, with
-per-axis eigenvalues ``-(4/h^2) sin^2(pi k / 2n)``, so the inverse is
-``C^T diag(1/lambda) C``, applied as products with the per-axis DCT matrices.
+implicit steps: on 1D grids of at most ``DENSE_MAX_CELLS`` (256) cells, where
+the stencil's per-call overhead dominates, as one dense matrix ``K`` applied
+as ``v + K @ (v - v[0])``; on 2D and larger grids, as the stencil.
+``spectral_inverse`` builds the exact inverse of an operator that is a
+function of the laplacian: the orthonormal DCT-II ``C`` diagonalizes the
+mirror-ghost laplacian, with per-axis eigenvalues
+``-(4/h^2) sin^2(pi k / 2n)``, so the inverse is ``C^T diag(1/lambda) C``,
+applied as products with the per-axis DCT matrices.
 The phase solves start ``cg_solve`` at that inverse applied to their
 right-hand side and use it as their preconditioner; where the roundoff of
 the products misses the tolerance (2D grids) the solve goes on as PCG, so
 the tolerance and the iteration budget keep their meaning.  The
 ``filtered_noise`` preset applies it directly, as its smoother
-``(I - kappa*lap)^{-1}``.  Both builders choose their map once, by grid
-rank, and the 1D and 2D maps do the same float operations in the same order.
+``(I - kappa*lap)^{-1}``.  ``spectral_inverse`` chooses its map once, by
+grid rank, and its 1D and 2D maps do the same float operations in the same
+order.
 
 The builders keep nothing: each call assembles its ``K`` or ``1/lambda``
 afresh, and a time sweep builds its operators once (``forward.StepPlan``).
@@ -276,14 +278,14 @@ DENSE_MAX_CELLS = 256
 
 
 def _dense_increment(grid: Grid, increment) -> np.ndarray:
-    """The matrix of ``increment`` on ``grid``, made exactly symmetric."""
-    n = grid.n_cells
-    # One batched stencil call: row j is the increment of unit vector j (the
-    # transpose).  Mirrored entries can differ in the last bit on 2D boxes with
-    # unequal spacings; averaging, which commutes, makes the matrix exactly
-    # symmetric, and leaves it unchanged wherever it already was.
-    mat = increment(np.eye(n).reshape((n,) + grid.shape)).reshape(n, n)
-    mat = 0.5 * (mat + mat.T)
+    """The matrix of ``increment`` on a 1D ``grid``, from one batched stencil
+    call: row j is the increment of unit vector j.
+
+    Every entry of a 1D stencil matrix is a small-integer multiple of
+    ``fl(1/h^2)``, and mirrored entries go through the same operations, so
+    the matrix is bitwise symmetric and row j is also column j.
+    """
+    mat = increment(np.eye(grid.n_cells))
     mat.setflags(write=False)
     return mat
 
@@ -292,27 +294,21 @@ def implicit_operator(grid: Grid, increment: Callable[[np.ndarray], np.ndarray])
     """Array map v -> v + increment(v) for an implicit-step operator.
 
     ``increment`` is a linear stencil map that sends constants to zero and
-    accepts leading batch axes.  Grids of at most ``DENSE_MAX_CELLS`` cells
-    apply it as the matrix ``K = _dense_increment(grid, increment)``, as
-    ``v + K @ (v - v[0])``; larger grids call the stencil.  A 1D array is its
-    own flat vector, so the 1D dense map applies that formula as written; the
-    2D map flattens and reshapes around the product.  Every call returns a
-    new function object, so callers may set attributes on it.
+    accepts leading batch axes.  1D grids of at most ``DENSE_MAX_CELLS``
+    cells apply it as the matrix ``K = _dense_increment(grid, increment)``,
+    as ``v + K @ (v - v[0])``; 2D and larger grids call the stencil.  Every
+    call returns a new function object, so callers may set attributes on it.
     """
-    if grid.n_cells > DENSE_MAX_CELLS:
+    if grid.dim == 2 or grid.n_cells > DENSE_MAX_CELLS:
         def apply(v: np.ndarray) -> np.ndarray:
             return v + increment(v)
         return apply
 
     mat = _dense_increment(grid, increment)
-    # Shifting by v[0] keeps a constant field exactly constant.
-    if grid.dim == 1:
-        def apply_dense_1d(v: np.ndarray) -> np.ndarray:
-            return v + mat @ (v - v[0])
-        return apply_dense_1d
 
+    # Shifting by v[0] keeps a constant field exactly constant.
     def apply_dense(v: np.ndarray) -> np.ndarray:
-        return v + (mat @ (v.reshape(-1) - v.flat[0])).reshape(v.shape)
+        return v + mat @ (v - v[0])
 
     return apply_dense
 

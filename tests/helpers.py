@@ -1,4 +1,4 @@
-"""Shared oracles for the test suite: a grid strategy, dense operator
+"""Shared oracles for the test suite: grid strategies, dense operator
 assembly, hand stencils, stencil-only step operators and their dense-path
 matrices, the plain CG loop, the Field-level solve and steps, the per-column
 snapshot formatter, a per-level KKT audit, tracking cost, stability probe and
@@ -24,7 +24,7 @@ from chcontrol import (CgNonConvergenceError, ControlSchedule, DivergenceError, 
                        GridMismatchError, ModelParams, f_deriv, p_deriv, preset_field)
 from chcontrol.config import build_grid, build_initial_control, build_params, parse_config
 from chcontrol.forward import diffusion_operator, phase_operator, phase_preconditioner
-from chcontrol.grid import laplacian_values
+from chcontrol.grid import DENSE_MAX_CELLS, laplacian_values
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -74,6 +74,10 @@ def grids(draw, min_cells, max_cells):
     return Grid.box(nx, ny, draw(lengths), draw(lengths))
 
 
+# 1D lines on the dense operator path.
+dense_lines = st.builds(Grid.line, st.integers(4, DENSE_MAX_CELLS), st.floats(0.5, 10.0))
+
+
 def assemble_operator(op, grid):
     """Dense matrix of an array -> array linear map via unit vectors."""
     n = grid.n_cells
@@ -115,19 +119,12 @@ def padded_flux_laplacian(grid, vals):
 
 
 def reference_dense_increments(params, grid):
-    """The dense-path matrices of the phase and diffusion increments, by name,
-    assembled with ``padded_flux_laplacian``."""
+    """The dense-path matrices of the phase and diffusion increments on a 1D
+    grid, by name, assembled with ``padded_flux_laplacian``."""
     tau, s_const = params.tau, params.stabilization
-    n = grid.n_cells
-    eye = np.eye(n).reshape((n,) + grid.shape)
-    lap = padded_flux_laplacian(grid, eye)
-    increments = {"phase": tau * (padded_flux_laplacian(grid, lap) - s_const * lap),
-                  "diffusion": -tau * lap}
-    mats = {}
-    for key, inc in increments.items():
-        mat = inc.reshape(n, n)
-        mats[key] = 0.5 * (mat + mat.T)
-    return mats
+    lap = padded_flux_laplacian(grid, np.eye(grid.n_cells))
+    return {"phase": tau * (padded_flux_laplacian(grid, lap) - s_const * lap),
+            "diffusion": -tau * lap}
 
 
 def stencil_phase_operator(params, grid):

@@ -14,7 +14,7 @@ from chcontrol.forward import (_diffusion_increment, _phase_increment, diffusion
 from chcontrol.grid import (DENSE_MAX_CELLS, CgNonConvergenceError, _dense_increment, cg_solve,
                             implicit_operator, laplacian_values, spectral_inverse)
 from chcontrol.model import _splitmix64_uniform
-from helpers import (assemble_operator, grids, load_instance, ode_reference,
+from helpers import (assemble_operator, dense_lines, grids, load_instance, ode_reference,
                      padded_flux_laplacian, probe_rows_by_level, reference_cg,
                      reference_dense_increments, smooth_field, smooth_schedule,
                      stencil_diffusion_operator, stencil_phase_operator)
@@ -28,6 +28,8 @@ def small_params(**kw):
 
 small_grids = grids(4, DENSE_MAX_CELLS)
 large_grids = grids(DENSE_MAX_CELLS + 1, 4 * DENSE_MAX_CELLS)
+boxes = st.builds(Grid.box, st.integers(4, 16), st.integers(4, 16), st.floats(0.5, 10.0),
+                  st.floats(0.5, 10.0))
 step_params = st.builds(lambda tau: small_params(tau=tau, t_final=1.0),
                         st.floats(1e-5, 1e-1))
 STEP_OPERATORS = ((phase_operator, stencil_phase_operator),
@@ -36,22 +38,33 @@ STEP_INCREMENTS = {"phase": _phase_increment, "diffusion": _diffusion_increment}
 
 
 class TestImplicitOperator:
-    @given(small_grids, step_params)
+    @given(dense_lines, step_params)
     @example(Grid.line(DENSE_MAX_CELLS, 10.0), small_params(tau=1e-5, t_final=1.0))
-    @example(Grid.box(4, DENSE_MAX_CELLS // 4, 0.5, 10.0), small_params(tau=1e-1, t_final=1.0))
     def test_dense_path_matches_stencil(self, g, params):
         for make, stencil in STEP_OPERATORS:
             dense = assemble_operator(make(params, g), g)
             ref = assemble_operator(stencil(params, g), g)
             assert np.max(np.abs(dense - ref)) <= 1e-15 * np.max(np.abs(ref))
 
-    @given(small_grids, step_params)
-    @example(Grid.box(4, 4, 1.0, 1.5), small_params(tau=0.0625, t_final=1.0))
-    def test_dense_matrix_is_bitwise_symmetric(self, g, params):
-        # The stencil's own matrix is asymmetric in the last bit on this box.
+    @given(dense_lines, st.floats(1e-5, 1e-1), st.floats(0.0, 100.0))
+    @example(Grid.line(4, 0.5), 1e-1, 100.0)
+    @example(Grid.line(DENSE_MAX_CELLS, 10.0), 1e-5, 0.0)
+    def test_dense_matrix_is_bitwise_symmetric(self, g, tau, s_const):
+        # No averaging: a 1D stencil matrix is symmetric as assembled.
+        params = small_params(tau=tau, t_final=1.0, stabilization=s_const)
         for increment in STEP_INCREMENTS.values():
             mat = _dense_increment(g, increment(params, g))
             assert np.array_equal(mat, mat.T)
+
+    @given(boxes, step_params)
+    @example(Grid.box(4, 4, 1.0, 1.5), small_params(tau=0.0625, t_final=1.0))
+    @example(Grid.box(4, DENSE_MAX_CELLS // 4, 0.5, 10.0), small_params(tau=1e-1, t_final=1.0))
+    def test_box_operators_are_symmetric_to_roundoff(self, g, params):
+        # The unaveraged 2D stencil: mirrored entries may differ in the last
+        # bit when the spacings differ, by at most eps * max|A|.
+        for make, _ in STEP_OPERATORS:
+            mat = assemble_operator(make(params, g), g)
+            assert np.max(np.abs(mat - mat.T)) <= np.finfo(float).eps * np.max(np.abs(mat))
 
     @given(small_grids, step_params, st.floats(-1e3, 1e3))
     def test_constant_fields_map_to_themselves(self, g, params, c):
@@ -59,8 +72,11 @@ class TestImplicitOperator:
         for make, _ in STEP_OPERATORS:
             assert make(params, g)(const).tobytes() == const.tobytes()
 
-    @given(large_grids, step_params)
-    def test_stencil_path_on_large_grids_is_unchanged(self, g, params):
+    @given(st.one_of(large_grids, boxes), step_params)
+    @example(Grid.box(4, 4, 1.0, 1.5), small_params(tau=0.0625, t_final=1.0))
+    @example(Grid.box(16, 16, 4.0, 4.0), small_params(tau=0.0625, t_final=1.0))
+    @example(Grid.box(4, DENSE_MAX_CELLS // 4, 0.5, 10.0), small_params(tau=1e-1, t_final=1.0))
+    def test_large_grids_and_boxes_apply_the_stencil(self, g, params):
         v = np.random.default_rng(g.n_cells).uniform(-1.0, 1.0, g.shape)
         for make, stencil in STEP_OPERATORS:
             assert make(params, g)(v).tobytes() == stencil(params, g)(v).tobytes()
@@ -76,7 +92,7 @@ class TestImplicitOperator:
         assert len({id(op) for op in ops}) == 3
         assert not any(hasattr(op, "role") for op in ops[1:])
 
-    @pytest.mark.parametrize("g", [Grid.box(4, 4, 1.0, 1.5), Grid.box(16, 16, 4.0, 4.0)])
+    @pytest.mark.parametrize("g", [Grid.line(4, 1.5), Grid.line(DENSE_MAX_CELLS, 10.0)])
     def test_dense_matrices_match_reference_kernel(self, g):
         params = small_params(tau=0.0625, t_final=1.0)
         want = reference_dense_increments(params, g)
@@ -137,15 +153,14 @@ class TestPhasePreconditioner:
         assert out.shape == v.shape
         assert v.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("name, overrides", [
-        ("tracking_soft.cfg", ()),
-        ("twodim.cfg", ()),
-        ("twodim.cfg", ("grid.nx=64", "grid.ny=64")),
-        ("gradcheck.cfg", ("grid.dim=2", "grid.nx=32", "grid.ny=32", "grid.ly=4.0")),
+    @pytest.mark.parametrize("name, overrides, tol", [
+        ("tracking_soft.cfg", (), 1e-13),
+        ("twodim.cfg", (), 1e-12),
+        ("twodim.cfg", ("grid.nx=64", "grid.ny=64"), 1e-12),
+        ("gradcheck.cfg", ("grid.dim=2", "grid.nx=32", "grid.ny=32", "grid.ly=4.0"), 1e-13),
     ])
-    def test_solve_meets_contract_in_two_iterations(self, name, overrides):
+    def test_solve_meets_contract_in_two_iterations(self, name, overrides, tol):
         _, g, params, _ = load_instance(name, overrides)
-        tol = params.numerics.cg_tol
         op = phase_operator(params, g)
         rng = np.random.default_rng(g.n_cells)
         rhs = Field(g, rng.uniform(-1.0, 1.0, g.shape))
@@ -336,7 +351,7 @@ class TestSimulate:
         m_final = integrate(Field(g, traj.phi[-1])) + integrate(Field(g, traj.sigma[-1]))
         volume = 4.0
         expected = m0 + 0.1 * c * volume
-        assert abs(m_final - expected) <= traj.n_steps * 10 * params.numerics.cg_tol * 10
+        assert abs(m_final - expected) <= 1e-8
 
     def test_matches_ode_reference_at_first_order(self):
         g = Grid.line(8, 4.0)

@@ -6,7 +6,7 @@ from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
                        frechet_remainder_sweep, inner_product, norm_h, preset_field,
                        simulate, solve_adjoint, solve_linearized, step)
 from chcontrol.sensitivity import adjoint_step, level_coefficients, linearized_step
-from helpers import frechet_rows_by_level, smooth_field, smooth_schedule
+from helpers import frechet_rows_by_level, load_instance, smooth_field, smooth_schedule
 
 
 def tight_params(**kw):
@@ -318,6 +318,14 @@ class TestDotProductTest:
         g = Grid.box(8, 6, 4.0, 3.0)
         params = tight_params()
         assert dot_product_test(params, g, 4, 0) <= 1e-10
+
+    @pytest.mark.parametrize("box", [("grid.nx=4", "grid.ny=4", "grid.lx=1.0", "grid.ly=1.5"),
+                                     ("grid.nx=4", "grid.ny=64", "grid.lx=0.5", "grid.ly=10.0")])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_grad_check_on_unequal_spacing_boxes(self, box, seed):
+        # Small 2D boxes apply the unaveraged stencil, symmetric to roundoff only.
+        _, g, params, _ = load_instance("gradcheck.cfg", ("grid.dim=2",) + box)
+        assert dot_product_test(params, g, min(params.n_steps, 16), seed) <= 1e-10
 
     def test_tightening_cg_does_not_degrade(self):
         g = Grid.line(16, 4.0)
