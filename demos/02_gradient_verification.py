@@ -10,28 +10,25 @@
    cost.
 """
 
-from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
-                       QuadraticProliferation, cost_taylor_sweep,
-                       directional_derivative_check, dot_product_test,
-                       fit_loglog_slope, frechet_remainder_sweep, preset_field)
+from pathlib import Path
 
-grid = Grid.line(16, 4.0)
-target = preset_field("tanh_ball", grid, center=2.0, radius=0.7, width=0.4)
-params = ModelParams(
-    proliferation=QuadraticProliferation(p0=2.0),
-    beta_q=1.0, beta_omega=0.5, beta_u=0.1,
-    t_final=0.2, tau=5e-3,
-    phi_q=target, phi_omega=target,
-    phi0=preset_field("tanh_ball", grid, center=2.0, radius=1.0, width=0.4),
-    sigma0=Field.full(grid, 0.5),
-    numerics=Numerics(cg_tol=1e-13))
+from chcontrol import (ControlSchedule, cost_taylor_sweep, directional_derivative_check,
+                       dot_product_test, fit_loglog_slope, frechet_remainder_sweep,
+                       preset_field)
+from chcontrol.config import build_grid, build_initial_control, build_params, parse_config
+
+# The strongly coupled instance of the Taylor-remainder sweeps.
+config_path = Path(__file__).resolve().parent.parent / "configs" / "taylor.cfg"
+cfg = parse_config(config_path.read_text())
+grid = build_grid(cfg)
+params = build_params(cfg, grid)
 
 print("1) transpose identities (worst relative defect per seed)")
 for seed in (0, 1, 2):
     gap = dot_product_test(params, grid, 8, seed)
     print(f"   seed {seed}: {gap:.3e}")
 
-u = ControlSchedule.constant(grid, params.n_steps, 0.0)
+u = build_initial_control(cfg, grid, params)
 h = ControlSchedule(grid, [preset_field("filtered_noise", grid, seed=7063 + n,
                                         amplitude=2.0).values
                            for n in range(params.n_steps)])

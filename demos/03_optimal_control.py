@@ -7,9 +7,9 @@ a bound must push outward, and where the control weight is positive the
 control must equal the clamped lifted co-state.
 """
 
-from chcontrol import Field, OptimOptions, kkt_report, norm_h, projected_gradient, simulate
-from chcontrol.config import (build_grid, build_initial_control, build_params,
-                              parse_config)
+from chcontrol import Field, kkt_report, norm_h, projected_gradient, simulate
+from chcontrol.config import (build_grid, build_initial_control, build_options,
+                              build_params, parse_config)
 from pathlib import Path
 
 config_path = Path(__file__).resolve().parent.parent / "configs" / "tracking_soft.cfg"
@@ -21,9 +21,7 @@ u0 = build_initial_control(cfg, grid, params)
 print(f"instance: {grid}, {params.n_steps} steps, weights "
       f"(beta_q, beta_omega, beta_u) = ({params.beta_q}, {params.beta_omega}, {params.beta_u})")
 
-options = OptimOptions(tol=cfg["opt.tol"], max_iters=cfg["opt.max_iters"],
-                       alpha0=cfg["opt.alpha0"])
-result = projected_gradient(params, u0, options)
+result = projected_gradient(params, u0, build_options(cfg))
 
 print(f"\ntermination: {result.termination_reason} after {result.iterations} iterations")
 print("cost history:")

@@ -375,8 +375,9 @@ def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
     else:
         proliferation = SigmoidProliferation(**_args(cfg, "p0", "steepness", "floor"))
     if cfg["target.phi_q"].is_time_varying():
-        phi_q = [_build_field(cfg, "target.phi_q", grid, level=max(n, 1))
-                 for n in range(cfg.n_steps + 1)]
+        levels = [_build_field(cfg, "target.phi_q", grid, level=n)
+                  for n in range(1, cfg.n_steps + 1)]
+        phi_q = levels[:1] + levels  # row 0 is never tracked; it shares level 1's Field
     else:
         phi_q = _build_field(cfg, "target.phi_q", grid)
     fields = {name: _build_field(cfg, _KEY_OF[name], grid)

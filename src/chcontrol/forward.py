@@ -467,21 +467,18 @@ class StabilityReport:
 
 
 def _traj_diff_norms(tau: float, base: StateTrajectory, other: StateTrajectory):
-    linf_phi = 0.0
-    l2v_phi = 0.0
-    linf_sig = 0.0
-    l2v_sig = 0.0
     grid = base.grid
+    dphi = base.phi - other.phi
+    dsig = base.sigma - other.sigma
+    dphi_sq = level_inner_products(grid, dphi, dphi)
+    dsig_sq = level_inner_products(grid, dsig, dsig)
+    linf_phi = l2v_phi = linf_sig = l2v_sig = 0.0
     for n in range(base.n_steps + 1):
-        dphi = base.phi[n] - other.phi[n]
-        dsig = base.sigma[n] - other.sigma[n]
-        dphi_sq = _volume_sum(grid, dphi * dphi)
-        dsig_sq = _volume_sum(grid, dsig * dsig)
-        linf_phi = max(linf_phi, math.sqrt(max(dphi_sq, 0.0)))
-        linf_sig = max(linf_sig, math.sqrt(max(dsig_sq, 0.0)))
+        linf_phi = max(linf_phi, math.sqrt(max(dphi_sq[n], 0.0)))
+        linf_sig = max(linf_sig, math.sqrt(max(dsig_sq[n], 0.0)))
         if n >= 1:
-            l2v_phi += tau * (dphi_sq + _grad_sq(grid, dphi))
-            l2v_sig += tau * (dsig_sq + _grad_sq(grid, dsig))
+            l2v_phi += tau * (dphi_sq[n] + _grad_sq(grid, dphi[n]))
+            l2v_sig += tau * (dsig_sq[n] + _grad_sq(grid, dsig[n]))
     return linf_phi, math.sqrt(l2v_phi), linf_sig, math.sqrt(l2v_sig)
 
 

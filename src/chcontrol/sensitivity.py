@@ -40,19 +40,18 @@ The two implicit solves are the forward step's own, ``_phase_solve`` and
 ``_diffusion_solve``.  The tracking misfits are computed once, by
 ``_tracking_misfits``, for the adjoint's default data and for the reduced
 cost in ``optimize``.  ``frechet_remainder_sweep``, like ``optimize``, runs
-from the initial data of ``params``.  Only the Fields a caller hands
-``solve_adjoint`` are validated.
+from the initial data of ``params``.  ``solve_adjoint`` checks the shapes
+of the arrays a caller hands it once, at entry.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .grid import (Field, Grid, GridMismatchError, _level_blocks, _volume_sum,
-                   inner_product, laplacian_values)
+from .grid import (Field, Grid, GridMismatchError, _level_blocks, inner_product,
+                   laplacian_values, level_inner_products)
 from .forward import (ControlSchedule, StateTrajectory, StepPlan, _check_outputs,
                       _diffusion_solve, _phase_solve, _require_grid_shape, l2q_inner, simulate)
 from .model import ModelParams, f_deriv, p_deriv, preset_field
@@ -280,50 +279,44 @@ def _tracking_misfits(params: ModelParams, phi: np.ndarray, tracking: bool = Tru
     return level_misfit, final_misfit
 
 
-def _handed_in(field: Field | None, grid: Grid, what: str) -> np.ndarray | None:
-    """The values of a caller's co-state Field, checked to live on ``grid``."""
-    if field is None:
-        return None
-    if field.grid != grid:
-        raise GridMismatchError(f"{what} lives on the wrong grid")
-    return field.values
-
-
 def solve_adjoint(params: ModelParams, base: StateTrajectory,
-                  terminal_p: Field | None = None,
-                  sources: Callable[[int], Field | None] | None = None) -> AdjointTrajectory:
+                  terminal_p: np.ndarray | None = None,
+                  sources: np.ndarray | None = None) -> AdjointTrajectory:
     """Sweep the transposed chain backward from the terminal co-state.
 
     Defaults reproduce the tracking cost: terminal
     ``p_N = beta_omega*(phi_N - phi_omega)``, ``r_N = 0``, and per-level
-    sources ``tau*beta_q*(phi_n - target_n)`` for n = 1..N.  Passing
-    ``terminal_p`` and/or ``sources`` (a callable of the level returning a
-    Field or None) reuses the sweep for arbitrary linear functionals of the
-    trajectory; those Fields are the only values checked here, for their grid.
+    sources ``tau*beta_q*(phi_n - target_n)`` for n = 1..N.  Handing in
+    ``terminal_p`` (of the grid's shape) and/or ``sources`` (``(N, *shape)``,
+    row n the source at level n + 1) reuses the sweep for any linear
+    functional of the trajectory.  Only their shapes are checked, once, before
+    the first step (``GridMismatchError``); they are not modified, and a
+    non-finite value fails the first solve that reads it (``CgNonConvergenceError``).
     """
     n_steps = base.n_steps
     grid = base.grid
+    for data, shape in ((terminal_p, grid.shape), (sources, (n_steps,) + grid.shape)):
+        if data is not None and np.shape(data) != shape:
+            raise GridMismatchError(f"handed-in data of shape {np.shape(data)}, expected {shape}")
     level_misfit, final_misfit = _tracking_misfits(
         params, base.phi, tracking=sources is None, terminal=terminal_p is None)
     if terminal_p is not None:
-        p_terminal = _handed_in(terminal_p, grid, "terminal co-state")
+        p_terminal = terminal_p
     elif final_misfit is None:
         p_terminal = 0.0
     else:
         p_terminal = params.beta_omega * final_misfit
 
-    if level_misfit is None:
-        lift = np.empty((n_steps,) + grid.shape)
-    else:
-        # Row n first holds the default source of step n, the scaled misfit
-        # of level n + 1; the step reads it before its lift overwrites it.
+    # Row n of lift first holds the source of step n, at level n + 1; the
+    # step reads it before its lift overwrites it.
+    has_sources = sources is not None or level_misfit is not None
+    if sources is not None:
+        lift = np.array(sources, dtype=float)
+    elif level_misfit is not None:
         lift = level_misfit
         lift *= params.tau * params.beta_q
-
-    def src(lvl: int) -> np.ndarray | None:
-        if sources is not None:
-            return _handed_in(sources(lvl), grid, f"adjoint source {lvl}")
-        return None if level_misfit is None else lift[lvl - 1]
+    else:
+        lift = np.empty((n_steps,) + grid.shape)
 
     p = np.empty((n_steps + 1,) + grid.shape)
     r = np.empty((n_steps + 1,) + grid.shape)
@@ -334,7 +327,8 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
     plan = StepPlan(params, grid)
     for n in range(n_steps - 1, -1, -1):
         p[n], r[n], lift[n] = adjoint_step(plan, (curvature[n], rate[n], rate_slope[n]),
-                                           p[n + 1], r[n + 1], source=src(n + 1),
+                                           p[n + 1], r[n + 1],
+                                           source=lift[n] if has_sources else None,
                                            step_index=n)
     return AdjointTrajectory(base, p, r, lift)
 
@@ -375,10 +369,10 @@ def frechet_remainder_sweep(params: ModelParams, u: ControlSchedule, h: ControlS
     for eps in eps_values:
         eps = float(eps)
         traj = simulate(params, u + h.scaled(eps))
+        defect = traj.phi - base.phi - eps * lin.xi
         rem = 0.0
-        for n in range(base.n_steps + 1):
-            defect = traj.phi[n] - base.phi[n] - eps * lin.xi[n]
-            rem = max(rem, math.sqrt(max(_volume_sum(base.grid, defect * defect), 0.0)))
+        for sq in level_inner_products(base.grid, defect, defect):
+            rem = max(rem, math.sqrt(max(sq, 0.0)))
         rows.append((eps, rem))
     return rows
 
@@ -424,12 +418,12 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
     # Full-horizon identity against a random linear functional.
     base = simulate(params, u_bar, phi0=phi0, sigma0=sigma0)
     lin = solve_linearized(params, base, h)
-    weights = {lvl: smooth(300 + lvl, 1.0) for lvl in range(1, n_steps + 1)}
+    weights = np.array([smooth(300 + lvl, 1.0).values for lvl in range(1, n_steps + 1)])
     terminal = smooth(7, 1.0)
+    level_terms = level_inner_products(grid, weights, lin.xi[1:])
     functional = inner_product(terminal, field(lin.xi[n_steps])) + math.fsum(
-        tau * inner_product(weights[lvl], field(lin.xi[lvl])) for lvl in range(1, n_steps + 1))
-    adj = solve_adjoint(params, base, terminal_p=terminal,
-                        sources=lambda lvl: field(tau * weights[lvl].values))
+        tau * term for term in level_terms)
+    adj = solve_adjoint(params, base, terminal_p=terminal.values, sources=tau * weights)
     paired = l2q_inner(tau, ControlSchedule(grid, adj.r_lift), h)
     worst = max(worst, _relative_gap(functional, paired))
     return worst

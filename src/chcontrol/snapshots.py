@@ -105,10 +105,8 @@ def write_snapshots(grid: Grid, items) -> int:
     return k
 
 
-def read_snapshot_header(path) -> dict:
-    """Parse the header line into {t, dim, nx, ny, hx, hy}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
+def _parse_header(path, first: str) -> dict:
+    first = first.strip()
     if not first.startswith("# "):
         raise SnapshotError(f"{path}: missing snapshot header")
     meta = {}
@@ -130,14 +128,22 @@ def read_snapshot_header(path) -> dict:
         raise SnapshotError(f"{path}: bad header ({exc})") from exc
 
 
+def read_snapshot_header(path) -> dict:
+    """Parse the header line into {t, dim, nx, ny, hx, hy}."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_header(path, fh.readline())
+
+
 def read_snapshot(path, grid: Grid | None = None) -> Field:
     """Read a snapshot, validating the header against ``grid`` when given.
 
-    Without a grid, one is reconstructed from the header (lengths
-    nx*hx, ny*hy), which may differ from the writer's grid by one ulp in
-    the spacing; pass the active grid for exact validation.
+    The file is opened once.  Without a grid, one is reconstructed from the
+    header (lengths nx*hx, ny*hy), which may differ from the writer's grid by
+    one ulp in the spacing; pass the active grid for exact validation.
     """
-    header = read_snapshot_header(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = _parse_header(path, fh.readline())
+        rows = fh.readlines()
     if grid is not None:
         expected = {"dim": grid.dim, "nx": grid.counts[0], "ny": grid.counts[1],
                     "hx": grid.spacing[0], "hy": grid.spacing[1]}
@@ -152,8 +158,7 @@ def read_snapshot(path, grid: Grid | None = None) -> Field:
                       (header["nx"] * header["hx"], header["ny"] * header["hy"]))
 
     nx, ny = header["nx"], header["ny"]
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh.readlines()[1:] if ln.strip()]
+    lines = [ln.strip() for ln in rows if ln.strip()]
     if len(lines) != ny:
         raise SnapshotError(f"{path}: expected {ny} data rows, found {len(lines)}")
     arr = np.empty((nx, ny), dtype=float)

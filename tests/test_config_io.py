@@ -222,6 +222,27 @@ class TestBuilders:
         assert isinstance(params.phi_q, list)
         assert np.all(params.phi_q_at(7).values == 7.0)
 
+    def test_per_level_target_opens_each_file_once(self, tmp_path, monkeypatch):
+        cfg = apply_overrides(parse_config(MINIMAL), ["time.t_final=0.003"])
+        grid = build_grid(cfg)
+        assert cfg.n_steps == 3
+        for level in (1, 2, 3):
+            write_snapshot(Field.full(grid, float(level)), 0.0, tmp_path / f"q_{level}.csv")
+        cfg = apply_overrides(cfg, [f"target.phi_q=file path={tmp_path}/q_{{n}}.csv",
+                                    "model.beta_q=1.0"])
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(snapshots, "open", counting_open, raising=False)
+        params = build_params(cfg, grid)
+        assert sorted(opened) == ["q_1.csv", "q_2.csv", "q_3.csv"]
+        # Row 0 is never tracked; it is level 1's Field, not a second read.
+        assert params.phi_q[0] is params.phi_q[1]
+        assert [params.phi_q_at(n).values[0] for n in (1, 2, 3)] == [1.0, 2.0, 3.0]
+
 
 class TestSnapshots:
     @pytest.mark.parametrize("grid", [Grid.line(8, 2.0), Grid.box(7, 4, 3.5, 1.0)])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from chcontrol import (ControlSchedule, Field, Grid, ModelParams, Numerics,
-                       QuadraticProliferation, StepPlan, dot_product_test, fit_loglog_slope,
-                       frechet_remainder_sweep, inner_product, norm_h, preset_field,
-                       simulate, solve_adjoint, solve_linearized, step)
+from chcontrol import (CgNonConvergenceError, ControlSchedule, Field, Grid, GridMismatchError,
+                       ModelParams, Numerics, QuadraticProliferation, StepPlan, dot_product_test,
+                       fit_loglog_slope, frechet_remainder_sweep, inner_product, norm_h,
+                       preset_field, sensitivity, simulate, solve_adjoint, solve_linearized,
+                       step)
 from chcontrol.sensitivity import adjoint_step, level_coefficients, linearized_step
 from helpers import frechet_rows_by_level, load_instance, smooth_field, smooth_schedule
 
@@ -220,13 +221,69 @@ class TestSolveAdjoint:
         params = tight_params(beta_q=1.0, beta_omega=1.0, beta_u=1.0)
         u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
-        terminal, no_sources = Field.zeros(g), (lambda lvl: None)
+        terminal, no_sources = np.zeros(g.shape), np.zeros((base.n_steps,) + g.shape)
         with pytest.raises(ValueError, match="phi_q is required"):
             solve_adjoint(params, base, terminal_p=terminal)
         with pytest.raises(ValueError, match="phi_omega is required"):
             solve_adjoint(params, base, sources=no_sources)
         adj = solve_adjoint(params, base, terminal_p=terminal, sources=no_sources)
         assert np.all(adj.p == 0.0) and np.all(adj.r == 0.0)
+
+    @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(8, 6, 4.0, 3.0)],
+                             ids=["1d", "2d"])
+    def test_cost_data_handed_in_give_default_adjoint(self, g):
+        target = smooth_field(g, 9, 0.3)
+        params = tight_params(beta_q=0.7, beta_omega=2.0, phi_q=target, phi_omega=target)
+        u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
+        base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
+        terminal = params.beta_omega * (base.phi[-1] - target.values)
+        sources = params.tau * params.beta_q * (base.phi[1:] - target.values)
+        handed = (terminal.copy(), sources.copy())
+        adj = solve_adjoint(params, base, terminal_p=terminal, sources=sources)
+        default = solve_adjoint(params, base)
+        for name in ("p", "r", "r_lift"):
+            assert getattr(adj, name).tobytes() == getattr(default, name).tobytes()
+        # The caller's arrays are left as they were handed in.
+        assert terminal.tobytes() == handed[0].tobytes()
+        assert sources.tobytes() == handed[1].tobytes()
+
+    @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(8, 6, 4.0, 3.0)],
+                             ids=["1d", "2d"])
+    def test_handed_in_shapes_checked_before_the_first_step(self, g, monkeypatch):
+        params = tight_params(beta_q=0.0, beta_omega=0.0)
+        u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
+        base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
+        n_steps = base.n_steps
+        wrong_cells = (g.n_cells,) if g.dim == 2 else (g.n_cells + 1,)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the shape check")
+
+        monkeypatch.setattr(sensitivity, "adjoint_step", no_step)
+        bad = [
+            dict(terminal_p=np.zeros(wrong_cells)),
+            dict(terminal_p=np.zeros((1,) + g.shape)),
+            dict(sources=np.zeros((n_steps,) + wrong_cells)),
+            dict(sources=np.zeros((n_steps - 1,) + g.shape)),
+            dict(sources=np.zeros((n_steps + 1,) + g.shape)),
+        ]
+        for kwargs in bad:
+            with pytest.raises(GridMismatchError):
+                solve_adjoint(params, base, **kwargs)
+
+    def test_non_finite_handed_in_data_fail_the_first_solve(self):
+        g = Grid.line(16, 4.0)
+        params = tight_params(beta_q=0.0, beta_omega=0.0)
+        u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
+        base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
+        terminal = np.zeros(g.shape)
+        terminal[3] = np.nan
+        sources = np.zeros((base.n_steps,) + g.shape)
+        sources[-1, 3] = np.inf
+        with np.errstate(invalid="ignore"):  # the preconditioner meets the NaN first
+            for kwargs in (dict(terminal_p=terminal), dict(sources=sources)):
+                with pytest.raises(CgNonConvergenceError, match="right-hand side norm"):
+                    solve_adjoint(params, base, **kwargs)
 
     def test_backward_norms_bounded(self):
         g = Grid.line(16, 4.0)
