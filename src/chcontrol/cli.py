@@ -31,8 +31,8 @@ from .config import (ConfigError, FieldExpr, RunConfig, apply_overrides, build_g
                      build_initial_control, build_options, build_params, echo_text,
                      parse_config)
 from .forward import ControlSchedule, DivergenceError, simulate
-from .grid import CgNonConvergenceError, Field
-from .model import check_hypotheses, f_deriv, p_deriv, preset_field
+from .grid import CgNonConvergenceError, Field, Grid
+from .model import ModelParams, check_hypotheses, f_deriv, p_deriv, preset_field
 from .optimize import (cost_taylor_sweep, directional_derivative_check, kkt_report,
                        projected_gradient)
 from .sensitivity import dot_product_test, fit_loglog_slope, frechet_remainder_sweep
@@ -124,9 +124,7 @@ def _seeds(default=(0, 1, 2)) -> list[int]:
     return list(default) if seed is None else [seed]
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    grid = build_grid(cfg)
-    params = build_params(cfg, grid)
+def cmd_simulate(cfg: RunConfig, grid: Grid, params: ModelParams) -> int:
     u = build_initial_control(cfg, grid, params)
     writer = RunWriter(cfg)
     every = cfg["io.snapshot_every"]
@@ -155,9 +153,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    grid = build_grid(cfg)
-    params = build_params(cfg, grid)
+def cmd_optimize(cfg: RunConfig, grid: Grid, params: ModelParams) -> int:
     u0 = build_initial_control(cfg, grid, params)
     writer = RunWriter(cfg)
     result = projected_gradient(params, u0, build_options(cfg))
@@ -180,10 +176,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return 0 if result.termination_reason == "tolerance_met" else 1
 
 
-def cmd_grad_check(cfg: RunConfig) -> int:
+def cmd_grad_check(cfg: RunConfig, grid: Grid, params: ModelParams) -> int:
     bound = 1e-10  # on the relative defect of the transpose identities
-    grid = build_grid(cfg)
-    params = build_params(cfg, grid)
     n_steps = min(params.n_steps, 16)
     worst = 0.0
     for seed in _seeds():
@@ -201,9 +195,7 @@ def _direction_schedule(grid, n_steps: int, seed: int, amplitude: float) -> Cont
         for n in range(n_steps)])
 
 
-def cmd_taylor(cfg: RunConfig) -> int:
-    grid = build_grid(cfg)
-    params = build_params(cfg, grid)
+def cmd_taylor(cfg: RunConfig, grid: Grid, params: ModelParams) -> int:
     seed = _seeds(default=(2024,))[0]
     u = build_initial_control(cfg, grid, params)
     # A direction with O(1) pairing keeps the small-eps remainders well above
@@ -274,13 +266,11 @@ def _ode_reference(params, a0: float, b0: float, c: float, t_final: float) -> np
     raise DivergenceError("ODE reference: no two finite RK4 end states agree to 1e-13")
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    grid = build_grid(cfg)
-    params = build_params(cfg, grid)
+def cmd_oracle(cfg: RunConfig, grid: Grid, params: ModelParams) -> int:
     for key in ("init.phi0", "init.sigma0", "opt.u0"):
         if cfg[key].kind != "constant":
             raise ConfigError("the oracle subcommand needs constant presets", key=key)
-    a0, b0, c = (float(cfg[k].arg("value")) for k in ("init.phi0", "init.sigma0", "opt.u0"))
+    a0, b0, c = (cfg[k].arg("value") for k in ("init.phi0", "init.sigma0", "opt.u0"))
     ref = _ode_reference(params, a0, b0, c, params.t_final)
 
     errors = []
@@ -300,9 +290,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_check_hypotheses(cfg: RunConfig) -> int:
-    grid = build_grid(cfg)
-    params = build_params(cfg, grid)
+def cmd_check_hypotheses(cfg: RunConfig, grid: Grid, params: ModelParams) -> int:
     report = check_hypotheses(params)
     for line in report.lines():
         print(_kv_line(subcommand="check-hypotheses") + " " + line)
@@ -340,7 +328,8 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _seed_override(apply_overrides(parse_config(text), argv[2:]))
-        return _SUBCOMMANDS[name](cfg)
+        grid = build_grid(cfg)
+        return _SUBCOMMANDS[name](cfg, grid, build_params(cfg, grid))
     except ConfigError as exc:
         print(f"error=config detail={exc}", file=sys.stderr)
         return 2

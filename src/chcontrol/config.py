@@ -12,8 +12,10 @@ valued entries use preset expressions, e.g.
 No key sets the well (quartic), the line search's constants or the
 ``filtered_noise`` smoother (it takes only ``seed`` and ``amplitude``).
 
-``echo_text`` renders the effective configuration canonically; parsing the
-echo and echoing again is byte-identical.
+Each value is parsed once, into its typed form, by one table of value types
+(int, float, floats, str) that keys and preset arguments share: a float is a
+finite number wherever it appears.  ``echo_text`` renders the effective
+configuration canonically; parsing the echo and echoing again is byte-identical.
 
 Validation builds the grid, the well, the sigmoid law, a ``ModelParams``
 without fields, ``Numerics`` and ``OptimOptions``, so each rule lives in its
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .grid import _VALUE_BUDGET, Field, Grid, ParameterError
 from .model import (ModelParams, Numerics, QuadraticProliferation, QuarticDoubleWell,
@@ -55,7 +59,26 @@ class ConfigError(ValueError):
         self.key = key
 
 
-# Preset kind -> argument -> type; a trailing "?" marks an optional argument.
+def _number(text: str, convert=float, expected: str = "a number"):
+    try:
+        value = convert(text)
+    except ValueError as exc:
+        raise ValueError(f"expected {expected}, got {text!r}") from exc
+    if convert is float and not math.isfinite(value):  # float() accepts nan and inf
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# Value type -> (parse the text, render the parsed value canonically).
+_TYPES = {
+    "int": (lambda text: _number(text, int, "an integer"), repr),
+    "float": (_number, repr),
+    "floats": (lambda text: tuple(map(_number, text.split(","))),
+               lambda values: ",".join(map(repr, values))),
+    "str": (str, str),
+}
+
+# Preset kind -> argument -> value type; a trailing "?" marks an optional argument.
 _EXPR_KINDS = {
     "constant": {"value": "float"},
     "tanh_ball": {"center": "floats", "radius": "float", "width": "float"},
@@ -63,19 +86,16 @@ _EXPR_KINDS = {
     "file": {"path": "str"},
 }
 
-# Argument type -> (parse the text, render the parsed value canonically).
-_ARG_TYPES = {
-    "float": (float, repr),
-    "int": (int, repr),
-    "floats": (lambda text: tuple(float(v) for v in text.split(",")),
-               lambda values: ",".join(map(repr, values))),
-    "str": (str, str),
-}
+
+def _arg_type(kind: str, name: str) -> tuple:
+    return _TYPES[_EXPR_KINDS[kind][name].rstrip("?")]
 
 
 @dataclass(frozen=True)
 class FieldExpr:
-    """Parsed preset expression: a kind plus normalized key=value arguments."""
+    """Parsed preset expression: a kind plus its arguments as sorted
+    ``(name, value)`` pairs, each value parsed by its type; ``canonical``
+    renders them and ``build`` hands them to ``preset_field`` as they are."""
 
     kind: str
     args: tuple
@@ -98,44 +118,71 @@ class FieldExpr:
                 raise ValueError(f"preset {kind!r} does not take argument {key!r}")
             if key in args:
                 raise ValueError(f"duplicate argument {key!r}")
-            parse, render = _ARG_TYPES[spec[key].rstrip("?")]
-            args[key] = render(parse(value))
+            try:
+                args[key] = _arg_type(kind, key)[0](value)
+            except ValueError as exc:
+                raise ValueError(f"argument {key!r}: {exc}") from exc
         for key, kind_spec in spec.items():
             if not kind_spec.endswith("?") and key not in args:
                 raise ValueError(f"preset {kind!r} requires argument {key!r}")
         return cls(kind=kind, args=tuple(sorted(args.items())))
 
     def canonical(self) -> str:
-        rendered = [self.kind] + [f"{k}={v}" for k, v in self.args]
-        return " ".join(rendered)
+        return " ".join([self.kind] + [f"{k}={_arg_type(self.kind, k)[1](v)}"
+                                       for k, v in self.args])
 
     def arg(self, name: str, default=None):
-        for key, value in self.args:
-            if key == name:
-                return value
-        return default
+        return dict(self.args).get(name, default)
 
     def with_seed(self, seed: int) -> "FieldExpr":
         if self.arg("seed") is None:
             return self
-        args = tuple((k, repr(int(seed)) if k == "seed" else v) for k, v in self.args)
+        args = tuple((k, int(seed) if k == "seed" else v) for k, v in self.args)
         return FieldExpr(kind=self.kind, args=args)
 
     def is_time_varying(self) -> bool:
-        return self.kind == "file" and "{n}" in str(self.arg("path", ""))
+        return self.kind == "file" and "{n}" in self.arg("path")
 
     def build(self, grid: Grid, level: int | None = None) -> Field:
-        if self.kind == "file":
-            path = str(self.arg("path"))
-            if "{n}" in path:
-                if level is None:
-                    raise ValueError(f"{path!r} is per-level; a level index is required")
-                path = path.replace("{n}", str(level))
-            return read_snapshot(path, grid)
-        spec = _EXPR_KINDS[self.kind]
-        args = {key: _ARG_TYPES[spec[key].rstrip("?")][0](value) for key, value in self.args}
-        return preset_field(self.kind, grid, **args)
+        if self.kind != "file":
+            return preset_field(self.kind, grid, **dict(self.args))
+        path = self.arg("path")
+        if "{n}" in path:
+            if level is None:
+                raise ValueError(f"{path!r} is per-level; a level index is required")
+            path = path.replace("{n}", str(level))
+        return read_snapshot(path, grid)
 
+
+def _number_or_expr(text: str):
+    try:
+        float(text)
+    except ValueError:  # not a number at all: a preset expression
+        return FieldExpr.parse(text)
+    return _number(text)
+
+
+def _choice(kind: str) -> tuple:
+    options = kind.split(":", 1)[1].split("|")
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {options}, got {text!r}")
+        return text
+    return parse, str
+
+
+# Schema type -> (parse, render): the value types and the kinds built on them;
+# ``_choice`` builds a ``choice:a|b`` type, one of the listed words.
+_KINDS = {
+    **_TYPES,
+    "expr": (FieldExpr.parse, FieldExpr.canonical),
+    "float_or_expr": (_number_or_expr, lambda value: value.canonical()
+                      if isinstance(value, FieldExpr) else repr(value)),
+    "auto_or_float": (lambda text: None if text == "auto"
+                      else _number(text, expected="'auto' or a number"),
+                      lambda value: "auto" if value is None else repr(value)),
+}
 
 # (key, type, default); types: int, float, choice:<a|b>, expr, float_or_expr, auto_or_float, str
 _SCHEMA = [
@@ -171,61 +218,18 @@ _SCHEMA = [
     ("io.outdir", "str", "out"),
     ("io.snapshot_every", "int", "50"),
 ]
-_TYPES = {key: kind for key, kind, _ in _SCHEMA}
-_ORDER = [key for key, _, _ in _SCHEMA]
+# Key -> (parse, render), in the schema's order.
+_KIND_OF = {key: _choice(kind) if kind.startswith("choice:") else _KINDS[kind]
+            for key, kind, _ in _SCHEMA}
+_DEFAULTS = {key: _KIND_OF[key][0](default) for key, _, default in _SCHEMA}
 # Constructor parameter name -> the key that sets it (builders read each
 # argument from it, and a ParameterError names it).
-_KEY_OF = {key.split(".", 1)[1]: key for key in _ORDER}
+_KEY_OF = {key.split(".", 1)[1]: key for key in _KIND_OF}
 _KEY_OF.update(steepness="model.k", floor="model.p_floor", cg_max_iter="solver.cg_maxit")
 
 
 def _args(cfg, *names) -> dict:
     return {name: cfg[_KEY_OF[name]] for name in names}
-
-
-def _parse_value(kind: str, raw: str):
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValueError(f"expected an integer, got {raw!r}") from exc
-    if kind in ("float", "float_or_expr", "auto_or_float"):
-        if kind == "auto_or_float" and raw == "auto":
-            return None
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            if kind == "float_or_expr":
-                return FieldExpr.parse(raw)
-            expected = "a number" if kind == "float" else "'auto' or a number"
-            raise ValueError(f"expected {expected}, got {raw!r}") from exc
-        if not math.isfinite(value):  # float() accepts nan and inf; no run can use them
-            raise ValueError(f"expected a finite number, got {raw!r}")
-        return value
-    if kind.startswith("choice:"):
-        options = kind.split(":", 1)[1].split("|")
-        if raw not in options:
-            raise ValueError(f"expected one of {options}, got {raw!r}")
-        return raw
-    if kind == "expr":
-        return FieldExpr.parse(raw)
-    if kind == "str":
-        return raw
-    raise AssertionError(f"unhandled schema type {kind}")
-
-
-def _format_value(kind: str, value) -> str:
-    if kind == "int":
-        return str(int(value))
-    if kind == "float":
-        return repr(float(value))
-    if kind == "expr":
-        return value.canonical()
-    if kind == "float_or_expr":
-        return repr(float(value)) if not isinstance(value, FieldExpr) else value.canonical()
-    if kind == "auto_or_float":
-        return "auto" if value is None else repr(float(value))
-    return str(value)
 
 
 @dataclass
@@ -242,29 +246,33 @@ class RunConfig:
         return step_count(self["time.t_final"], self["time.tau"])
 
 
+def _assign(values: dict, entry: str, line: int | None = None) -> str:
+    """Parse one ``section.key = value`` entry into ``values`` and return its
+    key; a malformed entry, an unknown key or a bad value raises a ConfigError
+    carrying ``line`` and the key."""
+    if "=" not in entry:
+        raise ConfigError(f"expected 'section.key = value', got {entry!r}", line=line)
+    key, raw = (part.strip() for part in entry.split("=", 1))
+    if key not in _KIND_OF:
+        raise ConfigError("unknown key", line=line, key=key)
+    try:
+        values[key] = _KIND_OF[key][0](raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line=line, key=key) from exc
+    return key
+
+
 def parse_config(text: str) -> RunConfig:
-    values: dict = {}
-    lines: dict = {}
+    values, lines = dict(_DEFAULTS), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" not in body:
-            raise ConfigError(f"expected 'section.key = value', got {raw.strip()!r}", line=lineno)
-        key, raw_value = (part.strip() for part in body.split("=", 1))
-        if key not in _TYPES:
-            raise ConfigError("unknown key", line=lineno, key=key)
-        if key in values:
+        key = _assign(values, body, lineno)
+        if key in lines:
             raise ConfigError(f"duplicate key (first set on line {lines[key]})",
                               line=lineno, key=key)
-        try:
-            values[key] = _parse_value(_TYPES[key], raw_value)
-        except ValueError as exc:
-            raise ConfigError(str(exc), line=lineno, key=key) from exc
         lines[key] = lineno
-    for key, kind, default in _SCHEMA:
-        if key not in values:
-            values[key] = _parse_value(kind, default)
     cfg = RunConfig(values=values)
     _validate(cfg, lines)
     return cfg
@@ -274,15 +282,7 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
     """Apply ``section.key=value`` tokens on top of a parsed configuration."""
     values = dict(cfg.values)
     for token in overrides:
-        if "=" not in token:
-            raise ConfigError(f"override {token!r} is not of the form key=value")
-        key, raw_value = (part.strip() for part in token.split("=", 1))
-        if key not in _TYPES:
-            raise ConfigError("unknown key", key=key)
-        try:
-            values[key] = _parse_value(_TYPES[key], raw_value)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=key) from exc
+        _assign(values, token)
     out = RunConfig(values=values)
     _validate(out, {})
     return out
@@ -336,10 +336,7 @@ def _check_phase_symbol(v: dict, grid: Grid, s_const: float, lines: dict) -> Non
 
 def echo_text(cfg: RunConfig) -> str:
     """Canonical rendering of the effective configuration."""
-    out = []
-    for key in _ORDER:
-        out.append(f"{key} = {_format_value(_TYPES[key], cfg.values[key])}")
-    return "\n".join(out) + "\n"
+    return "".join(f"{key} = {render(cfg[key])}\n" for key, (_, render) in _KIND_OF.items())
 
 
 def build_grid(cfg: RunConfig) -> Grid:
@@ -375,9 +372,10 @@ def build_params(cfg: RunConfig, grid: Grid) -> ModelParams:
     else:
         proliferation = SigmoidProliferation(**_args(cfg, "p0", "steepness", "floor"))
     if cfg["target.phi_q"].is_time_varying():
-        levels = [_build_field(cfg, "target.phi_q", grid, level=n)
-                  for n in range(1, cfg.n_steps + 1)]
-        phi_q = levels[:1] + levels  # row 0 is never tracked; it shares level 1's Field
+        phi_q = np.empty((cfg.n_steps,) + grid.shape)  # row n - 1 is level n's target
+        for n in range(1, cfg.n_steps + 1):
+            phi_q[n - 1] = _build_field(cfg, "target.phi_q", grid, level=n).values
+        phi_q.flags.writeable = False
     else:
         phi_q = _build_field(cfg, "target.phi_q", grid)
     fields = {name: _build_field(cfg, _KEY_OF[name], grid)

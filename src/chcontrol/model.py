@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -198,9 +198,10 @@ class ModelParams:
     """Everything a run needs besides the control itself.
 
     ``stabilization=None`` resolves to the default curvature bound.  The
-    tracking target ``phi_q`` may be a single field (constant in time) or a
-    sequence indexed by time level.  Weights must be nonnegative and not all
-    zero (named ``beta_u``) and S nonnegative; ``n_steps`` is ``step_count``'s.
+    tracking target ``phi_q`` may be a single field (constant in time) or an
+    ``(n_steps, *grid.shape)`` level array whose row n - 1 is the target at
+    level n.  Weights must be nonnegative and not all zero (named ``beta_u``)
+    and S nonnegative; ``n_steps`` is ``step_count``'s.
     ``u_min``/``u_max`` (numbers or Fields, ordered cellwise, else ``u_min``
     is named) are the problem's box, the one home of the admissible set.
     """
@@ -215,7 +216,7 @@ class ModelParams:
     stabilization: float | None = None
     u_min: float | Field = -1.0
     u_max: float | Field = 1.0
-    phi_q: Field | Sequence[Field] | None = None
+    phi_q: Field | np.ndarray | None = None
     phi_omega: Field | None = None
     phi0: Field | None = None
     sigma0: Field | None = None
@@ -233,14 +234,6 @@ class ModelParams:
         _require(self.stabilization >= 0, "stabilization", "stabilization must be nonnegative")
         _require(not np.any(_bound_values(self.u_min) > _bound_values(self.u_max)), "u_min",
                  "u_min must not exceed u_max anywhere")
-
-    def phi_q_at(self, n: int) -> Field:
-        """Tracking target at time level n (1..n_steps)."""
-        if self.phi_q is None:
-            raise ValueError("phi_q is required when beta_q > 0")
-        if isinstance(self.phi_q, Field):
-            return self.phi_q
-        return self.phi_q[n]
 
 
 @dataclass

@@ -262,15 +262,14 @@ def _tracking_misfits(params: ModelParams, phi: np.ndarray, tracking: bool = Tru
     Returns ``(phi_n - target_n for n = 1..N, phi_N - phi_omega)``: an
     ``(N, *grid.shape)`` array and one of the grid's shape.  A part is None
     when its weight is zero or it is not asked for (``tracking``,
-    ``terminal``).  A time-constant target broadcasts over the levels; only
-    a per-level sequence is stacked.
+    ``terminal``).  A time-constant target broadcasts over the levels; a
+    per-level target is already a level array.
     """
     level_misfit = final_misfit = None
     if tracking and params.beta_q > 0.0:
-        if isinstance(params.phi_q, Field):
-            target = params.phi_q.values
-        else:
-            target = np.array([params.phi_q_at(n).values for n in range(1, len(phi))])
+        if params.phi_q is None:
+            raise ValueError("phi_q is required when beta_q > 0")
+        target = params.phi_q.values if isinstance(params.phi_q, Field) else params.phi_q
         level_misfit = phi[1:] - target
     if terminal and params.beta_omega > 0.0:
         if params.phi_omega is None:

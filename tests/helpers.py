@@ -519,7 +519,8 @@ def tracking_cost_by_level(params, traj, u):
     terms = []
     if params.beta_q > 0.0:
         for n in range(1, n_steps + 1):
-            misfit = Field._wrap(grid, traj.phi[n] - params.phi_q_at(n).values)
+            target = params.phi_q.values if isinstance(params.phi_q, Field) else params.phi_q[n - 1]
+            misfit = Field._wrap(grid, traj.phi[n] - target)
             terms.append(tau * 0.5 * params.beta_q * inner_product(misfit, misfit))
     if params.beta_omega > 0.0:
         if params.phi_omega is None:

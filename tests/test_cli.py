@@ -170,7 +170,7 @@ class TestUsageErrors:
 
     def test_internal_error_exits_4(self, capsys, tmp_path, monkeypatch):
         # A defect's uncaught exception must not read as a criteria failure.
-        def defect(cfg):
+        def defect(cfg, grid, params):
             raise ValueError("a defect")
 
         monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", defect)
@@ -182,7 +182,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("step_index, step", [(None, ""), (7, " step=7")])
     def test_divergence_names_its_step_only_when_known(self, step_index, step, capsys,
                                                         tmp_path, monkeypatch):
-        def diverge(cfg):
+        def diverge(cfg, grid, params):
             raise forward.DivergenceError("phi left the guard", step_index=step_index)
 
         monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", diverge)

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -70,9 +71,32 @@ class TestParse:
             parse_config("grid.nx 8\n")
 
 
+# Every preset kind, a 2D center, a field bound and a numeric stabilization;
+# the file need not exist to be parsed and echoed.
+EVERY_KIND = """
+grid.dim = 2
+grid.nx = 8
+grid.ny = 6
+grid.lx = 2.0
+grid.ly = 1.5
+model.beta_q = 1.0
+model.stabilization = 3.5
+model.u_min = tanh_ball width=0.2 radius=0.5 center=1,0.75
+model.u_max = 2
+init.phi0 = filtered_noise amplitude=0.5 seed=7
+init.sigma0 = constant value=-0.25
+target.phi_q = file path=targets/phi_q_{n}.csv
+opt.u0 = filtered_noise seed=3
+"""
+ECHO_TEXTS = {"minimal": MINIMAL, "every_kind": EVERY_KIND,
+              "every_kind_auto": EVERY_KIND.replace("= 3.5", "= auto"),
+              **{name: (CONFIG_DIR / name).read_text() for name in sorted(os.listdir(CONFIG_DIR))}}
+
+
 class TestEchoClosure:
-    def test_echo_is_idempotent_bytes(self):
-        cfg = parse_config(MINIMAL)
+    @pytest.mark.parametrize("name", list(ECHO_TEXTS))
+    def test_echo_is_idempotent_bytes(self, name):
+        cfg = parse_config(ECHO_TEXTS[name])
         first = echo_text(cfg)
         second = echo_text(parse_config(first))
         assert first == second
@@ -159,7 +183,7 @@ class TestFieldExpr:
 
     def test_seed_override(self):
         expr = FieldExpr.parse("filtered_noise seed=3 amplitude=0.5")
-        assert expr.with_seed(9).arg("seed") == "9"
+        assert expr.with_seed(9).arg("seed") == 9
         const = FieldExpr.parse("constant value=1.0")
         assert const.with_seed(9) is const
 
@@ -219,8 +243,9 @@ class TestBuilders:
         cfg = apply_overrides(cfg, [f"target.phi_q=file path={tmp_path}/q_{{n}}.csv",
                                     "model.beta_q=1.0"])
         params = build_params(cfg, build_grid(cfg))
-        assert isinstance(params.phi_q, list)
-        assert np.all(params.phi_q_at(7).values == 7.0)
+        assert params.phi_q.shape == (n_steps,) + grid.shape
+        assert not params.phi_q.flags.writeable
+        assert np.all(params.phi_q[6] == 7.0)  # row n - 1 is level n
 
     def test_per_level_target_opens_each_file_once(self, tmp_path, monkeypatch):
         cfg = apply_overrides(parse_config(MINIMAL), ["time.t_final=0.003"])
@@ -239,9 +264,7 @@ class TestBuilders:
         monkeypatch.setattr(snapshots, "open", counting_open, raising=False)
         params = build_params(cfg, grid)
         assert sorted(opened) == ["q_1.csv", "q_2.csv", "q_3.csv"]
-        # Row 0 is never tracked; it is level 1's Field, not a second read.
-        assert params.phi_q[0] is params.phi_q[1]
-        assert [params.phi_q_at(n).values[0] for n in (1, 2, 3)] == [1.0, 2.0, 3.0]
+        assert params.phi_q[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
 class TestSnapshots:
@@ -419,7 +442,32 @@ def sweep_base(name):
     return parse_config((CONFIG_DIR / name).read_text())
 
 
+# Each float argument of a preset and each coordinate of a 2D center, in turn
+# set to a non-finite value {v}.
+PRESET_FLOAT_ARGS = [
+    ("dissipation.cfg", "constant value={v}"),
+    ("dissipation.cfg", "tanh_ball center={v} radius=1.0 width=0.5"),
+    ("dissipation.cfg", "tanh_ball center=1.0 radius={v} width=0.5"),
+    ("dissipation.cfg", "tanh_ball center=1.0 radius=1.0 width={v}"),
+    ("twodim.cfg", "tanh_ball center={v},2.0 radius=1.0 width=0.5"),
+    ("twodim.cfg", "tanh_ball center=2.0,{v} radius=1.0 width=0.5"),
+    ("dissipation.cfg", "filtered_noise seed=1 amplitude={v}"),
+]
+
+
 class TestKeySweep:
+    @pytest.mark.parametrize("base, template", PRESET_FLOAT_ARGS)
+    @pytest.mark.parametrize("key", ["init.phi0", "target.phi_q", "model.u_min", "opt.u0"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_preset_argument_names_its_key(self, base, template, key, value):
+        # Rejected as the value is parsed, before numpy sees it: no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"key {key}"):
+                cfg = apply_overrides(sweep_base(base), [f"{key}={template.format(v=value)}"])
+                grid = build_grid(cfg)
+                build_initial_control(cfg, grid, build_params(cfg, grid))
+
     @pytest.mark.parametrize("base", ["dissipation.cfg", "twodim.cfg"])
     @pytest.mark.parametrize("key", [key for key, _, _ in _SCHEMA])
     @pytest.mark.parametrize("value", SWEEP_VALUES)

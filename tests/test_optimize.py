@@ -88,9 +88,10 @@ class TestReducedCostMatchesLevelLoop:
     def test_equals_reference(self, g, per_level_target, beta_omega):
         n_steps = 4
         targets = [smooth_field(g, 20 + n, 0.5) for n in range(n_steps + 1)]
+        level_targets = np.array([target.values for target in targets[1:]])
         params = ModelParams(beta_q=1.0, beta_omega=beta_omega, beta_u=0.3,
                              t_final=n_steps * 5e-3, tau=5e-3,
-                             phi_q=targets if per_level_target else targets[0],
+                             phi_q=level_targets if per_level_target else targets[0],
                              phi_omega=targets[-1], phi0=smooth_field(g, 1, 0.8),
                              sigma0=smooth_field(g, 2, 0.5))
         u = smooth_schedule(g, n_steps, 3, 0.5)
@@ -101,12 +102,13 @@ class TestReducedCostMatchesLevelLoop:
     @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(5, 7, 1.0, 1.5)])
     def test_constant_target_equals_its_level_sequence(self, g):
         # A constant target broadcasts over the levels, the same target given
-        # per level is stacked: cost and gradient agree bit for bit.
+        # as a level array is subtracted row by row: cost and gradient agree
+        # bit for bit.
         n_steps = 4
         target = smooth_field(g, 20, 0.5)
         u = smooth_schedule(g, n_steps, 3, 0.5)
         results = []
-        for phi_q in (target, [target] * (n_steps + 1)):
+        for phi_q in (target, np.array([target.values] * n_steps)):
             params = ModelParams(beta_q=1.0, beta_omega=0.5, beta_u=0.3,
                                  t_final=n_steps * 5e-3, tau=5e-3, phi_q=phi_q,
                                  phi_omega=target, phi0=smooth_field(g, 1, 0.8),
