@@ -3,12 +3,17 @@
 One step advances (phi, sigma) with two symmetric positive-definite solves,
 each written once here and shared with the linearized and adjoint steps.
 The phase solve (``_phase_solve``) starts at its exact spectral inverse
-applied to the right-hand side, also its preconditioner, so it usually ends
-after one check of the true residual (on 2D grids the start's roundoff can
-miss the tolerance, and one PCG iteration follows); the nutrient solve
-(``_diffusion_solve``) is plain CG started at the old level.  Both read
-their operators, the solver tolerance and the iteration budget from a
-``StepPlan``.
+applied to the right-hand side, also its preconditioner, and accepts an
+iterate whose normwise backward error ``|rhs - A x| / (|A| |x| + |rhs|)``
+is at most the solver tolerance, ``|A|`` being the operator's largest
+eigenvalue (``StepPlan.phase_norm``).  The start's backward error is at
+the roundoff of the spectral products (about 1e-14 up to 256^2 cells), so
+the solve usually ends after one check of its residual, while its relative
+residual can miss the tolerance by that roundoff (2D and fine 1D grids),
+which no iteration removes.  The nutrient solve
+(``_diffusion_solve``) is plain CG started at the old level, accepted by
+its relative residual.  Both read their operators, the solver tolerance and
+the iteration budget from a ``StepPlan``.
 The chemical potential is evaluated explicitly at the old level,
 ``mu_t = -lap(phi) + F'(phi)``, and the exchange term
 ``R = P(phi) * (sigma - mu_t)`` is frozen over the step.  The phase update
@@ -62,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, GridMismatchError, _grad_sq, _volume_sum, cg_solve,
-                   implicit_operator, laplacian_values, level_inner_products,
+from .grid import (Field, Grid, GridMismatchError, _grad_sq, _spectral_basis, _volume_sum,
+                   cg_solve, implicit_operator, laplacian_values, level_inner_products,
                    spectral_inverse)
 from .model import ModelParams, default_stabilization, f_deriv, p_deriv
 
@@ -230,10 +235,13 @@ def diffusion_operator(params: ModelParams, grid: Grid):
 class StepPlan:
     """What every step of one sweep on one grid reads: the implicit operators
     ``phase`` and ``diffusion``, ``phase_inverse`` (``phase_preconditioner``),
-    and ``tau``, ``s_const`` (S), the CG settings and the overflow ``guard``."""
+    ``phase_norm`` (the phase operator's largest eigenvalue, its
+    ``phase_symbol`` at the largest laplacian eigenvalue magnitude, which the
+    phase solve's backward-error test reads), and ``tau``, ``s_const`` (S),
+    the CG settings and the overflow ``guard``."""
 
-    __slots__ = ("params", "grid", "tau", "s_const", "phase", "phase_inverse", "diffusion",
-                 "cg_tol", "cg_max_iter", "guard")
+    __slots__ = ("params", "grid", "tau", "s_const", "phase", "phase_inverse", "phase_norm",
+                 "diffusion", "cg_tol", "cg_max_iter", "guard")
 
     def __init__(self, params: ModelParams, grid: Grid):
         num = params.numerics
@@ -241,6 +249,8 @@ class StepPlan:
         self.tau, self.s_const = params.tau, params.stabilization
         self.phase = phase_operator(params, grid)
         self.phase_inverse = phase_preconditioner(params, grid)
+        self.phase_norm = float(phase_symbol(_spectral_basis(grid)[1].max(), self.tau,
+                                             self.s_const))
         self.diffusion = diffusion_operator(params, grid)
         self.cg_tol, self.cg_max_iter = num.cg_tol, num.cg_max_iter
         self.guard = num.overflow_guard
@@ -248,10 +258,10 @@ class StepPlan:
 
 def _phase_solve(plan: StepPlan, rhs: np.ndarray) -> np.ndarray:
     """Solve ``plan.phase(x) = rhs`` from ``M(rhs)``, with ``M =
-    plan.phase_inverse`` as the preconditioner; the phase solve of all steps."""
-    precond = plan.phase_inverse
+    plan.phase_inverse`` as the preconditioner, to backward error
+    ``plan.cg_tol``; the phase solve of all steps."""
     return cg_solve(plan.phase, rhs, plan.grid, tol=plan.cg_tol, max_iter=plan.cg_max_iter,
-                    x0=precond(rhs), precond=precond)
+                    precond=plan.phase_inverse, op_norm=plan.phase_norm)
 
 
 def _diffusion_solve(plan: StepPlan, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:

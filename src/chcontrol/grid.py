@@ -31,9 +31,11 @@ numpy/BLAS build, CPU kernel and thread count.
 
 ``cg_solve`` works on arrays only: its operator is an array map (ndarray in,
 new ndarray out, argument left unmodified), and its right-hand side, initial
-guess and solution are arrays of the grid's shape.  It validates no values;
-``Field``s are validated where callers hand them to the package, and the time
-steps check their own outputs.
+guess and solution are arrays of the grid's shape.  It validates no values
+beyond the norm of its right-hand side, which it needs anyway: a non-finite
+one returns an all-NaN solution before any map is applied.  ``Field``s are
+validated where callers hand them to the package, and the time steps check
+their own outputs.
 
 ``implicit_operator`` builds such a map, ``v -> v + increment(v)``, for the
 implicit steps: on 1D grids of at most ``DENSE_MAX_CELLS`` (256) cells, where
@@ -45,10 +47,13 @@ mirror-ghost laplacian, with per-axis eigenvalues
 ``-(4/h^2) sin^2(pi k / 2n)``, so the inverse is ``C^T diag(1/lambda) C``,
 applied as products with the per-axis DCT matrices.
 The phase solves start ``cg_solve`` at that inverse applied to their
-right-hand side and use it as their preconditioner; where the roundoff of
-the products misses the tolerance (2D grids) the solve goes on as PCG, so
-the tolerance and the iteration budget keep their meaning.  The
-``filtered_noise`` preset applies it directly, as its smoother
+right-hand side, use it as their preconditioner and accept an iterate by
+its normwise backward error (``op_norm``).  The roundoff of the products
+can put the start's relative residual above the tolerance (2D grids, fine
+1D grids) where no iteration can bring it below; its backward error stays
+at the roundoff level, so the start is accepted and the tolerance keeps a
+meaning that floating point can meet.  The ``filtered_noise`` preset
+applies it directly, as its smoother
 ``(I - kappa*lap)^{-1}``.  ``spectral_inverse`` chooses its map once, by
 grid rank, and its 1D and 2D maps do the same float operations in the same
 order.
@@ -490,36 +495,49 @@ def cg_solve(
     max_iter: int = 20000,
     x0: np.ndarray | None = None,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
+    op_norm: float | None = None,
 ) -> np.ndarray:
     """Solve ``apply_op(x) = rhs`` on ``grid`` for a symmetric positive-definite
     operator; returns ``x`` as a new array.
 
-    ``apply_op`` is an array map: ndarray in, new ndarray of the same shape
-    out, argument left unmodified.  ``rhs`` and ``x0`` are arrays of the
-    grid's shape (``GridMismatchError`` otherwise); neither is modified, and
-    their values are not validated: a caller hands in finite data and checks
-    what it makes of the result.
+    ``apply_op`` and ``precond`` are array maps: ndarray in, new ndarray of
+    the same shape out, argument left unmodified; the iteration updates its
+    own vectors in place.  ``rhs`` and ``x0`` are arrays of the grid's shape
+    (``GridMismatchError`` otherwise); neither is modified, and their values
+    are not validated.  Only the norm of ``rhs`` is read first: when it is
+    not finite no finite ``x`` solves the system, and the solve returns an
+    all-NaN array without applying either map, for the caller's output
+    check to report (the time steps name their index).
 
     Matrix-free conjugate gradients with the residual measured in the
-    cell-volume weighted norm, relative to ``rhs``.  When the recurrence
-    residual passes the tolerance the true residual is checked at once (and
-    the iteration restarted from it if it drifted), so the returned ``x``
-    genuinely satisfies ``norm_h(apply_op(x) - rhs) <= tol * norm_h(rhs)``.
-    The starting residual ``rhs - apply_op(x0)`` is already the true one: when
-    it meets the tolerance the solve returns (a copy of) ``x0`` at iteration
-    0, after one operator application and no preconditioner apply.  The dot
-    products are BLAS ``vdot``s (see the module docstring on reproducibility).
+    cell-volume weighted norm.  An iterate passes when its residual ``r =
+    rhs - apply_op(x)`` meets the relative test ``norm_h(r) <= tol *
+    norm_h(rhs)`` or, given ``op_norm`` (the operator's largest eigenvalue),
+    the normwise backward-error test ``norm_h(r) <= tol * (op_norm *
+    norm_h(x) + norm_h(rhs))`` (Rigal & Gaches; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 7.1), at the cost of one more
+    dot product.  Then ``x`` solves a system within relative distance
+    ``tol`` of the given one, so its forward error is at most about ``kappa
+    * tol``, as under the relative test, which floating point cannot always
+    meet.  A NaN residual passes neither test.  When the recurrence residual
+    passes, the true residual is checked by the same rule at once (and the
+    iteration restarted from it if it drifted), so the returned ``x``
+    genuinely passes.  The starting residual is already the true one: a
+    start that passes is returned at iteration 0, after one operator
+    application.  The dot products are BLAS ``vdot``s (see the module
+    docstring on reproducibility).
 
     ``precond``, an array map approximating the inverse of ``apply_op`` (for
     example a ``spectral_inverse``), turns the iteration into preconditioned
-    CG; the stopping test still reads the unpreconditioned residual.  Without
-    it the iteration is plain CG, with ``r.r`` standing in for ``r.z``.
+    CG; the stopping test still reads the unpreconditioned residual.  The
+    start is ``x0`` if given, else ``precond(rhs)``, else zero.  Without a
+    preconditioner the iteration is plain CG, with ``r.r`` standing in for
+    ``r.z``.
 
     Raises
     ------
     CgNonConvergenceError
-        If the budget runs out, ``p.Ap`` is not positive (or NaN), or the
-        norm of ``rhs`` is not finite.
+        If the budget runs out or ``p.Ap`` is not positive (or NaN).
     GridMismatchError
         If ``rhs``, ``x0`` or the operator's first output does not have the
         grid's shape.
@@ -534,32 +552,38 @@ def cg_solve(
     bnorm = math.sqrt(vol * float(np.vdot(b, b)))
     if bnorm == 0.0:
         return np.zeros(grid.shape)
-    if not bnorm < math.inf:  # a non-finite rhs would pass every residual test
-        raise CgNonConvergenceError(
-            f"cg_solve: right-hand side norm is {bnorm!r}", residual=bnorm, iterations=0)
+    if not bnorm < math.inf:  # no finite x solves it; nothing is applied to it
+        return np.full(grid.shape, math.nan)
     target = tol * bnorm
 
-    x = np.array(x0 if x0 is not None else np.zeros(grid.shape), dtype=float)
+    if x0 is not None:
+        x = np.array(x0, dtype=float)
+    elif precond is not None:
+        x = precond(b)
+    else:
+        x = np.zeros(grid.shape)
     ax = apply_op(x)
     if ax.shape != b.shape:
         raise GridMismatchError(f"operator output has shape {ax.shape}, rhs has {b.shape}")
     r = b - ax
     rs = float(np.vdot(r, r))
+    exact_r = True  # r is b - A x itself, not a recurrence
     p = None  # the search direction; None starts (or restarts) it from r
     iterations = 0
     while True:
-        if math.sqrt(vol * rs) <= target:
-            if iterations == 0:  # r is b - A x0 itself, the true residual
+        res = math.sqrt(vol * rs)
+        if res <= target or (op_norm is not None and res <= tol * (
+                op_norm * math.sqrt(vol * float(np.vdot(x, x))) + bnorm)):
+            if exact_r:
                 return x
-            true_r = b - apply_op(x)
-            ts = float(np.vdot(true_r, true_r))
-            if math.sqrt(vol * ts) <= target:
-                return x
-            r = true_r  # recurrence drifted; restart from the true residual
-            rs = ts
+            # Check the true residual by the same rule; if the recurrence
+            # drifted, the iteration restarts from it.
+            r = b - apply_op(x)
+            rs = float(np.vdot(r, r))
+            exact_r = True
             p = None
+            continue
         if iterations >= max_iter:
-            res = math.sqrt(vol * rs)
             raise CgNonConvergenceError(
                 f"cg_solve: no convergence after {iterations} iterations "
                 f"(residual {res:.3e}, target {target:.3e})",
@@ -567,11 +591,15 @@ def cg_solve(
         # The direction is updated only once the iteration goes on, so a
         # converged solve applies neither the preconditioner nor the update.
         if precond is None:
-            z, rz_new = r, rs  # no copy: nothing is updated in place
+            z, rz_new = r, rs
         else:
             z = precond(r)
             rz_new = float(np.vdot(r, z))
-        p = z if p is None else z + (rz_new / rz) * p
+        if p is None:
+            p = r.copy() if precond is None else z  # r is updated in place below
+        else:
+            p *= rz_new / rz
+            p += z
         rz = rz_new
         ap = apply_op(p)
         pap = float(np.vdot(p, ap))
@@ -581,7 +609,8 @@ def cg_solve(
                 f"direction (p.Ap = {pap:.3e})",
                 residual=math.sqrt(vol * rs), iterations=iterations)
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += alpha * p
+        r -= alpha * ap
         rs = float(np.vdot(r, r))
+        exact_r = False
         iterations += 1

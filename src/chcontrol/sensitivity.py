@@ -290,7 +290,7 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
     row n the source at level n + 1) reuses the sweep for any linear
     functional of the trajectory.  Only their shapes are checked, once, before
     the first step (``GridMismatchError``); they are not modified, and a
-    non-finite value fails the first solve that reads it (``CgNonConvergenceError``).
+    non-finite value fails the first step that reads it (``DivergenceError``).
     """
     n_steps = base.n_steps
     grid = base.grid
@@ -407,8 +407,10 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
     p_in, r_in = smooth(5, 1.0), smooth(6, 1.0)
     coefficients = level_coefficients(params, grid, phi0.values, sigma0.values)
     plan = StepPlan(params, grid)
-    xi1, rho1 = linearized_step(plan, coefficients, xi0.values, rho0.values, h.values[0])
-    p_out, r_out, lift = adjoint_step(plan, coefficients, p_in.values, r_in.values)
+    xi1, rho1 = linearized_step(plan, coefficients, xi0.values, rho0.values, h.values[0],
+                                step_index=0)
+    p_out, r_out, lift = adjoint_step(plan, coefficients, p_in.values, r_in.values,
+                                      step_index=0)
     lhs = inner_product(field(xi1), p_in) + inner_product(field(rho1), r_in)
     rhs = inner_product(xi0, field(p_out)) + inner_product(rho0, field(r_out)) \
         + tau * inner_product(h[0], field(lift))

@@ -23,8 +23,9 @@ from scipy.integrate import solve_ivp
 from chcontrol import (CgNonConvergenceError, ControlSchedule, DivergenceError, Field, Grid,
                        GridMismatchError, ModelParams, f_deriv, p_deriv, preset_field)
 from chcontrol.config import build_grid, build_initial_control, build_params, parse_config
-from chcontrol.forward import diffusion_operator, phase_operator, phase_preconditioner
-from chcontrol.grid import DENSE_MAX_CELLS, laplacian_values
+from chcontrol.forward import (diffusion_operator, phase_operator, phase_preconditioner,
+                               phase_symbol)
+from chcontrol.grid import DENSE_MAX_CELLS, _spectral_basis, laplacian_values
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -191,9 +192,10 @@ def reference_cg(apply_op, rhs, tol=1e-12, max_iter=20000, x0=None):
 # Field-level references: ``cg_solve``, ``step``, ``linearized_step`` and
 # ``adjoint_step`` as they were before the stepping core moved to arrays,
 # kept verbatim (renamed, and calling each other) except that the steps start
-# their phase solve at its exact spectral solution (``field_phase_solve``) and
-# the two linear steps take their level's Jacobian coefficients.  The array
-# versions must reproduce them byte for byte.
+# their phase solve at its exact spectral solution and accept it by its
+# backward error (``field_phase_solve``, ``op_norm``), and the two linear
+# steps take their level's Jacobian coefficients.  The array versions must
+# reproduce them byte for byte.
 def field_cg_solve(
     apply_op: Callable[[np.ndarray], np.ndarray],
     rhs: Field,
@@ -201,6 +203,7 @@ def field_cg_solve(
     max_iter: int = 20000,
     x0: Field | None = None,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
+    op_norm: float | None = None,
 ) -> Field:
     """Solve ``apply_op(x) = rhs`` for a symmetric positive-definite operator.
 
@@ -220,6 +223,10 @@ def field_cg_solve(
     example a ``spectral_inverse``), turns the iteration into preconditioned
     CG; the stopping test still reads the unpreconditioned residual.  Without
     it the iteration is plain CG, with ``r.r`` standing in for ``r.z``.
+
+    ``op_norm``, the operator's largest eigenvalue, also accepts an iterate
+    whose residual meets the backward-error test ``norm_h(r) <= tol *
+    (op_norm * norm_h(x) + norm_h(rhs))``, at both checks.
 
     Raises
     ------
@@ -245,6 +252,13 @@ def field_cg_solve(
         z = precond(r)
         return z, float(np.vdot(r, z))
 
+    def accepted(res_sq: float, x: np.ndarray) -> bool:
+        res = math.sqrt(vol * res_sq)
+        if res <= target:
+            return True
+        return op_norm is not None and res <= tol * (
+            op_norm * math.sqrt(vol * float(np.vdot(x, x))) + bnorm)
+
     x = np.array(x0.values if x0 is not None else np.zeros(grid.shape), dtype=float)
     ax = apply_op(x)
     if ax.shape != b.shape:
@@ -254,10 +268,10 @@ def field_cg_solve(
     p, rz = preconditioned(r, rs)  # no copy: nothing is updated in place
     iterations = 0
     while True:
-        if math.sqrt(vol * rs) <= target:
+        if accepted(rs, x):
             true_r = b - apply_op(x)
             ts = float(np.vdot(true_r, true_r))
-            if math.sqrt(vol * ts) <= target:
+            if accepted(ts, x):
                 return Field._wrap(grid, x)
             r = true_r  # recurrence drifted; restart from the true residual
             rs = ts
@@ -287,13 +301,16 @@ def field_cg_solve(
 
 def field_phase_solve(params: ModelParams, rhs: Field) -> Field:
     """The phase solve of the steps: started at ``M(rhs)``, preconditioned by
-    ``M``, the exact inverse ``phase_preconditioner``."""
+    ``M``, the exact inverse ``phase_preconditioner``, and accepted by its
+    backward error against the largest eigenvalue of the phase operator."""
     grid = rhs.grid
     num = params.numerics
     precond = phase_preconditioner(params, grid)
+    op_norm = float(phase_symbol(_spectral_basis(grid)[1].max(), params.tau,
+                                 params.stabilization))
     return field_cg_solve(phase_operator(params, grid), rhs, tol=num.cg_tol,
                           max_iter=num.cg_max_iter, x0=Field._wrap(grid, precond(rhs.values)),
-                          precond=precond)
+                          precond=precond, op_norm=op_norm)
 
 
 def field_step(params: ModelParams, phi: Field, sigma: Field, u: Field,

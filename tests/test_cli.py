@@ -529,6 +529,15 @@ class TestRunSweep:
         ("taylor", "taylor.cfg", "solver.cg_tol=1e300", 1, "sweep=state slope=nan ok=false"),
         ("taylor", "taylor.cfg", f"solver.cg_tol={2 ** 63}", 1,
          "sweep=state slope=nan ok=false"),
+        # Overflowing data fail the output check of the step that makes them,
+        # not the solver: no map is applied to a non-finite right-hand side,
+        # and the phase solve accepts its start by its backward error.
+        ("simulate", "dissipation.cfg", f"model.well_scale={2 ** 63}", 3,
+         "error=divergence step=0 detail=solution magnitude"),
+        ("optimize", "tracking.cfg", "model.beta_q=1e300", 3,
+         "error=divergence step=49 detail=non-finite solution at adjoint step 49"),
+        ("grad-check", "gradcheck.cfg", "model.p0=1e300", 3,
+         "error=divergence step=0 detail=non-finite solution at linearized step 0"),
     ])
     def test_extreme_input_exits_as_documented(self, sub, config, override, code, line,
                                                tmp_path):
@@ -536,6 +545,32 @@ class TestRunSweep:
         assert proc.returncode == code, proc.stderr
         assert "error=internal" not in proc.stderr
         assert line in proc.stdout + proc.stderr
+
+
+class TestFineGrids:
+    """Fine grids, where the phase solve's start misses the relative-residual
+    test by roundoff that no iteration removes: each run exits 0, its phase
+    solves accepted by their backward error."""
+
+    @pytest.mark.parametrize("sub, config, overrides", [
+        ("simulate", "twodim.cfg", ("grid.nx=128", "grid.ny=128",
+                                    "init.phi0=filtered_noise seed=0 amplitude=0.6",
+                                    "time.t_final=0.02")),
+        ("optimize", "tracking.cfg", ("grid.nx=128",)),
+        ("simulate", "dissipation.cfg", ("grid.nx=320", "time.t_final=0.02")),
+        ("grad-check", "gradcheck.cfg", ("grid.dim=2", "grid.nx=64", "grid.ny=64",
+                                         "grid.ly=4.0")),
+    ])
+    def test_run_exits_0(self, sub, config, overrides, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("RUN_SEED", raising=False)
+        code, out, err = run([sub, cfg(config), *overrides, f"io.outdir={tmp_path}"], capsys)
+        assert code == 0, err
+        summary = dict(tok.split("=", 1) for tok in out.splitlines()[-1].split() if "=" in tok)
+        if sub == "optimize":
+            assert summary["termination"] == "tolerance_met"
+            assert summary["iterations"] == "14" and summary["kkt_violations"] == "0"
+        elif sub == "grad-check":
+            assert float(summary["max_discrepancy"]) <= 1e-10
 
 
 def heavy_modules_after(argv):

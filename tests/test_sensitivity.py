@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from chcontrol import (CgNonConvergenceError, ControlSchedule, Field, Grid, GridMismatchError,
+from chcontrol import (ControlSchedule, DivergenceError, Field, Grid, GridMismatchError,
                        ModelParams, Numerics, QuadraticProliferation, StepPlan, dot_product_test,
                        fit_loglog_slope, frechet_remainder_sweep, inner_product, norm_h,
                        preset_field, sensitivity, simulate, solve_adjoint, solve_linearized,
@@ -271,19 +273,25 @@ class TestSolveAdjoint:
             with pytest.raises(GridMismatchError):
                 solve_adjoint(params, base, **kwargs)
 
-    def test_non_finite_handed_in_data_fail_the_first_solve(self):
-        g = Grid.line(16, 4.0)
+    @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(12, 10, 4.0, 3.0)])
+    def test_non_finite_handed_in_data_fail_the_step_that_reads_them(self, g):
+        # No map is applied to a non-finite right-hand side, so no numpy
+        # warning; the step's output check names the step that met the data.
         params = tight_params(beta_q=0.0, beta_omega=0.0)
         u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
         terminal = np.zeros(g.shape)
-        terminal[3] = np.nan
+        terminal.flat[3] = np.nan
         sources = np.zeros((base.n_steps,) + g.shape)
-        sources[-1, 3] = np.inf
-        with np.errstate(invalid="ignore"):  # the preconditioner meets the NaN first
-            for kwargs in (dict(terminal_p=terminal), dict(sources=sources)):
-                with pytest.raises(CgNonConvergenceError, match="right-hand side norm"):
+        sources[2].flat[3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kwargs, index in ((dict(terminal_p=terminal), base.n_steps - 1),
+                                  (dict(sources=sources), 2)):
+                with pytest.raises(DivergenceError) as err:
                     solve_adjoint(params, base, **kwargs)
+                assert err.value.step_index == index
+                assert f"non-finite solution at adjoint step {index}" in str(err.value)
 
     def test_backward_norms_bounded(self):
         g = Grid.line(16, 4.0)
