@@ -44,9 +44,9 @@ norm_h(sigma)^2/2`` decreases along unforced runs when S dominates the well
 curvature over the range the trajectory visits; the default S covers
 |phi| <= 1.5 and ``simulate`` warns when a run leaves that range.
 
-Each sweep (``simulate`` here, ``solve_linearized`` and ``solve_adjoint`` in
-the sensitivity module) builds one ``StepPlan``, which holds the operators
-every step reads, so each operator is built once per sweep.
+``simulate`` builds one ``StepPlan``, which holds the operators every step
+reads, and keeps it on its ``StateTrajectory``, whose linearized and adjoint
+sweeps (sensitivity module) reuse it: each operator is built once per run.
 
 The stepping core works on arrays.  ``step`` takes a plan and arrays of its
 grid's shape and returns new arrays, checking its two outputs once (finite
@@ -329,7 +329,8 @@ def step(plan: StepPlan, phi: np.ndarray, sigma: np.ndarray, u: np.ndarray,
 
 
 class StateTrajectory:
-    """The (phi, sigma) levels of one run and the schedule ``u`` that drove it.
+    """The (phi, sigma) levels of one run, the schedule ``u`` that drove it and
+    the ``plan`` its steps read (``params`` and ``grid`` are the plan's).
 
     ``phi`` and ``sigma`` are read-only ``(n_steps + 1, *grid.shape)`` arrays;
     row n is level n.  The diagnostics are computed on first access and then
@@ -339,15 +340,15 @@ class StateTrajectory:
     at level n.
     """
 
-    __slots__ = ("params", "grid", "phi", "sigma", "u", "_masses", "_mass_residuals",
+    __slots__ = ("plan", "params", "grid", "phi", "sigma", "u", "_masses", "_mass_residuals",
                  "_energies")
 
-    def __init__(self, params: ModelParams, grid: Grid, phi: np.ndarray, sigma: np.ndarray,
-                 u: ControlSchedule):
+    def __init__(self, plan: StepPlan, phi: np.ndarray, sigma: np.ndarray, u: ControlSchedule):
         phi.setflags(write=False)
         sigma.setflags(write=False)
-        self.params = params
-        self.grid = grid
+        self.plan = plan
+        self.params = plan.params
+        self.grid = plan.grid
         self.phi = phi
         self.sigma = sigma
         self.u = u
@@ -433,7 +434,7 @@ def simulate(params: ModelParams, u: ControlSchedule,
     for n in range(n_steps):
         phi[n + 1], sigma[n + 1] = step(plan, phi[n], sigma[n], u.values[n], step_index=n)
 
-    traj = StateTrajectory(params, grid, phi, sigma, u)
+    traj = StateTrajectory(plan, phi, sigma, u)
     peak = traj.max_abs_phi()
     needed = default_stabilization(params.potential, peak)
     if params.stabilization < needed * (1.0 - 1e-12):
@@ -476,8 +477,8 @@ class StabilityReport:
         return out
 
 
-def _traj_diff_norms(tau: float, base: StateTrajectory, other: StateTrajectory):
-    grid = base.grid
+def _traj_diff_norms(base: StateTrajectory, other: StateTrajectory):
+    grid, tau = base.grid, base.params.tau
     dphi = base.phi - other.phi
     dsig = base.sigma - other.sigma
     dphi_sq = level_inner_products(grid, dphi, dphi)
@@ -511,7 +512,7 @@ def lipschitz_probe(params: ModelParams, u1: ControlSchedule, u2: ControlSchedul
     for eps in eps_values:
         u_eps = u1 + h.scaled(float(eps))
         other = simulate(params, u_eps)
-        linf_phi, l2v_phi, linf_sig, l2v_sig = _traj_diff_norms(tau, base, other)
+        linf_phi, l2v_phi, linf_sig, l2v_sig = _traj_diff_norms(base, other)
         rows.append(ProbeRow(eps=float(eps), du_l2q=l2q_norm(tau, u_eps - u1),
                              phi_linf_h=linf_phi, phi_l2v=l2v_phi,
                              sigma_linf_h=linf_sig, sigma_l2v=l2v_sig))

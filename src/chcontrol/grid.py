@@ -59,7 +59,7 @@ grid rank, and its 1D and 2D maps do the same float operations in the same
 order.
 
 The builders keep nothing: each call assembles its ``K`` or ``1/lambda``
-afresh, and a time sweep builds its operators once (``forward.StepPlan``).
+afresh, and a run builds its operators once (``forward.StepPlan``).
 A grid keeps only its spectral basis, the geometry every inverse on it
 shares: the per-axis DCT matrices (one per distinct axis length) and the
 laplacian's eigenvalue magnitudes ``mu``, built on first use and never

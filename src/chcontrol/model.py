@@ -385,7 +385,8 @@ def preset_field(name: str, grid: Grid, **args) -> Field:
         h = max(grid.spacing[: grid.dim])
         # 1 + (2h)^2*mu, formed so that (2h)^2 cannot overflow where h*h does not.
         smoother = spectral_inverse(grid, lambda mu: 1.0 + 4.0 * ((h * h) * mu))
-        values = smoother(smoother(amplitude * _splitmix64_uniform(seed, grid.shape)))
+        with np.errstate(over="ignore", invalid="ignore"):  # Field rejects an overflow, unwarned
+            values = smoother(smoother(amplitude * _splitmix64_uniform(seed, grid.shape)))
     else:
         raise ValueError(f"unknown preset '{name}'")
     return Field._wrap(grid, values)

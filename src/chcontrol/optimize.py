@@ -49,9 +49,9 @@ _ALPHA_SHRINK = 0.5  # factor per backtrack
 _MAX_BACKTRACKS = 60  # step shrinks per line search before it fails
 
 
-def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedule) -> float:
+def _tracking_cost(traj: StateTrajectory) -> float:
+    params, grid, u = traj.params, traj.grid, traj.u
     tau = params.tau
-    grid = traj.grid
     level_misfit, final_misfit = _tracking_misfits(params, traj.phi)
     terms = []
     if level_misfit is not None:
@@ -68,7 +68,7 @@ def _tracking_cost(params: ModelParams, traj: StateTrajectory, u: ControlSchedul
 
 def _evaluate(params: ModelParams, u: ControlSchedule) -> tuple[float, StateTrajectory]:
     traj = simulate(params, u)
-    return _tracking_cost(params, traj, u), traj
+    return _tracking_cost(traj), traj
 
 
 def reduced_cost(params: ModelParams, u: ControlSchedule) -> float:
@@ -139,7 +139,7 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
     iterations = 0
     reason = "max_iters"
     for _ in range(opts.max_iters):
-        adjoint = solve_adjoint(params, traj)
+        adjoint = solve_adjoint(traj)
         grad = reduced_gradient(params, u, adjoint)
         grad_history.append(l2q_norm(tau, grad))
         stationarity = l2q_norm(tau, u - project(params, u - grad))
@@ -167,7 +167,7 @@ def projected_gradient(params: ModelParams, u0: ControlSchedule,
             break
         iterations += 1
     else:
-        adjoint = solve_adjoint(params, traj)  # budget spent after an accepted step
+        adjoint = solve_adjoint(traj)  # budget spent after an accepted step
     return OptimResult(control=u, adjoint=adjoint, cost_history=cost_history,
                        gradient_norm_history=grad_history,
                        kkt_residual=stationarity, iterations=iterations,
@@ -230,7 +230,7 @@ def _cost_and_pairing(params: ModelParams, u: ControlSchedule,
     """The reduced cost at ``u`` and the adjoint pairing ``<g, h>`` of its
     gradient with the direction ``h``."""
     cost, traj = _evaluate(params, u)
-    grad = reduced_gradient(params, u, solve_adjoint(params, traj))
+    grad = reduced_gradient(params, u, solve_adjoint(traj))
     return cost, l2q_inner(params.tau, grad, h)
 
 

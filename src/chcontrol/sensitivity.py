@@ -32,16 +32,17 @@ Like ``forward.step``, both steps take a ``StepPlan`` plus arrays of its
 grid's shape and return new arrays, checking their outputs for finiteness
 only (they are linear in their direction).  In place of the base state they
 take the Jacobian's frozen cellwise coefficients of their base level,
-``level_coefficients``.  ``solve_linearized`` and ``solve_adjoint`` build one
-plan and the coefficients of all levels (three ``(n_steps, *grid.shape)``
-arrays, from one laplacian call per block of levels) once per sweep, and
-fill one ``(n_steps + 1, *grid.shape)`` level array per channel, row by row.
-The two implicit solves are the forward step's own, ``_phase_solve`` and
-``_diffusion_solve``.  The tracking misfits are computed once, by
-``_tracking_misfits``, for the adjoint's default data and for the reduced
-cost in ``optimize``.  ``frechet_remainder_sweep``, like ``optimize``, runs
-from the initial data of ``params``.  ``solve_adjoint`` checks the shapes
-of the arrays a caller hands it once, at entry.
+``level_coefficients``.  ``solve_linearized`` and ``solve_adjoint`` take
+the base trajectory alone and read the model, the cost data and the plan of
+its run (``base.params``, ``base.plan``); each builds the coefficients of all
+levels (three ``(n_steps, *grid.shape)`` arrays, from one laplacian call per
+block of levels) once, and fills one ``(n_steps + 1, *grid.shape)`` level
+array per channel, row by row.  The two implicit solves are the forward
+step's own, ``_phase_solve`` and ``_diffusion_solve``.  The tracking misfits
+are computed once, by ``_tracking_misfits``, for the adjoint's default data
+and for the reduced cost in ``optimize``.  ``frechet_remainder_sweep``, like
+``optimize``, runs from the initial data of ``params``.  ``solve_adjoint``
+checks the shapes of the arrays a caller hands it once, at entry.
 """
 
 from __future__ import annotations
@@ -229,9 +230,8 @@ class AdjointTrajectory:
                            - rate * (self.p[n] - self.r[n]))
 
 
-def solve_linearized(params: ModelParams, base: StateTrajectory,
-                     h: ControlSchedule) -> LinearizedTrajectory:
-    """Propagate a control direction through the exact Jacobian chain.
+def solve_linearized(base: StateTrajectory, h: ControlSchedule) -> LinearizedTrajectory:
+    """Propagate a control direction through the exact Jacobian chain at ``base``.
 
     ``h`` is a ControlSchedule with one row per base step; the direction
     starts from zero initial data and the output is linear in ``h``.
@@ -246,11 +246,11 @@ def solve_linearized(params: ModelParams, base: StateTrajectory,
     rho = np.empty((n_steps + 1,) + grid.shape)
     xi[0] = 0.0
     rho[0] = 0.0
-    curvature, rate, rate_slope = level_coefficients(params, grid, base.phi[:-1],
+    curvature, rate, rate_slope = level_coefficients(base.params, grid, base.phi[:-1],
                                                      base.sigma[:-1])
-    plan = StepPlan(params, grid)
     for n in range(n_steps):
-        xi[n + 1], rho[n + 1] = linearized_step(plan, (curvature[n], rate[n], rate_slope[n]),
+        xi[n + 1], rho[n + 1] = linearized_step(base.plan,
+                                                (curvature[n], rate[n], rate_slope[n]),
                                                 xi[n], rho[n], h.values[n], step_index=n)
     return LinearizedTrajectory(base, xi, rho)
 
@@ -278,12 +278,11 @@ def _tracking_misfits(params: ModelParams, phi: np.ndarray, tracking: bool = Tru
     return level_misfit, final_misfit
 
 
-def solve_adjoint(params: ModelParams, base: StateTrajectory,
-                  terminal_p: np.ndarray | None = None,
+def solve_adjoint(base: StateTrajectory, terminal_p: np.ndarray | None = None,
                   sources: np.ndarray | None = None) -> AdjointTrajectory:
-    """Sweep the transposed chain backward from the terminal co-state.
+    """Sweep the transposed chain at ``base`` backward from the terminal co-state.
 
-    Defaults reproduce the tracking cost: terminal
+    Defaults reproduce the tracking cost of ``base.params``: terminal
     ``p_N = beta_omega*(phi_N - phi_omega)``, ``r_N = 0``, and per-level
     sources ``tau*beta_q*(phi_n - target_n)`` for n = 1..N.  Handing in
     ``terminal_p`` (of the grid's shape) and/or ``sources`` (``(N, *shape)``,
@@ -292,8 +291,7 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
     the first step (``GridMismatchError``); they are not modified, and a
     non-finite value fails the first step that reads it (``DivergenceError``).
     """
-    n_steps = base.n_steps
-    grid = base.grid
+    params, grid, n_steps = base.params, base.grid, base.n_steps
     for data, shape in ((terminal_p, grid.shape), (sources, (n_steps,) + grid.shape)):
         if data is not None and np.shape(data) != shape:
             raise GridMismatchError(f"handed-in data of shape {np.shape(data)}, expected {shape}")
@@ -323,9 +321,8 @@ def solve_adjoint(params: ModelParams, base: StateTrajectory,
     r[n_steps] = 0.0
     curvature, rate, rate_slope = level_coefficients(params, grid, base.phi[:-1],
                                                      base.sigma[:-1])
-    plan = StepPlan(params, grid)
     for n in range(n_steps - 1, -1, -1):
-        p[n], r[n], lift[n] = adjoint_step(plan, (curvature[n], rate[n], rate_slope[n]),
+        p[n], r[n], lift[n] = adjoint_step(base.plan, (curvature[n], rate[n], rate_slope[n]),
                                            p[n + 1], r[n + 1],
                                            source=lift[n] if has_sources else None,
                                            step_index=n)
@@ -363,7 +360,7 @@ def frechet_remainder_sweep(params: ModelParams, u: ControlSchedule, h: ControlS
     signature of the control-to-state map.
     """
     base = simulate(params, u)
-    lin = solve_linearized(params, base, h)
+    lin = solve_linearized(base, h)
     rows = []
     for eps in eps_values:
         eps = float(eps)
@@ -402,7 +399,7 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
     u_bar = ControlSchedule(grid, [smooth(100 + n, 0.5).values for n in range(n_steps)])
     h = ControlSchedule(grid, [smooth(200 + n, 1.0).values for n in range(n_steps)])
 
-    # Single-step identity at the initial level.
+    # Single-step identity at the initial level, before the base run: bad data fail here.
     xi0, rho0 = smooth(3, 1.0), smooth(4, 1.0)
     p_in, r_in = smooth(5, 1.0), smooth(6, 1.0)
     coefficients = level_coefficients(params, grid, phi0.values, sigma0.values)
@@ -418,13 +415,13 @@ def dot_product_test(params: ModelParams, grid: Grid, n_steps: int, seed: int) -
 
     # Full-horizon identity against a random linear functional.
     base = simulate(params, u_bar, phi0=phi0, sigma0=sigma0)
-    lin = solve_linearized(params, base, h)
+    lin = solve_linearized(base, h)
     weights = np.array([smooth(300 + lvl, 1.0).values for lvl in range(1, n_steps + 1)])
     terminal = smooth(7, 1.0)
     level_terms = level_inner_products(grid, weights, lin.xi[1:])
     functional = inner_product(terminal, field(lin.xi[n_steps])) + math.fsum(
         tau * term for term in level_terms)
-    adj = solve_adjoint(params, base, terminal_p=terminal.values, sources=tau * weights)
+    adj = solve_adjoint(base, terminal_p=terminal.values, sources=tau * weights)
     paired = l2q_inner(tau, ControlSchedule(grid, adj.r_lift), h)
     worst = max(worst, _relative_gap(functional, paired))
     return worst

@@ -1,11 +1,12 @@
 """Shared oracles for the test suite: grid strategies, dense operator
 assembly, hand stencils, stencil-only step operators and their dense-path
-matrices, the plain CG loop, the Field-level solve and steps, the per-column
-snapshot formatter, a per-level KKT audit, tracking cost, stability probe and
-state remainder sweep, a pure-Python copy of numpy's pairwise sum, an adaptive ODE
-reference for spatially constant runs, instance builders tied to the
-shipped configuration files, the key sweeps' override values, and a CLI
-runner in a memory-limited subprocess."""
+matrices, the Field-level solve (the plain CG loop without a
+preconditioner) and steps, the per-column snapshot formatter, a per-level
+KKT audit, tracking cost, stability probe and state remainder sweep, a
+pure-Python copy of numpy's pairwise sum, an adaptive ODE reference for
+spatially constant runs, instance builders tied to the shipped
+configuration files, the key sweeps' override values, and a CLI runner in a
+memory-limited subprocess."""
 
 from __future__ import annotations
 
@@ -146,56 +147,14 @@ def stencil_diffusion_operator(params, grid):
     return lambda v: v - tau * laplacian_values(grid, v)
 
 
-def reference_cg(apply_op, rhs, tol=1e-12, max_iter=20000, x0=None):
-    """Reference solve: the plain CG loop of ``cg_solve`` before it took a
-    preconditioner, kept verbatim (argument checks aside)."""
-    grid = rhs.grid
-    vol = grid.cell_volume
-    b = rhs.values
-
-    bnorm = math.sqrt(vol * float(np.vdot(b, b)))
-    if bnorm == 0.0:
-        return Field.zeros(grid)
-    target = tol * bnorm
-
-    x = np.array(x0.values if x0 is not None else np.zeros(grid.shape), dtype=float)
-    ax = apply_op(x)
-    r = p = b - ax
-    rs = float(np.vdot(r, r))
-    iterations = 0
-    while True:
-        if math.sqrt(vol * rs) <= target:
-            true_r = b - apply_op(x)
-            ts = float(np.vdot(true_r, true_r))
-            if math.sqrt(vol * ts) <= target:
-                return Field._wrap(grid, x)
-            r = p = true_r
-            rs = ts
-        if iterations >= max_iter:
-            res = math.sqrt(vol * rs)
-            raise CgNonConvergenceError("reference_cg: budget exhausted",
-                                        residual=res, iterations=iterations)
-        ap = apply_op(p)
-        pap = float(np.vdot(p, ap))
-        if not pap > 0.0:
-            raise CgNonConvergenceError("reference_cg: p.Ap not positive",
-                                        residual=math.sqrt(vol * rs), iterations=iterations)
-        alpha = rs / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(np.vdot(r, r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        iterations += 1
-
-
 # Field-level references: ``cg_solve``, ``step``, ``linearized_step`` and
 # ``adjoint_step`` as they were before the stepping core moved to arrays,
 # kept verbatim (renamed, and calling each other) except that the steps start
 # their phase solve at its exact spectral solution and accept it by its
 # backward error (``field_phase_solve``, ``op_norm``), and the two linear
 # steps take their level's Jacobian coefficients.  The array versions must
-# reproduce them byte for byte.
+# reproduce them byte for byte.  Without ``precond`` and ``op_norm``,
+# ``field_cg_solve`` is the plain CG loop.
 def field_cg_solve(
     apply_op: Callable[[np.ndarray], np.ndarray],
     rhs: Field,
@@ -585,7 +544,7 @@ def frechet_rows_by_level(params, u, h, eps_values):
     from chcontrol import norm_h, simulate, solve_linearized
 
     base = simulate(params, u)
-    lin = solve_linearized(params, base, h)
+    lin = solve_linearized(base, h)
     rows = []
     for eps in eps_values:
         eps = float(eps)

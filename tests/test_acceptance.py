@@ -254,7 +254,7 @@ def test_criterion_11_kkt_projection_formula():
     _, grid, params, u0 = load_instance("tracking.cfg")
     result = projected_gradient(params, u0, OptimOptions(tol=3e-7, max_iters=300))
     traj = simulate(params, result.control)
-    adjoint = solve_adjoint(params, traj)
+    adjoint = solve_adjoint(traj)
     report = kkt_report(params, result.control, adjoint, tol=1e-5)
     ok = (result.termination_reason == "tolerance_met" and report.violations == 0
           and report.projection_gap is not None and report.projection_gap <= 1e-5)

@@ -171,11 +171,11 @@ def test_trajectory_rows_match_field_steps(g, tau, seed):
     assert traj.energies.tobytes() == np.asarray(energies).tobytes()
     assert traj.mass_residuals.tobytes() == np.asarray(residuals).tobytes()
 
-    lin = solve_linearized(params, traj, h)
+    lin = solve_linearized(traj, h)
     assert lin.xi.tobytes() == stacked(xis)
     assert lin.rho.tobytes() == stacked(rhos)
 
-    adj = solve_adjoint(params, traj)
+    adj = solve_adjoint(traj)
     assert adj.p.tobytes() == stacked(ps)
     assert adj.r.tobytes() == stacked(rs)
     assert adj.r_lift.tobytes() == stacked(lifts)
@@ -223,17 +223,17 @@ class TestNonFiniteOutputs:
         # (the nutrient solve) and ``_phase_solve``, one of each per step.
         poison_solve(monkeypatch, sensitivity, 1, np.nan, "_diffusion_solve")  # step 1's
         with pytest.raises(DivergenceError) as err:
-            solve_linearized(params, base, u)
+            solve_linearized(base, u)
         assert err.value.step_index == 1
         assert "non-finite solution at linearized step 1" in str(err.value)
         poison_solve(monkeypatch, sensitivity, 1, np.nan, "_phase_solve")  # step 1's
         with pytest.raises(DivergenceError) as err:
-            solve_linearized(params, base, u)
+            solve_linearized(base, u)
         assert "non-finite solution at linearized step 1" in str(err.value)
         # The adjoint sweep runs backward: its second solve belongs to step n_steps - 2.
         poison_solve(monkeypatch, sensitivity, 1, np.nan, "_diffusion_solve")
         with pytest.raises(DivergenceError) as err:
-            solve_adjoint(params, base)
+            solve_adjoint(base)
         assert err.value.step_index == base.n_steps - 2
         assert f"adjoint step {base.n_steps - 2}" in str(err.value)
 

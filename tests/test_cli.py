@@ -168,6 +168,17 @@ class TestUsageErrors:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error=config") and f"key {key}" in proc.stderr
 
+    def test_overflowing_smoother_names_its_key_without_a_warning(self, tmp_path, monkeypatch):
+        # amplitude*noise is finite and the smoother's transforms overflow; run
+        # as under ``python -W error``, so a numpy warning would exit 4.
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
+        proc = run_cli_limited(["simulate", cfg("dissipation.cfg"),
+                                "init.phi0=filtered_noise seed=1 amplitude=1e308",
+                                f"io.outdir={tmp_path}"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error=config") and "key init.phi0" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_internal_error_exits_4(self, capsys, tmp_path, monkeypatch):
         # A defect's uncaught exception must not read as a criteria failure.
         def defect(cfg, grid, params):
@@ -340,6 +351,19 @@ class TestVerificationSubcommands:
         assert "seed=7" in out
         assert "seed=0" not in out
 
+    def test_grad_check_builds_two_plans_per_seed(self, capsys, tmp_path, monkeypatch):
+        # One for the single-step identity and one for the base run, whose
+        # linearized and adjoint sweeps share it.
+        counts = {"plans": 0, "seeds": 0}
+        monkeypatch.setattr(forward.StepPlan, "__init__",
+                            counting(counts, "plans", forward.StepPlan.__init__))
+        monkeypatch.setattr(cli, "dot_product_test",
+                            counting(counts, "seeds", cli.dot_product_test))
+        code, _, _ = run(["grad-check", cfg("gradcheck.cfg"), f"io.outdir={tmp_path}"], capsys)
+        assert code == 0
+        assert counts["seeds"] > 1
+        assert counts["plans"] == 2 * counts["seeds"]
+
     def test_taylor(self, capsys, tmp_path):
         code, out, _ = run(["taylor", cfg("taylor.cfg"), f"io.outdir={tmp_path}"], capsys)
         assert code == 0
@@ -460,8 +484,9 @@ class TestOptimize:
         assert counts["phase_applies"] == counts["phase_solves"]
 
     def test_benchmark_sweeps_build_each_operator_once(self, capsys, tmp_path, monkeypatch):
-        # Every simulate and adjoint sweep builds its step plan once: one phase
-        # operator, one phase inverse and one diffusion operator, not one per step.
+        # Every simulate builds its step plan once: one phase operator, one
+        # phase inverse and one diffusion operator, not one per step.  The
+        # adjoint sweeps build none; they run on the plan of their trajectory.
         builders = ("phase_operator", "phase_preconditioner", "diffusion_operator")
         counts = dict.fromkeys(builders + ("simulates", "sweeps"), 0)
         for name in builders:
@@ -472,9 +497,8 @@ class TestOptimize:
                             counting(counts, "sweeps", optimize.solve_adjoint))
         code, _, _ = run(benchmark_argv("optimize_1d", tmp_path), capsys)
         assert code == 0
-        sweeps = counts["simulates"] + counts["sweeps"]
-        assert sweeps > 2
-        assert [counts[name] for name in builders] == [sweeps] * len(builders)
+        assert counts["simulates"] > 1 and counts["sweeps"] > 1
+        assert [counts[name] for name in builders] == [counts["simulates"]] * len(builders)
 
 
 # Each subcommand on its shipped config, with the horizon (and the optimizer's

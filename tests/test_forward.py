@@ -14,8 +14,8 @@ from chcontrol.forward import (_diffusion_increment, _phase_increment, diffusion
 from chcontrol.grid import (DENSE_MAX_CELLS, CgNonConvergenceError, _dense_increment, cg_solve,
                             implicit_operator, laplacian_values, spectral_inverse)
 from chcontrol.model import _splitmix64_uniform
-from helpers import (assemble_operator, dense_lines, grids, load_instance, ode_reference,
-                     padded_flux_laplacian, probe_rows_by_level, reference_cg,
+from helpers import (assemble_operator, dense_lines, field_cg_solve, grids, load_instance,
+                     ode_reference, padded_flux_laplacian, probe_rows_by_level,
                      reference_dense_increments, smooth_field, smooth_schedule,
                      stencil_diffusion_operator, stencil_phase_operator)
 
@@ -191,7 +191,7 @@ class TestUnpreconditionedSolves:
         for op, tol in ((diffusion_operator(small_params(tau=1e-3), g), 1e-13),
                         (smoother_operator(g), 1e-12)):
             got = cg_solve(op, rhs.values, g, tol=tol, x0=None if x0 is None else x0.values)
-            want = reference_cg(op, rhs, tol=tol, x0=x0)
+            want = field_cg_solve(op, rhs, tol=tol, x0=x0)
             assert got.tobytes() == want.values.tobytes()
 
     @pytest.mark.parametrize("g", [Grid.line(32, 8.0), Grid.box(64, 64, 4.0, 4.0)])
@@ -200,7 +200,7 @@ class TestUnpreconditionedSolves:
         op = smoother_operator(g)
         errors = []
         for solve in (lambda: cg_solve(op, rhs.values, g, tol=1e-12, max_iter=3),
-                      lambda: reference_cg(op, rhs, tol=1e-12, max_iter=3)):
+                      lambda: field_cg_solve(op, rhs, tol=1e-12, max_iter=3)):
             with pytest.raises(CgNonConvergenceError) as err:
                 solve()
             errors.append((err.value.residual, err.value.iterations))

@@ -96,7 +96,7 @@ class TestReducedCostMatchesLevelLoop:
                              sigma0=smooth_field(g, 2, 0.5))
         u = smooth_schedule(g, n_steps, 3, 0.5)
         traj = simulate(params, u)
-        cost = _tracking_cost(params, traj, u)
+        cost = _tracking_cost(traj)
         assert cost == tracking_cost_by_level(params, traj, u) and cost > 0.0
 
     @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(5, 7, 1.0, 1.5)])
@@ -113,7 +113,7 @@ class TestReducedCostMatchesLevelLoop:
                                  t_final=n_steps * 5e-3, tau=5e-3, phi_q=phi_q,
                                  phi_omega=target, phi0=smooth_field(g, 1, 0.8),
                                  sigma0=smooth_field(g, 2, 0.5))
-            grad = reduced_gradient(params, u, solve_adjoint(params, simulate(params, u)))
+            grad = reduced_gradient(params, u, solve_adjoint(simulate(params, u)))
             results.append((reduced_cost(params, u), grad.values.tobytes()))
         assert results[0] == results[1]
 
@@ -201,7 +201,7 @@ class TestFinalAdjoint:
         _, _, params, u0 = load_instance("tracking.cfg", ["time.t_final=0.01"])
         result = projected_gradient(params, u0, opts)
         assert result.termination_reason == reason
-        fresh = solve_adjoint(params, simulate(params, result.control))
+        fresh = solve_adjoint(simulate(params, result.control))
         for got, want in ((result.adjoint.p, fresh.p), (result.adjoint.r, fresh.r)):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -230,7 +230,7 @@ class TestTrackingRun:
     def test_kkt_coherent_with_optimizer(self, soft_run):
         _, params, result = soft_run
         traj = simulate(params, result.control)
-        adjoint = solve_adjoint(params, traj)
+        adjoint = solve_adjoint(traj)
         report = kkt_report(params, result.control, adjoint, tol=1e-5)
         assert report.violations == 0
         ratio = report.stationarity / result.kkt_residual
@@ -239,7 +239,7 @@ class TestTrackingRun:
     def test_perturbing_one_interior_cell_flags_exactly_it(self, soft_run):
         _, params, result = soft_run
         traj = simulate(params, result.control)
-        adjoint = solve_adjoint(params, traj)
+        adjoint = solve_adjoint(traj)
         tol = 1e-5
         baseline = kkt_report(params, result.control, adjoint, tol=tol)
         assert baseline.violations == 0
@@ -265,7 +265,7 @@ class TestKktReportEdgeCases:
                              phi0=Field.full(g, 0.2), sigma0=Field.zeros(g))
         u = ControlSchedule.constant(g, params.n_steps, 0.0)
         traj = simulate(params, u)
-        adjoint = solve_adjoint(params, traj)
+        adjoint = solve_adjoint(traj)
         report = kkt_report(params, u, adjoint, tol=1e-5)
         assert report.projection_gap is None
         assert "beta_u" in report.note
@@ -275,7 +275,7 @@ class TestKktReportEdgeCases:
         params = control_only_params(g)
         u = ControlSchedule.constant(g, params.n_steps, 0.0)
         traj = simulate(params, u)
-        adjoint = solve_adjoint(params, traj)
+        adjoint = solve_adjoint(traj)
         report = kkt_report(params, u, adjoint, tol=1e-12)
         assert report.violations == 0
         assert report.worst_violation == 0.0
@@ -306,7 +306,7 @@ class TestKktReportMatchesLevelLoop:
             u = ControlSchedule(g, np.clip(raw, lo, hi))
             assert np.any(u.values == lo) and np.any(u.values == hi)
             assert np.any((u.values > lo) & (u.values < hi))
-            adjoint = solve_adjoint(params, simulate(params, u))
+            adjoint = solve_adjoint(simulate(params, u))
             boxed = dataclasses.replace(params, u_min=u_min, u_max=u_max)
             for tol in (1e-5, 0.5):
                 assert kkt_report(boxed, u, adjoint, tol=tol) \

@@ -76,13 +76,39 @@ class TestLinearizedStep:
             assert rel <= 1e-5
 
 
+class TestSweepsRunOnTheBasePlan:
+    """The linearized and adjoint sweeps read the model, the cost data and
+    the operators from the trajectory they are handed and build no plan."""
+
+    @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(8, 6, 4.0, 3.0)],
+                             ids=["1d", "2d"])
+    def test_sweeps_build_no_plan(self, g, monkeypatch):
+        params = tight_params(beta_q=0.7, beta_omega=2.0, phi_q=smooth_field(g, 9, 0.3),
+                              phi_omega=smooth_field(g, 8, 0.3))
+        u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
+        h = smooth_schedule(g, params.n_steps, seed=4, amplitude=1.0)
+        base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
+        assert base.params is params and base.grid is g and base.u is u
+        lin0, adj0 = solve_linearized(base, h), solve_adjoint(base)
+
+        def no_plan(self, *args):
+            raise AssertionError("a sweep built a StepPlan")
+
+        monkeypatch.setattr(StepPlan, "__init__", no_plan)
+        lin, adj = solve_linearized(base, h), solve_adjoint(base)
+        for name in ("xi", "rho"):
+            assert getattr(lin, name).tobytes() == getattr(lin0, name).tobytes()
+        for name in ("p", "r", "r_lift"):
+            assert getattr(adj, name).tobytes() == getattr(adj0, name).tobytes()
+
+
 class TestSolveLinearized:
     def test_zero_direction(self):
         g = Grid.line(16, 4.0)
         params = tight_params()
         u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
-        lin = solve_linearized(params, base, ControlSchedule.constant(g, params.n_steps, 0.0))
+        lin = solve_linearized(base, ControlSchedule.constant(g, params.n_steps, 0.0))
         for n in range(lin.n_steps + 1):
             assert np.all(lin.xi[n] == 0.0)
             assert np.all(lin.rho[n] == 0.0)
@@ -95,9 +121,9 @@ class TestSolveLinearized:
         h1 = smooth_schedule(g, params.n_steps, seed=5, amplitude=1.0)
         h2 = smooth_schedule(g, params.n_steps, seed=6, amplitude=1.0)
         alpha = 1.7
-        combo = solve_linearized(params, base, h1.scaled(alpha) + h2)
-        a = solve_linearized(params, base, h1)
-        b = solve_linearized(params, base, h2)
+        combo = solve_linearized(base, h1.scaled(alpha) + h2)
+        a = solve_linearized(base, h1)
+        b = solve_linearized(base, h2)
         for n in range(combo.n_steps + 1):
             expected = alpha * a.xi[n] + b.xi[n]
             scale = max(np.max(np.abs(expected)), 1e-30)
@@ -126,7 +152,7 @@ class TestSolveLinearized:
         g = Grid.line(16, 4.0)
         params, u, h = coupled_instance(g)
         base = simulate(params, u)
-        lin = solve_linearized(params, base, h)
+        lin = solve_linearized(base, h)
         n = 3
         xi = Field(g, lin.xi[n])
         expected = -neumann_laplacian(xi).values \
@@ -188,7 +214,7 @@ class TestSolveAdjoint:
         params = tight_params(beta_q=0.0, beta_omega=0.0, beta_u=1.0)
         u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
-        adj = solve_adjoint(params, base)
+        adj = solve_adjoint(base)
         for n in range(adj.n_steps + 1):
             assert np.all(adj.p[n] == 0.0)
             assert np.all(adj.r[n] == 0.0)
@@ -199,7 +225,7 @@ class TestSolveAdjoint:
         params = tight_params(beta_q=0.0, beta_omega=2.0, beta_u=1.0, phi_omega=target)
         u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
-        adj = solve_adjoint(params, base)
+        adj = solve_adjoint(base)
         n_final = adj.n_steps
         expected = 2.0 * (base.phi[n_final] - target.values)
         assert np.array_equal(adj.p[n_final], expected)
@@ -211,7 +237,7 @@ class TestSolveAdjoint:
         u = ControlSchedule.constant(g, params.n_steps, 0.0)
         base = simulate(params, u, phi0=Field.full(g, 1.0), sigma0=Field.zeros(g))
         params.phi_omega = Field(g, base.phi[base.n_steps])
-        adj = solve_adjoint(params, base)
+        adj = solve_adjoint(base)
         for n in range(adj.n_steps + 1):
             assert np.max(np.abs(adj.p[n])) <= 1e-12
             assert np.max(np.abs(adj.r[n])) <= 1e-12
@@ -225,10 +251,10 @@ class TestSolveAdjoint:
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8), sigma0=smooth_field(g, 2, 0.5))
         terminal, no_sources = np.zeros(g.shape), np.zeros((base.n_steps,) + g.shape)
         with pytest.raises(ValueError, match="phi_q is required"):
-            solve_adjoint(params, base, terminal_p=terminal)
+            solve_adjoint(base, terminal_p=terminal)
         with pytest.raises(ValueError, match="phi_omega is required"):
-            solve_adjoint(params, base, sources=no_sources)
-        adj = solve_adjoint(params, base, terminal_p=terminal, sources=no_sources)
+            solve_adjoint(base, sources=no_sources)
+        adj = solve_adjoint(base, terminal_p=terminal, sources=no_sources)
         assert np.all(adj.p == 0.0) and np.all(adj.r == 0.0)
 
     @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(8, 6, 4.0, 3.0)],
@@ -241,8 +267,8 @@ class TestSolveAdjoint:
         terminal = params.beta_omega * (base.phi[-1] - target.values)
         sources = params.tau * params.beta_q * (base.phi[1:] - target.values)
         handed = (terminal.copy(), sources.copy())
-        adj = solve_adjoint(params, base, terminal_p=terminal, sources=sources)
-        default = solve_adjoint(params, base)
+        adj = solve_adjoint(base, terminal_p=terminal, sources=sources)
+        default = solve_adjoint(base)
         for name in ("p", "r", "r_lift"):
             assert getattr(adj, name).tobytes() == getattr(default, name).tobytes()
         # The caller's arrays are left as they were handed in.
@@ -271,7 +297,7 @@ class TestSolveAdjoint:
         ]
         for kwargs in bad:
             with pytest.raises(GridMismatchError):
-                solve_adjoint(params, base, **kwargs)
+                solve_adjoint(base, **kwargs)
 
     @pytest.mark.parametrize("g", [Grid.line(16, 4.0), Grid.box(12, 10, 4.0, 3.0)])
     def test_non_finite_handed_in_data_fail_the_step_that_reads_them(self, g):
@@ -289,7 +315,7 @@ class TestSolveAdjoint:
             for kwargs, index in ((dict(terminal_p=terminal), base.n_steps - 1),
                                   (dict(sources=sources), 2)):
                 with pytest.raises(DivergenceError) as err:
-                    solve_adjoint(params, base, **kwargs)
+                    solve_adjoint(base, **kwargs)
                 assert err.value.step_index == index
                 assert f"non-finite solution at adjoint step {index}" in str(err.value)
 
@@ -297,7 +323,7 @@ class TestSolveAdjoint:
         g = Grid.line(16, 4.0)
         params, u, _ = coupled_instance(g)
         base = simulate(params, u)
-        adj = solve_adjoint(params, base)
+        adj = solve_adjoint(base)
         norms = [norm_h(Field(g, adj.p[n])) + norm_h(Field(g, adj.r[n]))
                  for n in range(adj.n_steps + 1)]
         assert max(norms) <= 100.0 * (norms[-1] + 1.0)
@@ -308,7 +334,7 @@ class TestSolveAdjoint:
         g = Grid.line(16, 4.0)
         params, u, _ = coupled_instance(g)
         base = simulate(params, u)
-        adj = solve_adjoint(params, base)
+        adj = solve_adjoint(base)
         n = 2
         expected = neumann_laplacian(Field(g, adj.p[n])).values \
             - p_deriv(params.proliferation, 0, base.phi[n]) \
@@ -325,7 +351,7 @@ class TestReducedGradient:
         u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8),
                         sigma0=smooth_field(g, 2, 0.5))
-        grad = reduced_gradient(params, u, solve_adjoint(params, base))
+        grad = reduced_gradient(params, u, solve_adjoint(base))
         for n in range(len(u)):
             assert np.array_equal(grad[n].values, u[n].values)
 
@@ -338,7 +364,7 @@ class TestReducedGradient:
         u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8),
                         sigma0=smooth_field(g, 2, 0.5))
-        adj = solve_adjoint(params, base)
+        adj = solve_adjoint(base)
         grad = reduced_gradient(params, u, adj)
         for n in range(len(u)):
             assert np.array_equal(grad[n].values, adj.r_lift[n])
@@ -353,7 +379,7 @@ class TestReducedGradient:
         full = ControlSchedule(g, [row] * params.n_steps)
         base = simulate(params, shared, phi0=smooth_field(g, 1, 0.8),
                         sigma0=smooth_field(g, 2, 0.5))
-        adj = solve_adjoint(params, base)
+        adj = solve_adjoint(base)
         grad = reduced_gradient(params, shared, adj)
         assert grad.values.flags.c_contiguous
         assert grad.values.tobytes() == reduced_gradient(params, full, adj).values.tobytes()
@@ -366,7 +392,7 @@ class TestReducedGradient:
         u = smooth_schedule(g, params.n_steps, seed=3, amplitude=0.5)
         base = simulate(params, u, phi0=smooth_field(g, 1, 0.8),
                         sigma0=smooth_field(g, 2, 0.5))
-        adj = solve_adjoint(params, base)
+        adj = solve_adjoint(base)
         short = smooth_schedule(g, params.n_steps - 1, seed=4, amplitude=0.5)
         with pytest.raises(ValueError):
             reduced_gradient(params, short, adj)
